@@ -14,7 +14,7 @@ BENCH_OUT ?= BENCH_PR7.json
 BENCH_BASE ?= BENCH_PR7.json
 BENCH_THRESHOLD ?= 10
 
-.PHONY: build test race lint lint-fix-check fuzz-smoke chaos resume-chaos router-chaos wal-chaos ci fmt bench benchdiff
+.PHONY: build test race lint lint-fix-check fuzz-smoke chaos resume-chaos router-chaos wal-chaos perfbench-smoke ci fmt bench benchdiff
 
 build:
 	$(GO) build ./...
@@ -69,6 +69,12 @@ router-chaos:
 # once and no quarantined-record loss (see scripts/wal_chaos.sh).
 wal-chaos:
 	./scripts/wal_chaos.sh
+
+# perfbench-smoke builds the paper-scale benchmark (its own module under
+# perfbench/, which the root ./... walk never enters) against the current
+# tree and runs its small-preset smoke tests.
+perfbench-smoke:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 ci:
 	./scripts/ci.sh

@@ -531,12 +531,13 @@ func reloadFromStore(ctx context.Context, hot *server.Hot, store *release.Store,
 		}
 		return nil
 	}
-	// New full generation, possibly with deltas already on top of it.
+	// New full generation, possibly with deltas already on top of it. The
+	// full engine gets its cache before Swap: once installed it serves.
+	if full != engine && cacheCap >= 0 {
+		full.EnableSimilarityCache(cacheCap)
+	}
 	hot.Swap(full, ln.Full)
 	if len(ln.Deltas) > 0 {
-		if full != engine && cacheCap >= 0 {
-			full.EnableSimilarityCache(cacheCap)
-		}
 		if err := hot.ApplyDelta(engine, ln.Full, ln.Deltas); err != nil {
 			v := hot.Rollback(err.Error())
 			return fmt.Errorf("recserve: delta apply refused (%v); serving full generation %d", err, v)

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"socialrec/internal/community"
@@ -197,5 +198,59 @@ func TestReloadFromStoreExtendsDeltaChain(t *testing.T) {
 	st := hot.Status()
 	if st.Version != deltaV || st.FullVersion != fullV || len(st.Deltas) != 1 {
 		t.Fatalf("post-delta status = %+v", st)
+	}
+}
+
+// TestReloadNewFullWithDeltasUnderReaders drives reloadFromStore's branch
+// for a new full generation that already carries deltas while readers use
+// the Hot slot. Both engines must be complete before they are installed;
+// under -race, enabling a cache on an engine that already serves is a
+// reported data race.
+func TestReloadNewFullWithDeltasUnderReaders(t *testing.T) {
+	ctx := context.Background()
+	store := rollbackStore(t, t.TempDir())
+	social := rollbackSocial(t)
+
+	saveFullFixture(t, store)
+	engine, _, ln, err := loadLineageStore(ctx, store, social)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hot := server.NewHot(server.Engine(engine), ln.Version())
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for u := i; ; u++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := hot.Recommend(u%social.NumUsers(), 2); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+
+	for round := 0; round < 50; round++ {
+		fullV := saveFullFixture(t, store)
+		deltaV := saveDeltaFixture(t, store, fullV)
+		if err := reloadFromStore(ctx, hot, store, social, 16); err != nil {
+			t.Fatalf("round %d: reload: %v", round, err)
+		}
+		st := hot.Status()
+		if st.Version != deltaV || st.FullVersion != fullV || st.Degraded || len(st.Deltas) != 1 {
+			t.Fatalf("round %d: status = %+v, want delta %d on full %d", round, st, deltaV, fullV)
+		}
 	}
 }

@@ -41,6 +41,16 @@ func BenchmarkLouvain20K(b *testing.B) {
 	}
 }
 
+// BenchmarkBestOf20K is the paper's best-of-10 on the 20K graph; run with
+// -cpu 1,2 to see the restarts scale across cores.
+func BenchmarkBestOf20K(b *testing.B) {
+	g := benchGraph(b, 20000)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, _ = BestOf(g, 10, int64(i), Options{})
+	}
+}
+
 func BenchmarkLouvainNoRefinement(b *testing.B) {
 	g := benchGraph(b, 2000)
 	b.ResetTimer()

@@ -3,9 +3,11 @@ package community
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"socialrec/internal/generator"
 	"socialrec/internal/graph"
 )
 
@@ -180,6 +182,92 @@ func TestBestOfImprovesOrMatches(t *testing.T) {
 	if qBest < qSingle-1e-12 {
 		t.Errorf("BestOf Q = %v < single-run Q = %v", qBest, qSingle)
 	}
+}
+
+// sequentialBestOf is the reference best-of-N protocol BestOf must
+// reproduce: one restart after another, keeping a restart only when its
+// modularity is strictly greater, so the earliest of tied restarts wins.
+func sequentialBestOf(g *graph.Social, runs int, seed int64, opt Options) (*Clustering, float64) {
+	var best *Clustering
+	bestQ := 0.0
+	for r := 0; r < runs; r++ {
+		o := opt
+		o.Seed = seed + int64(r)
+		c := Louvain(g, o)
+		if q := Modularity(g, c); best == nil || q > bestQ {
+			best, bestQ = c, q
+		}
+	}
+	return best, bestQ
+}
+
+// cycle builds the n-node ring, whose rotated partitions into equal arcs
+// have bit-identical modularity: restarts tie exactly.
+func cycle(t testing.TB, n int) *graph.Social {
+	b := graph.NewSocialBuilder(n)
+	for u := 0; u < n; u++ {
+		if err := b.AddEdge(u, (u+1)%n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return b.Build()
+}
+
+// TestBestOfMatchesSequential: the concurrent restarts pick exactly the
+// clustering and modularity of the sequential protocol, including the
+// earliest restart among exact ties.
+func TestBestOfMatchesSequential(t *testing.T) {
+	lastfm, _, err := generator.Social(generator.LastFMLike(1).Social)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring := cycle(t, 9)
+	graphs := []struct {
+		name string
+		g    *graph.Social
+	}{
+		{"planted-4x30", plantedGraph(t, 4, 30, 0.5, 0.01, 42)},
+		{"planted-5x25", plantedGraph(t, 5, 25, 0.4, 0.02, 7)},
+		{"planted-4x20", plantedGraph(t, 4, 20, 0.4, 0.03, 11)},
+		{"lastfm-like", lastfm},
+		{"cycle-9", ring},
+	}
+	const seed = 5
+	for _, tc := range graphs {
+		for _, runs := range []int{1, 2, 3, 10} {
+			wantC, wantQ := sequentialBestOf(tc.g, runs, seed, Options{})
+			gotC, gotQ := BestOf(tc.g, runs, seed, Options{})
+			if math.Float64bits(gotQ) != math.Float64bits(wantQ) {
+				t.Errorf("%s runs=%d: Q = %v, sequential %v", tc.name, runs, gotQ, wantQ)
+			}
+			if !slices.Equal(gotC.Assignment(), wantC.Assignment()) {
+				t.Errorf("%s runs=%d: assignment differs from the sequential pick", tc.name, runs)
+			}
+		}
+	}
+
+	// The ring must really tie at the best modularity with different
+	// assignments, or the earliest-restart rule above went untested.
+	var best []int32
+	bestQ, ties := math.Inf(-1), 0
+	for r := int64(0); r < 10; r++ {
+		c := Louvain(ring, Options{Seed: seed + r})
+		q := Modularity(ring, c)
+		if q > bestQ {
+			best, bestQ, ties = c.Assignment(), q, 0
+		} else if math.Float64bits(q) == math.Float64bits(bestQ) && !slices.Equal(c.Assignment(), best) {
+			ties++
+		}
+	}
+	if ties == 0 {
+		t.Fatal("cycle-9: no two restarts tie at the best modularity with different assignments")
+	}
+}
+
+// plantedGraph is plantedPartition without the ground truth.
+func plantedGraph(t testing.TB, k, sz int, pIn, pOut float64, seed int64) *graph.Social {
+	g, _ := plantedPartition(t, k, sz, pIn, pOut, seed)
+	return g
 }
 
 func TestRefinementDoesNotHurt(t *testing.T) {

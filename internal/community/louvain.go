@@ -2,6 +2,9 @@ package community
 
 import (
 	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"socialrec/internal/graph"
 )
@@ -41,8 +44,13 @@ func (o Options) minGain() float64 {
 // which stabilizes the output across initial node orderings (§5.1.2 of the
 // paper).
 func Louvain(g *graph.Social, opt Options) *Clustering {
+	return louvain(fromSocial(g), opt)
+}
+
+// louvain is Louvain over the level-0 weighted graph. It only reads base,
+// so concurrent runs may share one.
+func louvain(base *wgraph, opt Options) *Clustering {
 	rng := rand.New(rand.NewSource(opt.Seed))
-	base := fromSocial(g)
 
 	// Coarsening: at each level run local moving to convergence, then
 	// aggregate communities into super-nodes.
@@ -95,30 +103,49 @@ func Louvain(g *graph.Social, opt Options) *Clustering {
 
 	c, err := FromAssignment(levels[0].assign)
 	if err != nil {
-		panic("community: internal error: " + err.Error())
+		// FromAssignment rejects only negative ids, and Louvain makes none.
+		panic("community: internal error: Louvain assigned a negative cluster id")
 	}
 	return c
 }
 
 // BestOf runs Louvain `runs` times with seeds seed, seed+1, ... and returns
 // the clustering with the highest modularity on g, mirroring the paper's
-// best-of-10 protocol (§6.2). It panics if runs < 1.
+// best-of-10 protocol (§6.2); on an exact tie the earliest restart wins.
+// The restarts run on up to GOMAXPROCS goroutines sharing one read-only
+// level-0 graph. Each restart depends only on its own seed, so the result is
+// identical to running the restarts one after another. It panics if
+// runs < 1.
 func BestOf(g *graph.Social, runs int, seed int64, opt Options) (*Clustering, float64) {
 	if runs < 1 {
 		panic("community: BestOf needs runs >= 1")
 	}
-	var best *Clustering
-	bestQ := 0.0
-	for r := 0; r < runs; r++ {
-		o := opt
-		o.Seed = seed + int64(r)
-		c := Louvain(g, o)
-		q := Modularity(g, c)
-		if best == nil || q > bestQ {
-			best, bestQ = c, q
+	base := fromSocial(g)
+	cs := make([]*Clustering, runs)
+	qs := make([]float64, runs)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	workers := min(runs, runtime.GOMAXPROCS(0))
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for r := next.Add(1) - 1; r < int64(runs); r = next.Add(1) - 1 {
+				o := opt
+				o.Seed = seed + r
+				cs[r] = louvain(base, o)
+				qs[r] = Modularity(g, cs[r])
+			}
+		}()
+	}
+	wg.Wait()
+	best := 0
+	for r := 1; r < runs; r++ {
+		if qs[r] > qs[best] {
+			best = r
 		}
 	}
-	return best, bestQ
+	return cs[best], qs[best]
 }
 
 // wgraph is the weighted multigraph used internally during coarsening.

@@ -8,8 +8,9 @@
 # checkpointed offline pipeline and the budget journal (scripts/
 # resume_chaos.sh), the crash/recovery matrix for the streaming update
 # path (scripts/wal_chaos.sh), the router chaos smoke for the sharded
-# serving tier (scripts/router_chaos.sh), and a short fuzz smoke over the dataset and
-# release parsers. Every step must pass; the first failure aborts with a non-zero
+# serving tier (scripts/router_chaos.sh), a build and smoke test of the
+# paper-scale benchmark module (perfbench/), and a short fuzz smoke over the
+# dataset and release parsers. Every step must pass; the first failure aborts with a non-zero
 # exit. `make ci` is the one-command entry point, locally and in any future
 # pipeline.
 set -euo pipefail
@@ -68,6 +69,11 @@ step "router chaos smoke (3 shards + router + loadgen, SIGKILL one shard)"
 # degraded (silent truncation fails), breaker opens then re-closes after
 # the shard restarts, and the capacity number lands in the CI log.
 ./scripts/router_chaos.sh
+
+step "perfbench smoke (benchmark module built and tested against this tree)"
+# perfbench/ is its own module, so the ./... steps above never build it;
+# this keeps a change that breaks the benchmark from passing CI.
+make perfbench-smoke
 
 step "benchmark budget gate (ns/op >50% or ANY allocs/op growth vs BENCH_PR7.json fails)"
 # Two quick passes against the recorded baseline. The ns/op threshold is

@@ -61,7 +61,9 @@ type Config struct {
 	// values are 0.01–1.0.
 	Epsilon float64
 	// LouvainRuns is the number of Louvain restarts; the best-modularity
-	// clustering is kept. 0 selects the paper's 10.
+	// clustering is kept. 0 selects the paper's 10. The restarts run on up
+	// to GOMAXPROCS goroutines, and the kept clustering is identical to the
+	// one a sequential best-of-N returns.
 	LouvainRuns int
 	// Clusterer selects the community-detection algorithm: "louvain"
 	// (the paper's choice; default), "labelprop" or "cnm". All read only
