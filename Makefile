@@ -7,7 +7,9 @@ GO ?= go
 # Benchmark knobs: BENCH_OUT is where `make bench` records the JSON
 # baseline; BENCH_BASE is what `make benchdiff` compares a fresh run to;
 # BENCH_THRESHOLD is the max tolerated ns/op regression in percent.
-# allocs/op has no threshold: any growth over the baseline fails.
+# allocs/op has no threshold: any growth over the baseline fails. Both
+# targets run at -cpu 1, the GOMAXPROCS the baseline was recorded at:
+# similarity.ComputeAll fans out per GOMAXPROCS, so allocs/op depends on it.
 BENCH_PKGS ?= ./internal/server ./internal/core ./internal/trace
 BENCH_COUNT ?= 5
 BENCH_OUT ?= BENCH_PR7.json
@@ -43,6 +45,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzReadSocialTSV$$' -fuzztime=10s ./internal/dataset
 	$(GO) test -run='^$$' -fuzz='^FuzzReadPreferenceTSV$$' -fuzztime=10s ./internal/dataset
 	$(GO) test -run='^$$' -fuzz='^FuzzRead$$' -fuzztime=10s ./internal/release
+	$(GO) test -run='^$$' -fuzz='^FuzzReadArtifacts$$' -fuzztime=10s ./internal/release
 
 # chaos drives the hardened server benchmark under -race with mixed
 # error/panic/latency fault injection; it fails on any escaped panic,
@@ -82,14 +85,14 @@ ci:
 # bench records a fresh benchmark baseline (min ns/op over BENCH_COUNT
 # runs) into $(BENCH_OUT).
 bench:
-	$(GO) test -run='^$$' -bench=. -benchmem -count=$(BENCH_COUNT) $(BENCH_PKGS) | tee /tmp/bench_raw.txt
+	$(GO) test -run='^$$' -bench=. -benchmem -cpu 1 -count=$(BENCH_COUNT) $(BENCH_PKGS) | tee /tmp/bench_raw.txt
 	$(GO) run ./scripts -parse /tmp/bench_raw.txt -out $(BENCH_OUT)
 
 # benchdiff re-runs the benchmarks and fails if anything regressed more
 # than $(BENCH_THRESHOLD)% ns/op against the recorded baseline
 # $(BENCH_BASE), or grew allocs/op over it at all (hard ceiling).
 benchdiff:
-	$(GO) test -run='^$$' -bench=. -benchmem -count=$(BENCH_COUNT) $(BENCH_PKGS) > /tmp/bench_new_raw.txt
+	$(GO) test -run='^$$' -bench=. -benchmem -cpu 1 -count=$(BENCH_COUNT) $(BENCH_PKGS) > /tmp/bench_new_raw.txt
 	$(GO) run ./scripts -parse /tmp/bench_new_raw.txt -out /tmp/bench_new.json
 	$(GO) run ./scripts -old $(BENCH_BASE) -new /tmp/bench_new.json -threshold $(BENCH_THRESHOLD)
 

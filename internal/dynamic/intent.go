@@ -1,22 +1,19 @@
 package dynamic
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"io/fs"
 	"math"
 
 	"socialrec/internal/faults"
+	"socialrec/internal/frame"
 )
 
 // Updater intent journal: the streaming path's crash-safe budget record.
-// It extends the Manager's journal-before-spend discipline with enough
-// intent — which WAL range, which artifact version, full or delta — for a
-// restarted Updater to finish a crashed publish deterministically instead
-// of abandoning the journaled ε:
+// Beyond the ε spent it records enough intent — which WAL range, which
+// artifact version, full or delta — for a restarted Updater to finish a
+// crashed publish deterministically instead of abandoning the journaled ε:
 //
 //   - The journal is written durably BEFORE the accountant is charged and
 //     before any artifact is persisted. A crash after the write but before
@@ -32,7 +29,12 @@ import (
 // Over-counting remains the safe failure direction: if recomputation is
 // impossible (WAL truncated past Seq), the spend stands and the release is
 // skipped.
-const intentMagic = "SOCUPD01"
+const intentMagic = "SOCUPD02"
+
+// budgetPartition is the accountant partition for preference edges. All
+// publishes touch the same (evolving) preference data, so they share one
+// partition and compose sequentially.
+const budgetPartition = "preference-edges"
 
 // intentKind records which artifact a journaled publish produces.
 type intentKind uint8
@@ -75,8 +77,6 @@ type intentState struct {
 	Base uint64
 }
 
-const intentBodyLen = 8 + 8 + 8 + 8 + 8 + 1 + 8
-
 // errIntentCorrupt reports an unreadable intent journal. It is fatal:
 // publishing with untrusted spend accounting could re-spend budget.
 var errIntentCorrupt = errors.New("dynamic: updater journal corrupt")
@@ -84,33 +84,24 @@ var errIntentCorrupt = errors.New("dynamic: updater journal corrupt")
 // readIntent loads the journal. ok is false when the file does not exist
 // (a fresh deployment).
 func readIntent(fsys faults.FS, path string) (st intentState, ok bool, err error) {
-	f, err := fsys.Open(path)
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return intentState{}, false, nil
+	err = frame.ReadFile(fsys, path, intentMagic, func(r *frame.Reader) error {
+		st = intentState{
+			Releases: r.U64("releases"),
+			Spent:    r.F64("spent"),
+			PrevSeq:  r.U64("previous seq"),
+			Seq:      r.U64("seq"),
+			Version:  r.U64("version"),
+			Kind:     intentKind(r.U8("kind")),
+			Base:     r.U64("base"),
 		}
-		return intentState{}, false, err
+		return nil
+	})
+	if errors.Is(err, fs.ErrNotExist) {
+		return intentState{}, false, nil
 	}
-	defer f.Close()
-	raw, err := io.ReadAll(io.LimitReader(f, 128))
 	if err != nil {
-		return intentState{}, false, err
+		return intentState{}, false, fmt.Errorf("%w: %s: %v", errIntentCorrupt, path, err)
 	}
-	if len(raw) != len(intentMagic)+intentBodyLen+4 || string(raw[:len(intentMagic)]) != intentMagic {
-		return intentState{}, false, fmt.Errorf("%w: %s", errIntentCorrupt, path)
-	}
-	body := raw[len(intentMagic) : len(intentMagic)+intentBodyLen]
-	sum := binary.BigEndian.Uint32(raw[len(intentMagic)+intentBodyLen:])
-	if crc32.ChecksumIEEE(body) != sum {
-		return intentState{}, false, fmt.Errorf("%w: %s: checksum mismatch", errIntentCorrupt, path)
-	}
-	st.Releases = binary.BigEndian.Uint64(body[0:])
-	st.Spent = math.Float64frombits(binary.BigEndian.Uint64(body[8:]))
-	st.PrevSeq = binary.BigEndian.Uint64(body[16:])
-	st.Seq = binary.BigEndian.Uint64(body[24:])
-	st.Version = binary.BigEndian.Uint64(body[32:])
-	st.Kind = intentKind(body[40])
-	st.Base = binary.BigEndian.Uint64(body[41:])
 	if math.IsNaN(st.Spent) || math.IsInf(st.Spent, 0) || st.Spent < 0 {
 		return intentState{}, false, fmt.Errorf("%w: %s: spend out of range", errIntentCorrupt, path)
 	}
@@ -120,20 +111,26 @@ func readIntent(fsys faults.FS, path string) (st intentState, ok bool, err error
 	return st, true, nil
 }
 
-// writeIntent persists the journal with the same-dir-temp + fsync +
-// atomic-rename discipline: a crash mid-write leaves either the old journal
-// or the new one, never a torn file.
+// writeIntent persists the journal as one frame with the same-dir-temp +
+// fsync + atomic-rename discipline: a crash mid-write leaves either the old
+// journal or the new one, never a torn file.
+//
+//	releases  u64
+//	spent     f64
+//	prevSeq   u64
+//	seq       u64
+//	version   u64
+//	kind      u8    0 none, 1 full, 2 delta
+//	base      u64
 func writeIntent(fsys faults.FS, path string, st intentState) error {
-	buf := make([]byte, len(intentMagic)+intentBodyLen+4)
-	copy(buf, intentMagic)
-	body := buf[len(intentMagic) : len(intentMagic)+intentBodyLen]
-	binary.BigEndian.PutUint64(body[0:], st.Releases)
-	binary.BigEndian.PutUint64(body[8:], math.Float64bits(st.Spent))
-	binary.BigEndian.PutUint64(body[16:], st.PrevSeq)
-	binary.BigEndian.PutUint64(body[24:], st.Seq)
-	binary.BigEndian.PutUint64(body[32:], st.Version)
-	body[40] = byte(st.Kind)
-	binary.BigEndian.PutUint64(body[41:], st.Base)
-	binary.BigEndian.PutUint32(buf[len(intentMagic)+intentBodyLen:], crc32.ChecksumIEEE(body))
-	return faults.WriteAtomic(fsys, path, buf)
+	return frame.WriteFile(fsys, path, intentMagic, func(w *frame.Writer) error {
+		w.U64(st.Releases)
+		w.F64(st.Spent)
+		w.U64(st.PrevSeq)
+		w.U64(st.Seq)
+		w.U64(st.Version)
+		w.U8(uint8(st.Kind))
+		w.U64(st.Base)
+		return nil
+	})
 }

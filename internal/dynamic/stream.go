@@ -1,3 +1,16 @@
+// Package dynamic extends the framework toward the paper's §7 future-work
+// item of recommending over dynamic graphs. The paper's Algorithm 1 covers
+// a single static snapshot; when the graphs evolve and the recommender
+// re-releases, the releases compose. Because preference edges persist
+// across releases, the safe (and tight, absent further assumptions)
+// accounting is sequential composition (Theorem 2): k releases at ε_r each
+// consume k·ε_r of a total budget.
+//
+// Updater operationalizes that: it owns a total preference-privacy budget,
+// charges ε_r per publish, and refuses the publish that would exceed the
+// budget — turning the paper's theoretical caveat into an enforced
+// invariant. Re-clustering is free: the clustering reads only the public
+// social graph.
 package dynamic
 
 import (
@@ -19,10 +32,9 @@ import (
 	"socialrec/internal/wal"
 )
 
-// Updater is the streaming counterpart of Manager: instead of taking whole
-// graph snapshots, it consumes a mutation WAL, repairs the community
-// structure incrementally around the touched vertices, and publishes into
-// a release.Store — a cheap delta release (only the changed clusters
+// Updater consumes a mutation WAL, repairs the community structure
+// incrementally around the touched vertices, and publishes into a
+// release.Store — a cheap delta release (only the changed clusters
 // re-noised) when drift is small, a full generation when drift is large or
 // the delta chain grows long. A drift threshold decides when a re-release
 // is worth its ε at all.
@@ -33,9 +45,9 @@ import (
 // same derived noise seed, byte-identical artifact, ε charged exactly
 // once.
 //
-// An Updater is the sole writer of its store, journal and WAL cursor;
-// methods are serialized internally but distinct Updaters must not share
-// those paths.
+// An Updater is the sole writer of its store and journal; methods are
+// serialized internally but distinct Updaters must not share those paths.
+// The journaled Seq doubles as the consumer's WAL replay mark.
 type Updater struct {
 	cfg  UpdaterConfig
 	acct *dp.Accountant
@@ -61,9 +73,9 @@ type Updater struct {
 
 // UpdaterConfig assembles an Updater.
 type UpdaterConfig struct {
-	// TotalBudget and PerRelease are as in Config: the lifetime ε for
-	// preference-edge privacy and the ε each publish (full or delta)
-	// consumes under sequential composition.
+	// TotalBudget is the lifetime ε for preference-edge privacy, and
+	// PerRelease the ε each publish (full or delta) consumes under
+	// sequential composition.
 	TotalBudget dp.Epsilon
 	PerRelease  dp.Epsilon
 	// Measure is the social-similarity measure; nil selects Common

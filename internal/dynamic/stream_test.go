@@ -1,6 +1,7 @@
 package dynamic
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -296,6 +297,29 @@ func TestUpdaterDriftSkipSpendsNothing(t *testing.T) {
 	}
 }
 
+// TestUpdaterValidation: OpenUpdater refuses budgets that cannot be
+// enforced and a deployment without a WAL, store or journal.
+func TestUpdaterValidation(t *testing.T) {
+	e := newStreamEnv(t, nil)
+	for i, mutate := range []func(*UpdaterConfig){
+		func(c *UpdaterConfig) { c.TotalBudget = 0 },
+		func(c *UpdaterConfig) { c.TotalBudget = -1 },
+		func(c *UpdaterConfig) { c.TotalBudget = dp.Inf },
+		func(c *UpdaterConfig) { c.PerRelease = 0 },
+		func(c *UpdaterConfig) { c.PerRelease = c.TotalBudget * 2 },
+		func(c *UpdaterConfig) { c.PerRelease = dp.Inf },
+		func(c *UpdaterConfig) { c.WAL = nil },
+		func(c *UpdaterConfig) { c.Store = nil },
+		func(c *UpdaterConfig) { c.JournalPath = "" },
+	} {
+		cfg := e.config()
+		mutate(&cfg)
+		if _, err := OpenUpdater(cfg); err == nil {
+			t.Errorf("case %d: invalid config accepted", i)
+		}
+	}
+}
+
 // TestUpdaterBudgetExhaustion: the updater refuses releases past the total
 // budget, before journaling anything.
 func TestUpdaterBudgetExhaustion(t *testing.T) {
@@ -320,6 +344,44 @@ func TestUpdaterBudgetExhaustion(t *testing.T) {
 	}
 	if u.CanPublish() {
 		t.Fatal("CanPublish true with insufficient remaining budget")
+	}
+}
+
+// TestUpdaterRefusesCorruptIntent: a truncated, bit-flipped or wrong-magic
+// intent journal stops OpenUpdater. Guessing the spend instead could
+// re-spend ε that an earlier publish already exposed.
+func TestUpdaterRefusesCorruptIntent(t *testing.T) {
+	e := newStreamEnv(t, nil)
+	e.seedPopulation()
+	if _, err := e.mustOpen().Advance(); err != nil {
+		t.Fatal(err)
+	}
+	good, err := os.ReadFile(e.journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := bytes.Clone(good)
+	flipped[len(intentMagic)+9] ^= 0x01 // inside the spend
+	for name, data := range map[string][]byte{
+		"truncated":   good[:len(good)-1],
+		"bit-flipped": flipped,
+		"wrong magic": append([]byte("SOCUPD01"), good[len(intentMagic):]...),
+		"empty":       {},
+	} {
+		if err := os.WriteFile(e.journal, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		e.reopen()
+		if _, err := e.open(); !errors.Is(err, errIntentCorrupt) {
+			t.Errorf("%s journal: OpenUpdater error = %v, want errIntentCorrupt", name, err)
+		}
+	}
+	if err := os.WriteFile(e.journal, good, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	e.reopen()
+	if u := e.mustOpen(); u.Spent() != 0.5 || u.Releases() != 1 {
+		t.Fatalf("restored journal: spent %v over %d releases", float64(u.Spent()), u.Releases())
 	}
 }
 
@@ -437,11 +499,10 @@ func TestUpdaterPublishFaultSweep(t *testing.T) {
 			// Spend is never under-counted: every artifact the store
 			// exposes is covered by journaled ε.
 			arts := 0
-			if vs, err := e.store.Versions(); err == nil {
-				arts += len(vs)
-			}
-			if dvs, err := e.store.DeltaVersions(); err == nil {
-				arts += len(dvs)
+			for _, k := range []release.Kind{release.Fulls, release.Deltas} {
+				if vs, err := e.store.Versions(k); err == nil {
+					arts += len(vs)
+				}
 			}
 			if got := float64(u2.Spent()); got < float64(arts)*0.5-1e-12 {
 				t.Fatalf("%s/%d: spend %v under-counts %d exposed artifacts", p, after, got, arts)

@@ -8,15 +8,13 @@ package experiment
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
-	"io"
 	"math"
 
 	"socialrec/internal/community"
 	"socialrec/internal/dataset"
 	"socialrec/internal/dp"
+	"socialrec/internal/frame"
 	"socialrec/internal/graph"
 	"socialrec/internal/mechanism"
 	"socialrec/internal/pipeline"
@@ -98,21 +96,16 @@ func (s ReleaseSpec) simShards() int {
 // it as pipeline.Options.Config so any configuration change re-runs the
 // pipeline from the first affected stage.
 func (s ReleaseSpec) Fingerprint() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	put(s.DatasetFingerprint)
-	h.Write([]byte(s.measure().Name()))
-	put(math.Float64bits(float64(s.Eps)))
-	put(uint64(s.evalSample()))
-	put(uint64(s.louvainRuns()))
-	put(uint64(s.simShards()))
-	put(uint64(s.Seed))
-	put(math.Float64bits(s.SnapGrain))
-	return h.Sum64()
+	h := pipeline.NewHasher()
+	h.Word(s.DatasetFingerprint)
+	h.String(s.measure().Name())
+	h.Word(math.Float64bits(float64(s.Eps)))
+	h.Word(uint64(s.evalSample()))
+	h.Word(uint64(s.louvainRuns()))
+	h.Word(uint64(s.simShards()))
+	h.Word(uint64(s.Seed))
+	h.Word(math.Float64bits(s.SnapGrain))
+	return h.Sum()
 }
 
 // funcStage adapts a closure to pipeline.Stage.
@@ -387,137 +380,68 @@ func RunnerFromState(st *pipeline.State, m similarity.Measure) (*Runner, error) 
 	return NewRunnerWithSims(ds, m, cr.Clusters, users, sims)
 }
 
-// Checkpoint codecs. All are deterministic (fixed iteration order,
-// little-endian integers) as pipeline.Port requires.
+// Checkpoint codecs: each writes its value's fields into the artifact's
+// frame in a fixed order, so encoding is deterministic as pipeline.Port
+// requires.
 
-func writeU32(w io.Writer, v uint32) error { return binary.Write(w, binary.LittleEndian, v) }
-func writeU64(w io.Writer, v uint64) error { return binary.Write(w, binary.LittleEndian, v) }
-func readU32(r io.Reader) (uint32, error) {
-	var v uint32
-	err := binary.Read(r, binary.LittleEndian, &v)
-	return v, err
-}
-func readU64(r io.Reader) (uint64, error) {
-	var v uint64
-	err := binary.Read(r, binary.LittleEndian, &v)
-	return v, err
-}
-
-func writeInt32s(w io.Writer, s []int32) error {
-	if err := writeU32(w, uint32(len(s))); err != nil {
-		return err
-	}
-	return binary.Write(w, binary.LittleEndian, s)
-}
-
-func readInt32s(r io.Reader) ([]int32, error) {
-	n, err := readU32(r)
-	if err != nil {
-		return nil, err
-	}
-	s := make([]int32, n)
-	if err := binary.Read(r, binary.LittleEndian, s); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// datasetPort round-trips a *dataset.Dataset: name, social edges (each
-// undirected edge once, endpoints ascending), preference edges.
+// datasetPort round-trips a *dataset.Dataset:
+//
+//	name    string
+//	users   u32
+//	social  []i32   undirected edges once each, u < v, as u,v pairs
+//	items   u32
+//	prefs   []i32   preference edges as user,item pairs
 func datasetPort(k pipeline.Key) pipeline.Port {
 	return pipeline.Port{
 		Key: k,
-		Encode: func(w io.Writer, v any) error {
+		Encode: func(w *frame.Writer, v any) error {
 			ds, ok := v.(*dataset.Dataset)
 			if !ok {
 				return fmt.Errorf("experiment: dataset codec got %T", v)
 			}
-			if err := writeString(w, ds.Name); err != nil {
-				return err
-			}
 			nu := ds.Social.NumUsers()
-			if err := writeU32(w, uint32(nu)); err != nil {
-				return err
-			}
-			if err := writeU64(w, uint64(ds.Social.NumEdges())); err != nil {
-				return err
-			}
+			social := make([]int32, 0, 2*ds.Social.NumEdges())
 			for u := 0; u < nu; u++ {
 				for _, v := range ds.Social.Neighbors(u) {
 					if int(v) > u {
-						if err := writeU32(w, uint32(u)); err != nil {
-							return err
-						}
-						if err := writeU32(w, uint32(v)); err != nil {
-							return err
-						}
+						social = append(social, int32(u), v)
 					}
 				}
 			}
-			if err := writeU32(w, uint32(ds.Prefs.NumItems())); err != nil {
-				return err
-			}
-			if err := writeU64(w, uint64(ds.Prefs.NumEdges())); err != nil {
-				return err
-			}
+			prefs := make([]int32, 0, 2*ds.Prefs.NumEdges())
 			for u := 0; u < ds.Prefs.NumUsers(); u++ {
 				for _, it := range ds.Prefs.Items(u) {
-					if err := writeU32(w, uint32(u)); err != nil {
-						return err
-					}
-					if err := writeU32(w, uint32(it)); err != nil {
-						return err
-					}
+					prefs = append(prefs, int32(u), it)
 				}
 			}
+			w.String(ds.Name)
+			w.U32(uint32(nu))
+			w.I32s(social)
+			w.U32(uint32(ds.Prefs.NumItems()))
+			w.I32s(prefs)
 			return nil
 		},
-		Decode: func(r io.Reader) (any, error) {
-			name, err := readString(r)
-			if err != nil {
+		Decode: func(r *frame.Reader) (any, error) {
+			name := r.String("name")
+			nu := int(r.U32("users"))
+			social := r.I32s("social edges")
+			ni := int(r.U32("items"))
+			prefs := r.I32s("preference edges")
+			if err := r.Err(); err != nil {
 				return nil, err
 			}
-			nu, err := readU32(r)
-			if err != nil {
-				return nil, err
+			if len(social)%2 != 0 || len(prefs)%2 != 0 {
+				return nil, fmt.Errorf("experiment: dataset edge list has an odd length")
 			}
-			ne, err := readU64(r)
-			if err != nil {
-				return nil, err
-			}
-			sb := graph.NewSocialBuilder(int(nu))
-			for e := uint64(0); e < ne; e++ {
-				u, err := readU32(r)
-				if err != nil {
-					return nil, err
-				}
-				v, err := readU32(r)
-				if err != nil {
-					return nil, err
-				}
-				if err := sb.AddEdge(int(u), int(v)); err != nil {
+			sb := graph.NewSocialBuilder(nu)
+			for i := 0; i < len(social); i += 2 {
+				if err := sb.AddEdge(int(social[i]), int(social[i+1])); err != nil {
 					return nil, err
 				}
 			}
-			ni, err := readU32(r)
-			if err != nil {
-				return nil, err
-			}
-			pe, err := readU64(r)
-			if err != nil {
-				return nil, err
-			}
-			pb := graph.NewPreferenceBuilder(int(nu), int(ni))
-			for e := uint64(0); e < pe; e++ {
-				u, err := readU32(r)
-				if err != nil {
-					return nil, err
-				}
-				it, err := readU32(r)
-				if err != nil {
-					return nil, err
-				}
-				if err := pb.AddEdge(int(u), int(it)); err != nil {
+			pb := graph.NewPreferenceBuilder(nu, ni)
+			for i := 0; i < len(prefs); i += 2 {
+				if err := pb.AddEdge(int(prefs[i]), int(prefs[i+1])); err != nil {
 					return nil, err
 				}
 			}
@@ -526,83 +450,77 @@ func datasetPort(k pipeline.Key) pipeline.Port {
 	}
 }
 
+// usersPort round-trips a []int32 of user ids.
 func usersPort(k pipeline.Key) pipeline.Port {
 	return pipeline.Port{
 		Key: k,
-		Encode: func(w io.Writer, v any) error {
+		Encode: func(w *frame.Writer, v any) error {
 			s, ok := v.([]int32)
 			if !ok {
 				return fmt.Errorf("experiment: users codec got %T", v)
 			}
-			return writeInt32s(w, s)
+			w.I32s(s)
+			return nil
 		},
-		Decode: func(r io.Reader) (any, error) { return readInt32s(r) },
+		Decode: func(r *frame.Reader) (any, error) {
+			s := r.I32s("users")
+			return s, r.Err()
+		},
 	}
 }
 
+// simsPort round-trips a []similarity.Scores: a u32 count, then each
+// entry's users ([]i32) and values ([]f64).
 func simsPort(k pipeline.Key) pipeline.Port {
 	return pipeline.Port{
 		Key: k,
-		Encode: func(w io.Writer, v any) error {
+		Encode: func(w *frame.Writer, v any) error {
 			sims, ok := v.([]similarity.Scores)
 			if !ok {
 				return fmt.Errorf("experiment: sims codec got %T", v)
 			}
-			if err := writeU32(w, uint32(len(sims))); err != nil {
-				return err
-			}
+			w.U32(uint32(len(sims)))
 			for _, s := range sims {
-				if err := writeInt32s(w, s.Users); err != nil {
-					return err
-				}
-				if err := binary.Write(w, binary.LittleEndian, s.Vals); err != nil {
-					return err
-				}
+				w.I32s(s.Users)
+				w.F64s(s.Vals)
 			}
 			return nil
 		},
-		Decode: func(r io.Reader) (any, error) {
-			n, err := readU32(r)
-			if err != nil {
-				return nil, err
+		Decode: func(r *frame.Reader) (any, error) {
+			sims := []similarity.Scores{}
+			for n := r.U32("sims"); n > 0 && r.Err() == nil; n-- {
+				s := similarity.Scores{Users: r.I32s("sim users"), Vals: r.F64s("sim values")}
+				if len(s.Users) != len(s.Vals) {
+					return nil, fmt.Errorf("experiment: similarity users and values differ in length")
+				}
+				sims = append(sims, s)
 			}
-			sims := make([]similarity.Scores, n)
-			for i := range sims {
-				users, err := readInt32s(r)
-				if err != nil {
-					return nil, err
-				}
-				vals := make([]float64, len(users))
-				if err := binary.Read(r, binary.LittleEndian, vals); err != nil {
-					return nil, err
-				}
-				sims[i] = similarity.Scores{Users: users, Vals: vals}
+			if err := r.Err(); err != nil {
+				return nil, err
 			}
 			return sims, nil
 		},
 	}
 }
 
+// clusterPort round-trips a *ClusterRun: the assignment ([]i32), then the
+// modularity (f64).
 func clusterPort(k pipeline.Key) pipeline.Port {
 	return pipeline.Port{
 		Key: k,
-		Encode: func(w io.Writer, v any) error {
+		Encode: func(w *frame.Writer, v any) error {
 			cr, ok := v.(*ClusterRun)
 			if !ok {
 				return fmt.Errorf("experiment: cluster codec got %T", v)
 			}
-			if err := writeInt32s(w, cr.Clusters.Assignment()); err != nil {
-				return err
-			}
-			return binary.Write(w, binary.LittleEndian, cr.Modularity)
+			w.I32s(cr.Clusters.Assignment())
+			w.F64(cr.Modularity)
+			return nil
 		},
-		Decode: func(r io.Reader) (any, error) {
-			assign, err := readInt32s(r)
-			if err != nil {
-				return nil, err
-			}
-			var q float64
-			if err := binary.Read(r, binary.LittleEndian, &q); err != nil {
+		Decode: func(r *frame.Reader) (any, error) {
+			assign := r.I32s("assignment")
+			q := r.F64("modularity")
+			if err := r.Err(); err != nil {
 				return nil, err
 			}
 			c, err := community.FromAssignment(assign)
@@ -614,55 +532,50 @@ func clusterPort(k pipeline.Key) pipeline.Port {
 	}
 }
 
-// releasePort reuses the production release serialization, so the
-// checkpointed bytes are exactly the bytes a release.Store would persist.
+// releasePort reuses the production release body (release.WriteBody), so
+// the checkpointed fields are exactly the ones a release.Store persists.
+// Like a store save or load, checkpointing the sanitized release is
+// post-processing, recorded at ε = 0.
 func releasePort(k pipeline.Key) pipeline.Port {
 	return pipeline.Port{
 		Key: k,
-		Encode: func(w io.Writer, v any) error {
+		Encode: func(w *frame.Writer, v any) error {
 			rel, ok := v.(*release.Release)
 			if !ok {
 				return fmt.Errorf("experiment: release codec got %T", v)
 			}
-			return release.Write(w, rel)
+			if err := release.WriteBody(w, rel); err != nil {
+				return err
+			}
+			telemetry.Budget().Record(telemetry.ReleaseEvent{Mechanism: "release_persist", Values: len(rel.Avg)})
+			return nil
 		},
-		Decode: func(r io.Reader) (any, error) { return release.Read(r) },
+		Decode: func(r *frame.Reader) (any, error) {
+			rel, err := release.ReadBody(r)
+			if err != nil {
+				return nil, err
+			}
+			telemetry.Budget().Record(telemetry.ReleaseEvent{Mechanism: "release_load", Values: len(rel.Avg)})
+			return rel, nil
+		},
 	}
 }
 
+// versionPort round-trips a store version (u64).
 func versionPort(k pipeline.Key) pipeline.Port {
 	return pipeline.Port{
 		Key: k,
-		Encode: func(w io.Writer, v any) error {
+		Encode: func(w *frame.Writer, v any) error {
 			ver, ok := v.(uint64)
 			if !ok {
 				return fmt.Errorf("experiment: version codec got %T", v)
 			}
-			return writeU64(w, ver)
+			w.U64(ver)
+			return nil
 		},
-		Decode: func(r io.Reader) (any, error) { return readU64(r) },
+		Decode: func(r *frame.Reader) (any, error) {
+			v := r.U64("version")
+			return v, r.Err()
+		},
 	}
-}
-
-func writeString(w io.Writer, s string) error {
-	if err := writeU32(w, uint32(len(s))); err != nil {
-		return err
-	}
-	_, err := io.WriteString(w, s)
-	return err
-}
-
-func readString(r io.Reader) (string, error) {
-	n, err := readU32(r)
-	if err != nil {
-		return "", err
-	}
-	if n > 1<<20 {
-		return "", fmt.Errorf("experiment: string length %d exceeds limit", n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", err
-	}
-	return string(buf), nil
 }

@@ -13,6 +13,7 @@ import (
 	"socialrec/internal/dataset"
 	"socialrec/internal/dp"
 	"socialrec/internal/faults"
+	"socialrec/internal/frame"
 	"socialrec/internal/generator"
 	"socialrec/internal/mechanism"
 	"socialrec/internal/pipeline"
@@ -164,7 +165,7 @@ func TestPipelineResumeAndPersistIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	versions, err := store.Versions()
+	versions, err := store.Versions(release.Fulls)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +241,7 @@ func TestPipelineCrashMidPersistThenResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	versions, err := store.Versions()
+	versions, err := store.Versions(release.Fulls)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,15 +302,8 @@ func TestDatasetCodecRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	port := datasetPort(KeyDataset)
-	var buf bytes.Buffer
-	if err := port.Encode(&buf, ds); err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	got, err := port.Decode(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	ds2 := got.(*dataset.Dataset)
+	data := portBytes(t, port, ds)
+	ds2 := portValue(t, port, data).(*dataset.Dataset)
 	if ds2.Name != ds.Name ||
 		ds2.Social.NumUsers() != ds.Social.NumUsers() ||
 		ds2.Social.NumEdges() != ds.Social.NumEdges() ||
@@ -326,13 +320,37 @@ func TestDatasetCodecRoundTrip(t *testing.T) {
 		}
 	}
 	// Deterministic encoding: same value, same bytes.
-	var buf2 bytes.Buffer
-	if err := port.Encode(&buf2, ds2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
+	if !bytes.Equal(data, portBytes(t, port, ds2)) {
 		t.Fatalf("dataset encoding is not deterministic")
 	}
+}
+
+// portBytes encodes v through port into a standalone frame.
+func portBytes(t *testing.T, port pipeline.Port, v any) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := frame.NewWriter(&buf, "SOCTSTv1")
+	if err := port.Encode(w, v); err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// portValue decodes a frame portBytes wrote.
+func portValue(t *testing.T, port pipeline.Port, data []byte) any {
+	t.Helper()
+	r := frame.NewReader(bytes.NewReader(data), "SOCTSTv1")
+	v, err := port.Decode(r)
+	if err == nil {
+		err = r.Close()
+	}
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	return v
 }
 
 // TestClusterRunFromAssignment guards the clustering codec against
@@ -345,15 +363,7 @@ func TestClusterCodecRoundTrip(t *testing.T) {
 	c := community.Louvain(ds.Social, community.Options{Seed: 3})
 	cr := &ClusterRun{Clusters: c, Modularity: community.Modularity(ds.Social, c)}
 	port := clusterPort(KeyClusters)
-	var buf bytes.Buffer
-	if err := port.Encode(&buf, cr); err != nil {
-		t.Fatal(err)
-	}
-	got, err := port.Decode(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cr2 := got.(*ClusterRun)
+	cr2 := portValue(t, port, portBytes(t, port, cr)).(*ClusterRun)
 	if cr2.Modularity != cr.Modularity || !reflect.DeepEqual(cr2.Clusters.Assignment(), cr.Clusters.Assignment()) {
 		t.Fatalf("cluster round-trip diverged")
 	}

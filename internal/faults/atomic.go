@@ -16,11 +16,11 @@ import (
 const AtomicTmpSuffix = ".tmp"
 
 // WriteAtomicFunc durably writes a file using the crash-safe discipline
-// shared by the release store, the pipeline checkpoint store and the
-// dynamic manager's budget journal: stream the contents into a same-
-// directory temporary file, fsync it, close it, atomically rename it onto
-// the final name, then fsync the directory so the rename itself survives a
-// crash.
+// shared by the release store and, through frame.WriteFile, the pipeline
+// checkpoint store and the updater's intent journal: stream the contents
+// into a same-directory temporary file, fsync it, close it, atomically
+// rename it onto the final name, then fsync the directory so the rename
+// itself survives a crash.
 //
 // A crash (or injected fault) at any point leaves either no file under the
 // final name, or the previous file intact, or the new file fully durable —

@@ -1,12 +1,8 @@
 package pipeline
 
 import (
-	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"io/fs"
 	"math"
 	"path/filepath"
@@ -14,47 +10,25 @@ import (
 	"strings"
 
 	"socialrec/internal/faults"
+	"socialrec/internal/frame"
 	"socialrec/internal/telemetry"
 )
 
 // Checkpoint file layout. Each completed stage leaves one artifact file
 // per output plus one receipt file; the receipt is written last and is the
-// stage's commit point. All files are CRC'd and written via
-// faults.WriteAtomicFunc, so a crash at any moment leaves either the
+// stage's commit point. Every file is one internal/frame frame written
+// through frame.WriteFile, so a crash at any moment leaves either the
 // previous checkpoint intact or the new one fully durable — never a torn
 // file under a final name.
 //
-//	<key>.art      one stage output (header + payload + CRC)
-//	<stage>.stage  stage receipt (fingerprint, output keys, ε-spends + CRC)
+//	<key>.art      one stage output (SaveArtifact lists its fields)
+//	<stage>.stage  stage receipt (SaveReceipt lists its fields)
 //	*.tmp          in-progress atomic writes; swept on open
-//
-// Artifact (integers little-endian):
-//
-//	magic    [8]byte "SOCKPT01"
-//	stage    uint16-prefixed UTF-8 string (producing stage)
-//	key      uint16-prefixed UTF-8 string
-//	version  uint32   (stage code version)
-//	fp       uint64   (artifact fingerprint: chain(stage fp, key))
-//	paylen   uint64
-//	payload  paylen bytes (Port.Encode output)
-//	crc32    uint32   (IEEE, over everything after the magic)
-//
-// Receipt:
-//
-//	magic    [8]byte "SOCRCT01"
-//	stage    uint16-prefixed UTF-8 string
-//	version  uint32
-//	fp       uint64   (stage fingerprint)
-//	nkeys    uint16, then nkeys × uint16-prefixed output key
-//	nspends  uint16, then nspends × {mechanism uint16-str, epsilon float64,
-//	         sensitivity float64, values uint32}
-//	crc32    uint32   (IEEE, over everything after the magic)
 const (
-	artifactMagic   = "SOCKPT01"
-	receiptMagic    = "SOCRCT01"
-	artifactSuffix  = ".art"
-	receiptSuffix   = ".stage"
-	maxHeaderString = 1<<16 - 1
+	artifactMagic  = "SOCKPT02"
+	receiptMagic   = "SOCRCT02"
+	artifactSuffix = ".art"
+	receiptSuffix  = ".stage"
 )
 
 // Artifact is one checkpointed stage output.
@@ -63,7 +37,8 @@ type Artifact struct {
 	Key         Key
 	Version     int
 	Fingerprint uint64
-	Payload     []byte
+	// Value is the output itself, encoded and decoded by its Port.
+	Value any
 }
 
 // Receipt is a stage's commit record: it exists if and only if every
@@ -133,90 +108,46 @@ func (s *Store) Clear() error {
 	return nil
 }
 
-// header helpers: every multi-byte integer is little-endian; strings are
-// uint16-length-prefixed UTF-8.
-
-func writeString16(w io.Writer, s string) error {
-	if len(s) > maxHeaderString {
-		return fmt.Errorf("pipeline: string too long (%d bytes)", len(s))
-	}
-	if err := binary.Write(w, binary.LittleEndian, uint16(len(s))); err != nil {
-		return err
-	}
-	_, err := io.WriteString(w, s)
-	return err
+// SaveArtifact durably writes one artifact, encoding a.Value with out:
+//
+//	stage    string   producing stage
+//	key      string
+//	version  u32      stage code version
+//	fp       u64      artifact fingerprint: chain(stage fp, key)
+//	value    out.Encode's fields
+func (s *Store) SaveArtifact(a Artifact, out Port) error {
+	return frame.WriteFile(s.fsys, filepath.Join(s.dir, string(a.Key)+artifactSuffix), artifactMagic, func(w *frame.Writer) error {
+		w.String(a.Stage)
+		w.String(string(a.Key))
+		w.U32(uint32(a.Version))
+		w.U64(a.Fingerprint)
+		return out.Encode(w, a.Value)
+	})
 }
 
-func readString16(r io.Reader) (string, error) {
-	var n uint16
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return "", err
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", err
-	}
-	return string(buf), nil
-}
-
-// SaveArtifact durably writes one artifact.
-func (s *Store) SaveArtifact(a Artifact) error {
-	var body bytes.Buffer
-	if err := writeString16(&body, a.Stage); err != nil {
-		return err
-	}
-	if err := writeString16(&body, string(a.Key)); err != nil {
-		return err
-	}
-	if err := binary.Write(&body, binary.LittleEndian, uint32(a.Version)); err != nil {
-		return err
-	}
-	if err := binary.Write(&body, binary.LittleEndian, a.Fingerprint); err != nil {
-		return err
-	}
-	if err := binary.Write(&body, binary.LittleEndian, uint64(len(a.Payload))); err != nil {
-		return err
-	}
-	body.Write(a.Payload)
-	return s.writeChecked(string(a.Key)+artifactSuffix, artifactMagic, body.Bytes())
-}
-
-// LoadArtifact reads and validates one artifact. Any validation failure —
-// missing file, bad magic, truncation, CRC mismatch — is an error; the
-// runner treats all of them as "checkpoint absent".
-func (s *Store) LoadArtifact(key Key) (*Artifact, error) {
-	body, err := s.readChecked(string(key)+artifactSuffix, artifactMagic)
-	if err != nil {
-		return nil, err
-	}
-	r := bytes.NewReader(body)
+// LoadArtifact reads, validates and decodes the artifact of out.Key. Any
+// failure — missing file, bad magic, truncation, CRC mismatch, an
+// undecodable value — is an error; the runner treats all of them as
+// "checkpoint absent".
+func (s *Store) LoadArtifact(out Port) (*Artifact, error) {
 	a := &Artifact{}
-	if a.Stage, err = readString16(r); err != nil {
-		return nil, fmt.Errorf("pipeline: artifact %s: %w", key, err)
-	}
-	k, err := readString16(r)
+	err := frame.ReadFile(s.fsys, filepath.Join(s.dir, string(out.Key)+artifactSuffix), artifactMagic, func(r *frame.Reader) error {
+		a.Stage = r.String("stage")
+		a.Key = Key(r.String("key"))
+		a.Version = int(r.U32("version"))
+		a.Fingerprint = r.U64("fingerprint")
+		if err := r.Err(); err != nil {
+			return err
+		}
+		var err error
+		a.Value, err = out.Decode(r)
+		return err
+	})
 	if err != nil {
-		return nil, fmt.Errorf("pipeline: artifact %s: %w", key, err)
+		return nil, fmt.Errorf("pipeline: artifact %s: %w", out.Key, err)
 	}
-	a.Key = Key(k)
-	var version uint32
-	if err := binary.Read(r, binary.LittleEndian, &version); err != nil {
-		return nil, fmt.Errorf("pipeline: artifact %s: %w", key, err)
-	}
-	a.Version = int(version)
-	if err := binary.Read(r, binary.LittleEndian, &a.Fingerprint); err != nil {
-		return nil, fmt.Errorf("pipeline: artifact %s: %w", key, err)
-	}
-	var paylen uint64
-	if err := binary.Read(r, binary.LittleEndian, &paylen); err != nil {
-		return nil, fmt.Errorf("pipeline: artifact %s: %w", key, err)
-	}
-	if paylen != uint64(r.Len()) {
-		return nil, fmt.Errorf("pipeline: artifact %s: payload length %d does not match remaining %d bytes", key, paylen, r.Len())
-	}
-	a.Payload = body[len(body)-r.Len():]
-	if a.Key != key {
-		return nil, fmt.Errorf("pipeline: artifact %s: header names key %q", key, a.Key)
+	if a.Key != out.Key {
+		return nil, fmt.Errorf("pipeline: artifact %s: header names another key", out.Key)
 	}
 	return a, nil
 }
@@ -224,105 +155,58 @@ func (s *Store) LoadArtifact(key Key) (*Artifact, error) {
 // SaveReceipt durably writes a stage receipt. Callers must only invoke it
 // after every artifact the receipt lists is durable: the receipt is the
 // stage's commit point.
+//
+//	stage    string
+//	version  u32
+//	fp       u64      stage fingerprint
+//	outputs  u32 count, then each output key as a string
+//	spends   u32 count, then each spend as
+//	         {mechanism string, epsilon f64, sensitivity f64, values u32}
 func (s *Store) SaveReceipt(rc Receipt) error {
-	var body bytes.Buffer
-	if err := writeString16(&body, rc.Stage); err != nil {
-		return err
-	}
-	if err := binary.Write(&body, binary.LittleEndian, uint32(rc.Version)); err != nil {
-		return err
-	}
-	if err := binary.Write(&body, binary.LittleEndian, rc.Fingerprint); err != nil {
-		return err
-	}
-	if len(rc.Outputs) > maxHeaderString || len(rc.Spends) > maxHeaderString {
-		return fmt.Errorf("pipeline: receipt %s: too many outputs or spends", rc.Stage)
-	}
-	if err := binary.Write(&body, binary.LittleEndian, uint16(len(rc.Outputs))); err != nil {
-		return err
-	}
-	for _, k := range rc.Outputs {
-		if err := writeString16(&body, string(k)); err != nil {
-			return err
+	return frame.WriteFile(s.fsys, filepath.Join(s.dir, rc.Stage+receiptSuffix), receiptMagic, func(w *frame.Writer) error {
+		w.String(rc.Stage)
+		w.U32(uint32(rc.Version))
+		w.U64(rc.Fingerprint)
+		w.U32(uint32(len(rc.Outputs)))
+		for _, k := range rc.Outputs {
+			w.String(string(k))
 		}
-	}
-	if err := binary.Write(&body, binary.LittleEndian, uint16(len(rc.Spends))); err != nil {
-		return err
-	}
-	for _, ev := range rc.Spends {
-		if err := writeString16(&body, ev.Mechanism); err != nil {
-			return err
+		w.U32(uint32(len(rc.Spends)))
+		for _, ev := range rc.Spends {
+			w.String(ev.Mechanism)
+			w.F64(ev.Epsilon)
+			w.F64(ev.Sensitivity)
+			w.U32(uint32(ev.Values))
 		}
-		if err := binary.Write(&body, binary.LittleEndian, ev.Epsilon); err != nil {
-			return err
-		}
-		if err := binary.Write(&body, binary.LittleEndian, ev.Sensitivity); err != nil {
-			return err
-		}
-		if err := binary.Write(&body, binary.LittleEndian, uint32(ev.Values)); err != nil {
-			return err
-		}
-	}
-	return s.writeChecked(rc.Stage+receiptSuffix, receiptMagic, body.Bytes())
+		return nil
+	})
 }
 
 // LoadReceipt reads and validates a stage receipt.
 func (s *Store) LoadReceipt(stage string) (*Receipt, error) {
-	body, err := s.readChecked(stage+receiptSuffix, receiptMagic)
-	if err != nil {
-		return nil, err
-	}
-	r := bytes.NewReader(body)
 	rc := &Receipt{}
-	if rc.Stage, err = readString16(r); err != nil {
-		return nil, fmt.Errorf("pipeline: receipt %s: %w", stage, err)
-	}
-	var version uint32
-	if err := binary.Read(r, binary.LittleEndian, &version); err != nil {
-		return nil, fmt.Errorf("pipeline: receipt %s: %w", stage, err)
-	}
-	rc.Version = int(version)
-	if err := binary.Read(r, binary.LittleEndian, &rc.Fingerprint); err != nil {
-		return nil, fmt.Errorf("pipeline: receipt %s: %w", stage, err)
-	}
-	var nkeys uint16
-	if err := binary.Read(r, binary.LittleEndian, &nkeys); err != nil {
-		return nil, fmt.Errorf("pipeline: receipt %s: %w", stage, err)
-	}
-	for i := 0; i < int(nkeys); i++ {
-		k, err := readString16(r)
-		if err != nil {
-			return nil, fmt.Errorf("pipeline: receipt %s: %w", stage, err)
+	err := frame.ReadFile(s.fsys, filepath.Join(s.dir, stage+receiptSuffix), receiptMagic, func(r *frame.Reader) error {
+		rc.Stage = r.String("stage")
+		rc.Version = int(r.U32("version"))
+		rc.Fingerprint = r.U64("fingerprint")
+		for n := r.U32("outputs"); n > 0 && r.Err() == nil; n-- {
+			rc.Outputs = append(rc.Outputs, Key(r.String("output key")))
 		}
-		rc.Outputs = append(rc.Outputs, Key(k))
-	}
-	var nspends uint16
-	if err := binary.Read(r, binary.LittleEndian, &nspends); err != nil {
+		for n := r.U32("spends"); n > 0 && r.Err() == nil; n-- {
+			rc.Spends = append(rc.Spends, telemetry.ReleaseEvent{
+				Mechanism:   r.String("spend mechanism"),
+				Epsilon:     r.F64("spend epsilon"),
+				Sensitivity: r.F64("spend sensitivity"),
+				Values:      int(r.U32("spend values")),
+			})
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, fmt.Errorf("pipeline: receipt %s: %w", stage, err)
-	}
-	for i := 0; i < int(nspends); i++ {
-		var ev telemetry.ReleaseEvent
-		if ev.Mechanism, err = readString16(r); err != nil {
-			return nil, fmt.Errorf("pipeline: receipt %s: %w", stage, err)
-		}
-		if err := binary.Read(r, binary.LittleEndian, &ev.Epsilon); err != nil {
-			return nil, fmt.Errorf("pipeline: receipt %s: %w", stage, err)
-		}
-		if err := binary.Read(r, binary.LittleEndian, &ev.Sensitivity); err != nil {
-			return nil, fmt.Errorf("pipeline: receipt %s: %w", stage, err)
-		}
-		var values uint32
-		if err := binary.Read(r, binary.LittleEndian, &values); err != nil {
-			return nil, fmt.Errorf("pipeline: receipt %s: %w", stage, err)
-		}
-		ev.Values = int(values)
-		rc.Spends = append(rc.Spends, ev)
-	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("pipeline: receipt %s: %d trailing bytes", stage, r.Len())
 	}
 	if rc.Stage != stage {
-		return nil, fmt.Errorf("pipeline: receipt %s: header names stage %q", stage, rc.Stage)
+		return nil, fmt.Errorf("pipeline: receipt %s: header names another stage", stage)
 	}
 	return rc, nil
 }
@@ -375,48 +259,6 @@ func SpentEpsilon(records []SpendRecord) float64 {
 		}
 	}
 	return total
-}
-
-// writeChecked atomically writes magic + body + CRC32(body).
-func (s *Store) writeChecked(name, magic string, body []byte) error {
-	path := filepath.Join(s.dir, name)
-	return faults.WriteAtomicFunc(s.fsys, path, func(w io.Writer) error {
-		if _, err := io.WriteString(w, magic); err != nil {
-			return err
-		}
-		if _, err := w.Write(body); err != nil {
-			return err
-		}
-		return binary.Write(w, binary.LittleEndian, crc32.ChecksumIEEE(body))
-	})
-}
-
-// readChecked reads a checked file and returns its body after verifying
-// magic and CRC.
-func (s *Store) readChecked(name, magic string) ([]byte, error) {
-	f, err := s.fsys.Open(filepath.Join(s.dir, name))
-	if err != nil {
-		return nil, fmt.Errorf("pipeline: opening %s: %w", name, err)
-	}
-	data, err := io.ReadAll(f)
-	if cerr := f.Close(); err == nil && cerr != nil {
-		return nil, fmt.Errorf("pipeline: reading %s: close: %w", name, cerr)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("pipeline: reading %s: %w", name, err)
-	}
-	if len(data) < len(magic)+4 {
-		return nil, fmt.Errorf("pipeline: %s: truncated (%d bytes)", name, len(data))
-	}
-	if string(data[:len(magic)]) != magic {
-		return nil, fmt.Errorf("pipeline: %s: bad magic %q", name, data[:len(magic)])
-	}
-	body := data[len(magic) : len(data)-4]
-	want := binary.LittleEndian.Uint32(data[len(data)-4:])
-	if got := crc32.ChecksumIEEE(body); got != want {
-		return nil, fmt.Errorf("pipeline: %s: checksum mismatch (file corrupted)", name)
-	}
-	return body, nil
 }
 
 // isNotExist matches fs.ErrNotExist through the faults.FS wrappers.

@@ -33,9 +33,9 @@ package pipeline
 import (
 	"context"
 	"fmt"
-	"io"
 	"sync"
 
+	"socialrec/internal/frame"
 	"socialrec/internal/telemetry"
 )
 
@@ -45,16 +45,16 @@ import (
 type Key string
 
 // Port declares one typed stage output: the key it is published under and
-// the codec that round-trips it through a checkpoint artifact. Encode must
-// be deterministic — the same value must always serialize to the same
-// bytes — or resume verification and the byte-identical-release guarantee
-// break.
+// the codec that round-trips it through a checkpoint artifact's frame.
+// Encode must be deterministic — the same value must always serialize to
+// the same bytes — or resume verification and the byte-identical-release
+// guarantee break.
 type Port struct {
 	Key Key
-	// Encode serializes v for checkpointing.
-	Encode func(w io.Writer, v any) error
-	// Decode reconstructs the value from a checkpoint artifact.
-	Decode func(r io.Reader) (any, error)
+	// Encode writes v's fields into the artifact.
+	Encode func(w *frame.Writer, v any) error
+	// Decode reconstructs the value from the fields Encode wrote.
+	Decode func(r *frame.Reader) (any, error)
 }
 
 // Stage is one unit of the offline pipeline. Implementations must be

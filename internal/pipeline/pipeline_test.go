@@ -2,10 +2,8 @@ package pipeline
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -14,6 +12,7 @@ import (
 	"time"
 
 	"socialrec/internal/faults"
+	"socialrec/internal/frame"
 	"socialrec/internal/telemetry"
 )
 
@@ -40,19 +39,16 @@ func (s *testStage) Run(ctx context.Context, st *State) error {
 func int64Port(k Key) Port {
 	return Port{
 		Key: k,
-		Encode: func(w io.Writer, v any) error {
+		Encode: func(w *frame.Writer, v any) error {
 			i, ok := v.(int64)
 			if !ok {
 				return fmt.Errorf("want int64, got %T", v)
 			}
-			return binary.Write(w, binary.LittleEndian, i)
+			w.U64(uint64(i))
+			return nil
 		},
-		Decode: func(r io.Reader) (any, error) {
-			var i int64
-			if err := binary.Read(r, binary.LittleEndian, &i); err != nil {
-				return nil, err
-			}
-			return i, nil
+		Decode: func(r *frame.Reader) (any, error) {
+			return int64(r.U64("value")), r.Err()
 		},
 	}
 }

@@ -1,10 +1,10 @@
 package pipeline
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
+	"hash"
 	"hash/fnv"
 	"log/slog"
 	"time"
@@ -136,32 +136,47 @@ func newPipelineMetrics(reg *telemetry.Registry) *pipelineMetrics {
 // hash, the run config, and the fingerprints of its inputs (which chain
 // back to their producers, so an upstream change cascades downstream).
 func fingerprint(s Stage, config uint64, inputFPs []uint64) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	h.Write([]byte(s.Name()))
-	put(uint64(s.Version()))
-	put(s.Fingerprint())
-	put(config)
+	h := NewHasher()
+	h.String(s.Name())
+	h.Word(uint64(s.Version()))
+	h.Word(s.Fingerprint())
+	h.Word(config)
 	for _, fp := range inputFPs {
-		put(fp)
+		h.Word(fp)
 	}
-	return h.Sum64()
+	return h.Sum()
 }
 
 // artifactFingerprint derives an output artifact's fingerprint from its
 // producing stage's fingerprint and its key.
 func artifactFingerprint(stageFP uint64, key Key) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], stageFP)
-	h.Write(buf[:])
-	h.Write([]byte(key))
-	return h.Sum64()
+	h := NewHasher()
+	h.Word(stageFP)
+	h.String(string(key))
+	return h.Sum()
 }
+
+// Hasher builds a fingerprint: FNV-64a over little-endian words and raw
+// strings. Stages and run configs derive their cache keys with it.
+type Hasher struct {
+	h   hash.Hash64
+	buf [8]byte
+}
+
+// NewHasher starts an empty fingerprint.
+func NewHasher() *Hasher { return &Hasher{h: fnv.New64a()} }
+
+// Word folds in a 64-bit word.
+func (h *Hasher) Word(v uint64) {
+	binary.LittleEndian.PutUint64(h.buf[:], v)
+	h.h.Write(h.buf[:])
+}
+
+// String folds in a string's bytes.
+func (h *Hasher) String(s string) { h.h.Write([]byte(s)) }
+
+// Sum returns the fingerprint.
+func (h *Hasher) Sum() uint64 { return h.h.Sum64() }
 
 // Run executes the pipeline. With a checkpoint directory it resumes from
 // the first stage whose checkpoint is absent, corrupt or fingerprint-stale
@@ -277,7 +292,7 @@ func (p *Pipeline) tryResume(store *Store, stage Stage, fp uint64, st *State, me
 	// leave a half-loaded state.
 	loaded := make(map[Key]any, len(stage.Outputs()))
 	for _, out := range stage.Outputs() {
-		a, err := store.LoadArtifact(out.Key)
+		a, err := store.LoadArtifact(out)
 		if err != nil {
 			met.ckptBad.Inc()
 			logf("pipeline: stage %s artifact %s unusable: %v", stage.Name(), out.Key, err)
@@ -290,13 +305,7 @@ func (p *Pipeline) tryResume(store *Store, stage Stage, fp uint64, st *State, me
 				stage.Name(), out.Key, a.Fingerprint, want)
 			return nil, false
 		}
-		v, err := out.Decode(bytes.NewReader(a.Payload))
-		if err != nil {
-			met.ckptBad.Inc()
-			logf("pipeline: stage %s artifact %s undecodable: %v", stage.Name(), out.Key, err)
-			return nil, false
-		}
-		loaded[out.Key] = v
+		loaded[out.Key] = a.Value
 	}
 	for k, v := range loaded {
 		st.Put(k, v)
@@ -363,17 +372,13 @@ func (p *Pipeline) runStage(ctx context.Context, stage Stage, fp uint64, st *Sta
 			if !ok {
 				return report, fmt.Errorf("pipeline: stage %s did not publish declared output %q", stage.Name(), out.Key)
 			}
-			payload, err := encodeValue(out, v)
-			if err != nil {
-				return report, fmt.Errorf("pipeline: stage %s encoding %q: %w", stage.Name(), out.Key, err)
-			}
 			if err := store.SaveArtifact(Artifact{
 				Stage:       stage.Name(),
 				Key:         out.Key,
 				Version:     stage.Version(),
 				Fingerprint: artifactFingerprint(fp, out.Key),
-				Payload:     payload,
-			}); err != nil {
+				Value:       v,
+			}, out); err != nil {
 				return report, fmt.Errorf("pipeline: stage %s checkpointing %q: %w", stage.Name(), out.Key, err)
 			}
 			met.ckptWrites.Inc()
@@ -459,12 +464,4 @@ func (p *Pipeline) attemptStage(ctx context.Context, stage Stage, st *State, opt
 	// A stage that swallowed its context's cancellation must still not
 	// commit: a timed-out attempt is a failed attempt.
 	return runCtx.Err()
-}
-
-func encodeValue(out Port, v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := out.Encode(&buf, v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
 }

@@ -2,6 +2,10 @@ package release
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
+	"runtime"
+	"strings"
 	"testing"
 
 	"socialrec/internal/community"
@@ -27,11 +31,80 @@ func goodReleaseBytes(t testing.TB) []byte {
 	return buf.Bytes()
 }
 
+// goodManifestAndShard serializes the manifest and shard 0 of a 2-shard
+// split of the shard fixture.
+func goodManifestAndShard(t testing.TB) (manifest, shard []byte) {
+	t.Helper()
+	rel, social, clusterShard := shardFixture(t)
+	m, shards, err := SplitRelease(rel, social, clusterShard, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mb, sb bytes.Buffer
+	if err := WriteManifest(&mb, m); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteShard(&sb, shards[0]); err != nil {
+		t.Fatal(err)
+	}
+	return mb.Bytes(), sb.Bytes()
+}
+
+func goodDeltaBytes(t testing.TB) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WriteDelta(&buf, moveDelta(1)); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// format is one of the package's file decoders, reduced to what the
+// corruption tests check: decode returns the result's Validate, or nil when
+// it returned no result.
+type format struct {
+	name   string
+	v1     string // the format's previous magic, which must be refused
+	good   func(testing.TB) []byte
+	decode func([]byte) (validate func() error, err error)
+}
+
+var formats = []format{
+	{"release", "SOCRECv1", goodReleaseBytes, func(data []byte) (func() error, error) {
+		r, err := Read(bytes.NewReader(data))
+		if r == nil {
+			return nil, err
+		}
+		return r.Validate, err
+	}},
+	{"manifest", "SOCMANv1", func(t testing.TB) []byte { m, _ := goodManifestAndShard(t); return m }, func(data []byte) (func() error, error) {
+		m, err := ReadManifest(bytes.NewReader(data))
+		if m == nil {
+			return nil, err
+		}
+		return m.Validate, err
+	}},
+	{"shard", "SOCSHDv1", func(t testing.TB) []byte { _, s := goodManifestAndShard(t); return s }, func(data []byte) (func() error, error) {
+		s, err := ReadShard(bytes.NewReader(data))
+		if s == nil {
+			return nil, err
+		}
+		return s.Validate, err
+	}},
+	{"delta", "SOCDLT01", goodDeltaBytes, func(data []byte) (func() error, error) {
+		d, err := ReadDelta(bytes.NewReader(data))
+		if d == nil {
+			return nil, err
+		}
+		return d.Validate, err
+	}},
+}
+
 // corruptCorpus generates the systematic corruption corpus over a valid
-// release image: every truncation length, every single-byte bit flip, and
-// magic-string manglings. Shared by the deterministic corpus test and the
-// fuzz seeds.
-func corruptCorpus(good []byte) [][]byte {
+// image: every truncation length, every single-byte bit flip, and magic
+// manglings, including the format's previous version. Shared by the
+// deterministic corpus test and the fuzz seeds.
+func corruptCorpus(good []byte, v1 string) [][]byte {
 	var corpus [][]byte
 	// Every truncation, including the empty file and the full prefix
 	// missing only the checksum's last byte.
@@ -45,8 +118,10 @@ func corruptCorpus(good []byte) [][]byte {
 		flipped[i] ^= 0x20
 		corpus = append(corpus, flipped)
 	}
-	// Magic manglings: wrong version, case change, swapped prefix, zeroed.
-	for _, m := range []string{"SOCRECv2", "socrecv1", "RECSOCv1", "\x00\x00\x00\x00\x00\x00\x00\x00"} {
+	// Magic manglings: previous version, case change, swapped prefix,
+	// zeroed.
+	live := string(good[:len(v1)])
+	for _, m := range []string{v1, strings.ToLower(live), live[3:6] + live[:3] + live[6:], strings.Repeat("\x00", len(v1))} {
 		mangled := bytes.Clone(good)
 		copy(mangled, m)
 		corpus = append(corpus, mangled)
@@ -54,41 +129,98 @@ func corruptCorpus(good []byte) [][]byte {
 	return corpus
 }
 
-// TestReadCorruptCorpus asserts that release.Read, presented with every
-// truncated, bit-flipped and magic-mangled variant of a valid release,
-// returns an error — never panics and never returns a partially populated
-// *Release. (A flipped byte that survives CRC32 is astronomically unlikely
-// at this size; any variant Read does accept must still validate.)
+// TestReadCorruptCorpus asserts that every decoder, presented with every
+// truncated, bit-flipped and magic-mangled variant of a valid image,
+// returns an error — never panics and never returns a partial result. (A
+// flipped byte that survives CRC32 is astronomically unlikely at this
+// size; any variant a decoder does accept must still validate.)
 func TestReadCorruptCorpus(t *testing.T) {
-	good := goodReleaseBytes(t)
-	for i, data := range corruptCorpus(good) {
-		rel, err := Read(bytes.NewReader(data))
-		if err == nil {
-			// Not reachable for this corpus in practice; the invariant if
-			// it ever is: success must mean a fully valid release.
-			if rel == nil {
-				t.Fatalf("corpus[%d]: Read returned nil, nil", i)
+	for _, f := range formats {
+		for i, data := range corruptCorpus(f.good(t), f.v1) {
+			validate, err := f.decode(data)
+			if err == nil {
+				// Not reachable for this corpus in practice; the invariant
+				// if it ever is: success must mean a fully valid result.
+				if validate == nil {
+					t.Fatalf("%s corpus[%d]: nil result and nil error", f.name, i)
+				}
+				if verr := validate(); verr != nil {
+					t.Fatalf("%s corpus[%d]: accepted an invalid result: %v", f.name, i, verr)
+				}
+				continue
 			}
-			if verr := rel.Validate(); verr != nil {
-				t.Fatalf("corpus[%d]: Read accepted an invalid release: %v", i, verr)
+			if validate != nil {
+				t.Fatalf("%s corpus[%d]: partial result alongside error %v", f.name, i, err)
 			}
-			continue
-		}
-		if rel != nil {
-			t.Fatalf("corpus[%d]: Read returned a partial release alongside error %v", i, err)
 		}
 	}
 }
 
 // TestReadCorruptCorpusMatchesGood sanity-checks the corpus builder: the
-// untouched image still parses.
+// untouched images still parse.
 func TestReadCorruptCorpusMatchesGood(t *testing.T) {
-	good := goodReleaseBytes(t)
-	rel, err := Read(bytes.NewReader(good))
+	for _, f := range formats {
+		if _, err := f.decode(f.good(t)); err != nil {
+			t.Fatalf("%s: pristine image rejected: %v", f.name, err)
+		}
+	}
+	rel, err := Read(bytes.NewReader(goodReleaseBytes(t)))
 	if err != nil {
-		t.Fatalf("pristine image rejected: %v", err)
+		t.Fatal(err)
 	}
 	if rel.Measure != "AA" || rel.NumItems != 3 || rel.Clusters.NumClusters() != 3 {
 		t.Errorf("round trip lost fields: %+v", rel)
 	}
+}
+
+// TestDecodersBoundedAllocation: a header claiming maximum dimensions,
+// followed by no body, must cost each decoder well under 1 MiB before it
+// fails. Decoders run before the trailing CRC is checked, so a flipped
+// length field must not be able to demand gigabytes.
+func TestDecodersBoundedAllocation(t *testing.T) {
+	const maxCount = math.MaxUint32
+	one := math.Float64bits(1)
+	headers := map[string]struct {
+		data   []byte
+		decode func([]byte) (func() error, error)
+	}{
+		// epsilon, measure, items, clusters, then the assignment's count.
+		"release": {header(magic, one, "CN", uint32(maxDim), uint32(maxDim), uint32(maxCount)), formats[0].decode},
+		// version, shards, epsilon, measure, items, horizon, then the
+		// cluster map's count.
+		"manifest": {header(manifestMagic, uint64(1), uint32(maxDim), one, "CN", uint32(maxDim), uint32(2), uint32(maxCount)), formats[1].decode},
+		// version, id, shards, then the cluster map's count.
+		"shard": {header(shardMagic, uint64(1), uint32(0), uint32(maxDim), uint32(maxCount)), formats[2].decode},
+		// base, epsilon, measure, items, then the assignment's count.
+		"delta": {header(deltaMagic, uint64(1), one, "CN", uint32(maxDim), uint32(maxCount)), formats[3].decode},
+	}
+	for name, h := range headers {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := h.decode(h.data)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: header without body accepted", name)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+			t.Errorf("%s: decoding a bare header allocated %d bytes", name, alloc)
+		}
+	}
+}
+
+// header encodes magic then each field: u32, u64 (float bits included),
+// or a count-prefixed string.
+func header(magic string, fields ...any) []byte {
+	b := []byte(magic)
+	for _, f := range fields {
+		switch v := f.(type) {
+		case uint32:
+			b = binary.LittleEndian.AppendUint32(b, v)
+		case uint64:
+			b = binary.LittleEndian.AppendUint64(b, v)
+		case string:
+			b = append(binary.LittleEndian.AppendUint32(b, uint32(len(v))), v...)
+		}
+	}
+	return b
 }

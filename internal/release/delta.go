@@ -7,47 +7,22 @@
 // its base release is pure post-processing over already-sanitized values,
 // so it consumes no privacy budget beyond the delta's own Epsilon (spent
 // when the fresh rows were released).
-//
-// Format (all integers little-endian):
-//
-//	magic    [8]byte  "SOCDLT01"
-//	base     uint64   (store version this delta applies on top of)
-//	epsilon  float64  (ε spent on the fresh rows)
-//	measure  uint16-prefixed UTF-8 string
-//	users    uint32
-//	items    uint32
-//	clusters uint32
-//	fresh    uint32   (number of re-released clusters)
-//	assign   users × uint32     (user → new cluster)
-//	source   clusters × int32   (new cluster → base cluster, -1 = fresh)
-//	rows     fresh × items × float64 (fresh rows, ascending cluster order)
-//	crc32    uint32 (IEEE, over everything after the magic)
 package release
 
 import (
-	"bufio"
 	"context"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 
 	"socialrec/internal/community"
 	"socialrec/internal/faults"
-	"socialrec/internal/telemetry"
+	"socialrec/internal/frame"
 	"socialrec/internal/trace"
 )
 
-const (
-	deltaMagic  = "SOCDLT01"
-	deltaPrefix = "delta-"
-	deltaSuffix = ".socdlt"
-)
+const deltaMagic = "SOCDLT02"
 
 // Delta is an incremental release: a full new assignment plus fresh
 // sanitized rows for only the changed clusters.
@@ -174,7 +149,15 @@ func (d *Delta) Apply(base *Release) (*Release, error) {
 	return out, nil
 }
 
-// WriteDelta serializes the delta with the trailing checksum.
+// WriteDelta serializes the delta as one frame:
+//
+//	base     u64     store version this delta applies on top of
+//	epsilon  f64     ε spent on the fresh rows
+//	measure  string
+//	items    u32
+//	assign   []i32   user → new cluster
+//	source   []i32   new cluster → base cluster, -1 = fresh row
+//	fresh    []f64   fresh rows, ascending cluster order
 func WriteDelta(w io.Writer, d *Delta) error {
 	return WriteDeltaContext(context.Background(), w, d)
 }
@@ -185,57 +168,18 @@ func WriteDeltaContext(ctx context.Context, w io.Writer, d *Delta) error {
 	if err := d.Validate(); err != nil {
 		return err
 	}
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(deltaMagic); err != nil {
+	fw := frame.NewWriter(w, deltaMagic)
+	fw.U64(d.Base)
+	fw.F64(d.Epsilon)
+	fw.String(d.Measure)
+	fw.U32(uint32(d.NumItems))
+	fw.I32s(d.Assign)
+	fw.I32s(d.Source)
+	fw.F64s(d.Fresh)
+	if err := fw.Close(); err != nil {
 		return err
 	}
-	cw := &crcWriter{w: bw, crc: crc32.NewIEEE()}
-	put := func(vs ...any) error {
-		for _, v := range vs {
-			if err := binary.Write(cw, binary.LittleEndian, v); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := put(d.Base, d.Epsilon); err != nil {
-		return err
-	}
-	if len(d.Measure) > 1<<16-1 {
-		return fmt.Errorf("release: delta: measure name too long")
-	}
-	if err := put(uint16(len(d.Measure))); err != nil {
-		return err
-	}
-	if _, err := cw.Write([]byte(d.Measure)); err != nil {
-		return err
-	}
-	if err := put(uint32(len(d.Assign)), uint32(d.NumItems), uint32(len(d.Source)), uint32(d.NumFresh())); err != nil {
-		return err
-	}
-	for _, a := range d.Assign {
-		if err := put(uint32(a)); err != nil {
-			return err
-		}
-	}
-	for _, s := range d.Source {
-		if err := put(s); err != nil {
-			return err
-		}
-	}
-	if err := put(d.Fresh); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, cw.crc.Sum32()); err != nil {
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	telemetry.Budget().RecordCtx(ctx, telemetry.ReleaseEvent{
-		Mechanism: "delta_persist",
-		Values:    len(d.Fresh),
-	})
+	recordPostProcessing(ctx, "delta_persist", len(d.Fresh))
 	return nil
 }
 
@@ -246,124 +190,24 @@ func ReadDelta(r io.Reader) (*Delta, error) {
 
 // ReadDeltaContext is ReadDelta on a caller-supplied context.
 func ReadDeltaContext(ctx context.Context, r io.Reader) (*Delta, error) {
-	br := bufio.NewReader(r)
-	head := make([]byte, len(deltaMagic))
-	if _, err := io.ReadFull(br, head); err != nil {
-		return nil, fmt.Errorf("release: delta: reading magic: %w", err)
-	}
-	if string(head) != deltaMagic {
-		return nil, fmt.Errorf("release: delta: bad magic %q (not a delta file, or an unsupported version)", head)
-	}
-	cr := &crcReader{r: br, crc: crc32.NewIEEE()}
-	get := func(vs ...any) error {
-		for _, v := range vs {
-			if err := binary.Read(cr, binary.LittleEndian, v); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	out := &Delta{}
-	if err := get(&out.Base, &out.Epsilon); err != nil {
-		return nil, fmt.Errorf("release: delta: reading header: %w", err)
-	}
-	var mlen uint16
-	if err := get(&mlen); err != nil {
-		return nil, fmt.Errorf("release: delta: reading measure: %w", err)
-	}
-	mbuf := make([]byte, mlen)
-	if _, err := io.ReadFull(cr, mbuf); err != nil {
-		return nil, fmt.Errorf("release: delta: reading measure: %w", err)
-	}
-	out.Measure = string(mbuf)
-	var users, items, clusters, fresh uint32
-	if err := get(&users, &items, &clusters, &fresh); err != nil {
-		return nil, fmt.Errorf("release: delta: reading dimensions: %w", err)
-	}
-	const maxDim = 1 << 28
-	if users > maxDim || items > maxDim || clusters > maxDim || fresh > clusters {
-		return nil, fmt.Errorf("release: delta: implausible dimensions (%d users, %d items, %d clusters, %d fresh)",
-			users, items, clusters, fresh)
-	}
-	if uint64(fresh)*uint64(items) > 1<<32 {
-		return nil, fmt.Errorf("release: delta: fresh table too large (%d × %d)", fresh, items)
-	}
-	out.NumItems = int(items)
-	out.Assign = make([]int32, users)
-	for i := range out.Assign {
-		var a uint32
-		if err := get(&a); err != nil {
-			return nil, fmt.Errorf("release: delta: reading assignment: %w", err)
-		}
-		if a >= clusters {
-			return nil, fmt.Errorf("release: delta: user %d assigned to cluster %d of %d", i, a, clusters)
-		}
-		out.Assign[i] = int32(a)
-	}
-	out.Source = make([]int32, clusters)
-	if err := get(out.Source); err != nil {
-		return nil, fmt.Errorf("release: delta: reading sources: %w", err)
-	}
-	out.Fresh = make([]float64, int(fresh)*int(items))
-	if err := get(out.Fresh); err != nil {
-		return nil, fmt.Errorf("release: delta: reading fresh rows: %w", err)
-	}
-	sum := cr.crc.Sum32()
-	var want uint32
-	if err := binary.Read(br, binary.LittleEndian, &want); err != nil {
-		return nil, fmt.Errorf("release: delta: reading checksum: %w", err)
-	}
-	if sum != want {
-		return nil, fmt.Errorf("release: delta: checksum mismatch (file corrupted)")
-	}
-	if uint32(out.NumFresh()) != fresh {
-		return nil, fmt.Errorf("release: delta: %d fresh sources, header says %d", out.NumFresh(), fresh)
-	}
-	if err := out.Validate(); err != nil {
+	fr := frame.NewReader(r, deltaMagic)
+	d := &Delta{Base: fr.U64("base"), Epsilon: fr.F64("epsilon"), Measure: fr.String("measure")}
+	items := fr.U32("items")
+	d.Assign = fr.I32s("assignment")
+	d.Source = fr.I32s("sources")
+	d.Fresh = fr.F64s("fresh rows")
+	if err := fr.Close(); err != nil {
 		return nil, err
 	}
-	telemetry.Budget().RecordCtx(ctx, telemetry.ReleaseEvent{
-		Mechanism: "delta_load",
-		Values:    len(out.Fresh),
-	})
-	return out, nil
-}
-
-// deltaFileName renders the versioned delta filename.
-func deltaFileName(v uint64) string {
-	return fmt.Sprintf("%s%012d%s", deltaPrefix, v, deltaSuffix)
-}
-
-// parseDeltaVersion extracts the version from a delta filename.
-func parseDeltaVersion(name string) (uint64, bool) {
-	if !strings.HasPrefix(name, deltaPrefix) || !strings.HasSuffix(name, deltaSuffix) {
-		return 0, false
+	if items > maxDim {
+		return nil, fmt.Errorf("release: delta: implausible item count")
 	}
-	digits := strings.TrimSuffix(strings.TrimPrefix(name, deltaPrefix), deltaSuffix)
-	if digits == "" {
-		return 0, false
+	d.NumItems = int(items)
+	if err := d.Validate(); err != nil {
+		return nil, err
 	}
-	v, err := strconv.ParseUint(digits, 10, 64)
-	if err != nil {
-		return 0, false
-	}
-	return v, true
-}
-
-// DeltaVersions lists persisted delta versions in ascending order.
-func (s *Store) DeltaVersions() ([]uint64, error) {
-	names, err := s.fsys.ReadDir(s.dir)
-	if err != nil {
-		return nil, fmt.Errorf("release: listing store %s: %w", s.dir, err)
-	}
-	var out []uint64
-	for _, name := range names {
-		if v, ok := parseDeltaVersion(name); ok {
-			out = append(out, v)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, nil
+	recordPostProcessing(ctx, "delta_load", len(d.Fresh))
+	return d, nil
 }
 
 // NextVersion returns the version number the next save (full or delta)
@@ -371,20 +215,15 @@ func (s *Store) DeltaVersions() ([]uint64, error) {
 // generations and deltas share one monotonic version space and serving
 // lineage is totally ordered.
 func (s *Store) NextVersion() (uint64, error) {
-	fulls, err := s.Versions()
-	if err != nil {
-		return 0, err
-	}
-	deltas, err := s.DeltaVersions()
-	if err != nil {
-		return 0, err
-	}
 	next := uint64(1)
-	if n := len(fulls); n > 0 && fulls[n-1]+1 > next {
-		next = fulls[n-1] + 1
-	}
-	if n := len(deltas); n > 0 && deltas[n-1]+1 > next {
-		next = deltas[n-1] + 1
+	for _, k := range []Kind{Fulls, Deltas} {
+		vs, err := s.Versions(k)
+		if err != nil {
+			return 0, err
+		}
+		if n := len(vs); n > 0 && vs[n-1]+1 > next {
+			next = vs[n-1] + 1
+		}
 	}
 	return next, nil
 }
@@ -410,7 +249,7 @@ func (s *Store) SaveDeltaContext(ctx context.Context, d *Delta) (uint64, error) 
 		sp.SetStatus(trace.StatusError)
 		return 0, err
 	}
-	final := filepath.Join(s.dir, deltaFileName(next))
+	final := filepath.Join(s.dir, Deltas.file(next))
 	if err := faults.WriteAtomicFunc(s.fsys, final, func(w io.Writer) error {
 		return WriteDeltaContext(ctx, w, d)
 	}); err != nil {
@@ -430,15 +269,11 @@ func (s *Store) LoadDelta(v uint64) (*Delta, error) {
 
 // LoadDeltaContext is LoadDelta on a caller-supplied context.
 func (s *Store) LoadDeltaContext(ctx context.Context, v uint64) (*Delta, error) {
-	f, err := s.fsys.Open(filepath.Join(s.dir, deltaFileName(v)))
-	if err != nil {
-		return nil, fmt.Errorf("release: loading delta version %d: %w", v, err)
-	}
-	d, err := ReadDeltaContext(ctx, f)
-	if cerr := f.Close(); err == nil && cerr != nil {
-		return nil, fmt.Errorf("release: loading delta version %d: close: %w", v, cerr)
-	}
-	if err != nil {
+	var d *Delta
+	if err := s.read(Deltas.file(v), func(f io.Reader) (err error) {
+		d, err = ReadDeltaContext(ctx, f)
+		return err
+	}); err != nil {
 		return nil, fmt.Errorf("release: loading delta version %d: %w", v, err)
 	}
 	return d, nil
@@ -480,7 +315,7 @@ func (s *Store) LoadLatestContext(ctx context.Context) (*Release, Lineage, []Ski
 		return nil, Lineage{}, skipped, err
 	}
 	ln := Lineage{Full: fullV}
-	deltas, err := s.DeltaVersions()
+	deltas, err := s.Versions(Deltas)
 	if err != nil {
 		return nil, Lineage{}, skipped, err
 	}
@@ -496,7 +331,7 @@ func (s *Store) LoadLatestContext(ctx context.Context) (*Release, Lineage, []Ski
 			err := fmt.Errorf("release: delta version %d unreachable: %w", dv, stopped)
 			s.recoveries.Inc()
 			s.logf("release: store %s: %v", s.dir, err)
-			skipped = append(skipped, Skipped{Name: deltaFileName(dv), Err: err})
+			skipped = append(skipped, Skipped{Name: Deltas.file(dv), Err: err})
 			continue
 		}
 		d, err := s.LoadDeltaContext(ctx, dv)
@@ -510,7 +345,7 @@ func (s *Store) LoadLatestContext(ctx context.Context) (*Release, Lineage, []Ski
 		if err != nil {
 			s.recoveries.Inc()
 			s.logf("release: store %s: stopping delta chain at version %d: %v", s.dir, dv, err)
-			skipped = append(skipped, Skipped{Name: deltaFileName(dv), Err: err})
+			skipped = append(skipped, Skipped{Name: Deltas.file(dv), Err: err})
 			stopped = fmt.Errorf("chain stopped at version %d", dv)
 			continue
 		}

@@ -219,7 +219,7 @@ func TestStoreDeltaChainStopsAtCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Corrupt the second delta on disk.
-	path := filepath.Join(dir, deltaFileName(v2))
+	path := filepath.Join(dir, Deltas.file(v2))
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -233,7 +233,7 @@ func TestStoreDeltaChainStopsAtCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load latest: %v", err)
 	}
-	if len(skipped) != 1 || skipped[0].Name != deltaFileName(v2) {
+	if len(skipped) != 1 || skipped[0].Name != Deltas.file(v2) {
 		t.Fatalf("skipped = %v", skipped)
 	}
 	if ln.Version() != v1 {

@@ -22,7 +22,7 @@ func FuzzRead(f *testing.F) {
 	})
 	f.Add(good.Bytes())
 	f.Add([]byte(magic))
-	f.Add([]byte("SOCRECv2 future version"))
+	f.Add([]byte("SOCRECv3 future version"))
 	f.Add([]byte{})
 	truncated := good.Bytes()[:len(good.Bytes())/2]
 	f.Add(truncated)
@@ -30,7 +30,7 @@ func FuzzRead(f *testing.F) {
 	// flipped, mangled magic) seeds the mutator with inputs that reach
 	// deep into the parser: valid headers with poisoned bodies, checksums
 	// over torn payloads, dimension fields a bit off.
-	for _, data := range corruptCorpus(goodReleaseBytes(f)) {
+	for _, data := range corruptCorpus(goodReleaseBytes(f), formats[0].v1) {
 		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -43,6 +43,34 @@ func FuzzRead(f *testing.F) {
 		}
 		if err := r.Validate(); err != nil {
 			t.Fatalf("Read returned an invalid release: %v", err)
+		}
+	})
+}
+
+// FuzzReadArtifacts feeds one input to every decoder in the package —
+// release, manifest, shard and delta. None may panic, and each must return
+// either an error and no result, or a result that validates.
+func FuzzReadArtifacts(f *testing.F) {
+	for _, ft := range formats {
+		good := ft.good(f)
+		f.Add(good)
+		for _, data := range corruptCorpus(good, ft.v1) {
+			f.Add(data)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, ft := range formats {
+			validate, err := ft.decode(data)
+			switch {
+			case err != nil && validate != nil:
+				t.Fatalf("%s: partial result alongside error %v", ft.name, err)
+			case err == nil && validate == nil:
+				t.Fatalf("%s: nil result and nil error", ft.name)
+			case err == nil:
+				if verr := validate(); verr != nil {
+					t.Fatalf("%s: accepted an invalid result: %v", ft.name, verr)
+				}
+			}
 		}
 	})
 }

@@ -9,35 +9,27 @@
 // production pattern: release once, serve anywhere, never re-touch the raw
 // preference data.
 //
-// Format (all integers little-endian):
-//
-//	magic   [8]byte  "SOCRECv1"
-//	epsilon float64  (math.Inf(1) for a no-noise release)
-//	measure uint16-prefixed UTF-8 string
-//	users   uint32
-//	items   uint32
-//	clusters uint32
-//	assign  users × uint32   (user → cluster)
-//	avg     clusters × items × float64
-//	crc32   uint32 (IEEE, over everything after the magic)
+// Every file here is one internal/frame frame; each format's fields are
+// listed beside its encoder.
 package release
 
 import (
-	"bufio"
 	"context"
-	"encoding/binary"
 	"fmt"
-	"hash"
-	"hash/crc32"
 	"io"
 	"math"
 
 	"socialrec/internal/community"
 	"socialrec/internal/dp"
+	"socialrec/internal/frame"
 	"socialrec/internal/telemetry"
 )
 
-const magic = "SOCRECv1"
+const magic = "SOCRECv2"
+
+// maxDim bounds the item and shard counts a decoder accepts: serving
+// allocates per item, so a count no slice backs must still be plausible.
+const maxDim = 1 << 28
 
 // Release is a deserialized private release, sufficient to reconstruct
 // utilities for any user given a similarity vector.
@@ -89,17 +81,6 @@ func (r *Release) Validate() error {
 	return nil
 }
 
-type crcWriter struct {
-	w   io.Writer
-	crc hash.Hash32
-}
-
-func (c *crcWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.crc.Write(p[:n])
-	return n, err
-}
-
 // Write serializes the release.
 func Write(w io.Writer, r *Release) error {
 	return WriteContext(context.Background(), w, r)
@@ -109,70 +90,76 @@ func Write(w io.Writer, r *Release) error {
 // release_persist budget event carries the active trace id (if any), so a
 // persist triggered by a pipeline run or admin request is attributable.
 func WriteContext(ctx context.Context, w io.Writer, r *Release) error {
-	if err := r.Validate(); err != nil {
+	fw := frame.NewWriter(w, magic)
+	if err := WriteBody(fw, r); err != nil {
 		return err
 	}
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(magic); err != nil {
-		return err
-	}
-	cw := &crcWriter{w: bw, crc: crc32.NewIEEE()}
-	writeErr := func(vs ...any) error {
-		for _, v := range vs {
-			if err := binary.Write(cw, binary.LittleEndian, v); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := writeErr(r.Epsilon); err != nil {
-		return err
-	}
-	if len(r.Measure) > 1<<16-1 {
-		return fmt.Errorf("release: measure name too long")
-	}
-	if err := writeErr(uint16(len(r.Measure))); err != nil {
-		return err
-	}
-	if _, err := cw.Write([]byte(r.Measure)); err != nil {
-		return err
-	}
-	assign := r.Clusters.Assignment()
-	if err := writeErr(uint32(len(assign)), uint32(r.NumItems), uint32(r.Clusters.NumClusters())); err != nil {
-		return err
-	}
-	for _, a := range assign {
-		if err := writeErr(uint32(a)); err != nil {
-			return err
-		}
-	}
-	if err := writeErr(r.Avg); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, cw.crc.Sum32()); err != nil {
-		return err
-	}
-	if err := bw.Flush(); err != nil {
+	if err := fw.Close(); err != nil {
 		return err
 	}
 	// Persisting sanitized averages is post-processing: ε = 0 records that
 	// the event happened without charging the budget again.
-	telemetry.Budget().RecordCtx(ctx, telemetry.ReleaseEvent{
-		Mechanism: "release_persist",
-		Values:    len(r.Avg),
-	})
+	recordPostProcessing(ctx, "release_persist", len(r.Avg))
 	return nil
 }
 
-type crcReader struct {
-	r   io.Reader
-	crc hash.Hash32
+// WriteBody validates r and writes its fields into a frame. Release files,
+// shard files and pipeline checkpoints all carry a release this way:
+//
+//	epsilon   f64     (math.Inf(1) for a no-noise release)
+//	measure   string
+//	items     u32
+//	clusters  u32
+//	assign    []i32   user → cluster
+//	avg       []f64   clusters × items, cluster-major
+func WriteBody(w *frame.Writer, r *Release) error {
+	if err := r.Validate(); err != nil {
+		return err
+	}
+	w.F64(r.Epsilon)
+	w.String(r.Measure)
+	w.U32(uint32(r.NumItems))
+	w.U32(uint32(r.Clusters.NumClusters()))
+	w.I32s(r.Clusters.Assignment())
+	w.F64s(r.Avg)
+	return nil
 }
 
-func (c *crcReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.crc.Write(p[:n])
-	return n, err
+// ReadBody reads and validates the fields WriteBody wrote. The frame's CRC
+// is not checked yet: the caller's Close does that.
+func ReadBody(fr *frame.Reader) (*Release, error) {
+	eps := fr.F64("epsilon")
+	measure := fr.String("measure")
+	items := fr.U32("items")
+	clusters := fr.U32("clusters")
+	assign := fr.I32s("assignment")
+	avg := fr.F64s("averages")
+	if err := fr.Err(); err != nil {
+		return nil, err
+	}
+	if items > maxDim {
+		return nil, fmt.Errorf("release: implausible item count")
+	}
+	if uint64(len(avg)) != uint64(clusters)*uint64(items) {
+		return nil, fmt.Errorf("release: averages table does not match its dimensions")
+	}
+	for _, a := range assign {
+		if a < 0 || uint32(a) >= clusters {
+			return nil, fmt.Errorf("release: assignment names a cluster out of range")
+		}
+	}
+	cl, err := community.FromAssignment(assign)
+	if err != nil {
+		return nil, err
+	}
+	if cl.NumClusters() != int(clusters) {
+		return nil, fmt.Errorf("release: assignment leaves clusters empty")
+	}
+	out := &Release{Epsilon: eps, Measure: measure, Clusters: cl, NumItems: int(items), Avg: avg}
+	if err := out.Validate(); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // Read deserializes and validates a release, including its checksum.
@@ -182,85 +169,20 @@ func Read(r io.Reader) (*Release, error) {
 
 // ReadContext is Read on a caller-supplied context; see WriteContext.
 func ReadContext(ctx context.Context, r io.Reader) (*Release, error) {
-	br := bufio.NewReader(r)
-	head := make([]byte, len(magic))
-	if _, err := io.ReadFull(br, head); err != nil {
-		return nil, fmt.Errorf("release: reading magic: %w", err)
+	fr := frame.NewReader(r, magic)
+	out, err := ReadBody(fr)
+	if err == nil {
+		err = fr.Close()
 	}
-	if string(head) != magic {
-		return nil, fmt.Errorf("release: bad magic %q (not a release file, or an unsupported version)", head)
-	}
-	cr := &crcReader{r: br, crc: crc32.NewIEEE()}
-	readErr := func(vs ...any) error {
-		for _, v := range vs {
-			if err := binary.Read(cr, binary.LittleEndian, v); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	out := &Release{}
-	if err := readErr(&out.Epsilon); err != nil {
-		return nil, fmt.Errorf("release: reading epsilon: %w", err)
-	}
-	var mlen uint16
-	if err := readErr(&mlen); err != nil {
-		return nil, fmt.Errorf("release: reading measure: %w", err)
-	}
-	mbuf := make([]byte, mlen)
-	if _, err := io.ReadFull(cr, mbuf); err != nil {
-		return nil, fmt.Errorf("release: reading measure: %w", err)
-	}
-	out.Measure = string(mbuf)
-	var users, items, clusters uint32
-	if err := readErr(&users, &items, &clusters); err != nil {
-		return nil, fmt.Errorf("release: reading dimensions: %w", err)
-	}
-	const maxDim = 1 << 28
-	if users > maxDim || items > maxDim || clusters > maxDim {
-		return nil, fmt.Errorf("release: implausible dimensions (%d users, %d items, %d clusters)", users, items, clusters)
-	}
-	if uint64(clusters)*uint64(items) > 1<<32 {
-		return nil, fmt.Errorf("release: averages table too large (%d × %d)", clusters, items)
-	}
-	assign := make([]int32, users)
-	for i := range assign {
-		var a uint32
-		if err := readErr(&a); err != nil {
-			return nil, fmt.Errorf("release: reading assignment: %w", err)
-		}
-		if a >= clusters {
-			return nil, fmt.Errorf("release: user %d assigned to cluster %d of %d", i, a, clusters)
-		}
-		assign[i] = int32(a)
-	}
-	cl, err := community.FromAssignment(assign)
 	if err != nil {
 		return nil, err
 	}
-	if cl.NumClusters() != int(clusters) {
-		return nil, fmt.Errorf("release: assignment uses %d clusters, header says %d", cl.NumClusters(), clusters)
-	}
-	out.Clusters = cl
-	out.NumItems = int(items)
-	out.Avg = make([]float64, int(clusters)*int(items))
-	if err := readErr(out.Avg); err != nil {
-		return nil, fmt.Errorf("release: reading averages: %w", err)
-	}
-	sum := cr.crc.Sum32()
-	var want uint32
-	if err := binary.Read(br, binary.LittleEndian, &want); err != nil {
-		return nil, fmt.Errorf("release: reading checksum: %w", err)
-	}
-	if sum != want {
-		return nil, fmt.Errorf("release: checksum mismatch (file corrupted)")
-	}
-	if err := out.Validate(); err != nil {
-		return nil, err
-	}
-	telemetry.Budget().RecordCtx(ctx, telemetry.ReleaseEvent{
-		Mechanism: "release_load",
-		Values:    len(out.Avg),
-	})
+	recordPostProcessing(ctx, "release_load", len(out.Avg))
 	return out, nil
+}
+
+// recordPostProcessing notes at ε = 0 that already-sanitized values were
+// persisted or loaded.
+func recordPostProcessing(ctx context.Context, mechanism string, values int) {
+	telemetry.Budget().RecordCtx(ctx, telemetry.ReleaseEvent{Mechanism: mechanism, Values: values})
 }

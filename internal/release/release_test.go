@@ -130,10 +130,10 @@ func TestReadRejectsBadAssignment(t *testing.T) {
 	}
 	data := buf.Bytes()
 	// The first assignment word sits after magic(8) + epsilon(8) +
-	// measure len(2) + "CN"(2) + users(4) + items(4) + clusters(4) = 32.
-	// Point user 0 at cluster 99 and fix nothing else: Read must reject
-	// it before the checksum even matters.
-	data[32] = 99
+	// measure count(4) + "CN"(2) + items(4) + clusters(4) + assignment
+	// count(4) = 34. Point user 0 at cluster 99 and fix nothing else: Read
+	// must reject it before the checksum even matters.
+	data[34] = 99
 	if _, err := Read(bytes.NewReader(data)); err == nil {
 		t.Error("out-of-range cluster assignment should fail")
 	}

@@ -20,18 +20,14 @@ package release
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 
 	"socialrec/internal/community"
 	"socialrec/internal/faults"
+	"socialrec/internal/frame"
 	"socialrec/internal/graph"
 	"socialrec/internal/trace"
 )
@@ -43,12 +39,10 @@ import (
 // fully durable — the manifest is the commit point, like the pipeline's
 // receipts.
 const (
-	manifestMagic  = "SOCMANv1"
-	shardMagic     = "SOCSHDv1"
-	manifestPrefix = "manifest-"
-	manifestSuffix = ".socman"
-	shardPrefix    = "shard-"
-	shardSuffix    = ".socshd"
+	manifestMagic = "SOCMANv2"
+	shardMagic    = "SOCSHDv2"
+	shardPrefix   = "shard-"
+	shardSuffix   = ".socshd"
 )
 
 // foreignSentinel is the on-disk marker for a shard's collapsed "foreign"
@@ -353,113 +347,66 @@ func addHalo(resident []bool, social *graph.Social, m *Manifest, id, horizon int
 	}
 }
 
-// WriteManifest serializes m (format mirrors the release file: magic,
-// fields, CRC-32 over everything after the magic).
+// WriteManifest serializes m as one frame:
+//
+//	version       u64
+//	shards        u32
+//	epsilon       f64
+//	measure       string
+//	items         u32
+//	horizon       i32     (-1 = full replication)
+//	clusterShard  []i32   global cluster → owning shard
+//	assign        []i32   user → global cluster
 func WriteManifest(w io.Writer, m *Manifest) error {
 	if err := m.Validate(); err != nil {
 		return err
 	}
-	cw := &crcWriter{w: w, crc: crc32.NewIEEE()}
-	if _, err := io.WriteString(w, manifestMagic); err != nil {
-		return err
-	}
-	write := func(vs ...any) error {
-		for _, v := range vs {
-			if err := binary.Write(cw, binary.LittleEndian, v); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if len(m.Measure) > 1<<16-1 {
-		return fmt.Errorf("release: measure name too long")
-	}
-	if err := write(m.Version, uint32(m.NumShards), m.Epsilon, uint16(len(m.Measure))); err != nil {
-		return err
-	}
-	if _, err := cw.Write([]byte(m.Measure)); err != nil {
-		return err
-	}
-	if err := write(uint32(m.NumItems), int32(m.Horizon),
-		uint32(len(m.ClusterShard)), m.ClusterShard,
-		uint32(len(m.Assign)), m.Assign); err != nil {
-		return err
-	}
-	return binary.Write(w, binary.LittleEndian, cw.crc.Sum32())
+	fw := frame.NewWriter(w, manifestMagic)
+	fw.U64(m.Version)
+	fw.U32(uint32(m.NumShards))
+	fw.F64(m.Epsilon)
+	fw.String(m.Measure)
+	fw.U32(uint32(m.NumItems))
+	fw.I32(int32(m.Horizon))
+	fw.I32s(m.ClusterShard)
+	fw.I32s(m.Assign)
+	return fw.Close()
 }
 
 // ReadManifest deserializes and validates a manifest, including its
 // checksum.
 func ReadManifest(r io.Reader) (*Manifest, error) {
-	head := make([]byte, len(manifestMagic))
-	if _, err := io.ReadFull(r, head); err != nil {
-		return nil, fmt.Errorf("release: reading manifest magic: %w", err)
+	fr := frame.NewReader(r, manifestMagic)
+	m := &Manifest{Version: fr.U64("version")}
+	shards := fr.U32("shards")
+	m.Epsilon = fr.F64("epsilon")
+	m.Measure = fr.String("measure")
+	items := fr.U32("items")
+	m.Horizon = int(fr.I32("horizon"))
+	m.ClusterShard = fr.I32s("cluster map")
+	m.Assign = fr.I32s("assignment")
+	if err := fr.Close(); err != nil {
+		return nil, err
 	}
-	if string(head) != manifestMagic {
-		return nil, fmt.Errorf("release: bad manifest magic %q", head)
-	}
-	cr := &crcReader{r: r, crc: crc32.NewIEEE()}
-	read := func(vs ...any) error {
-		for _, v := range vs {
-			if err := binary.Read(cr, binary.LittleEndian, v); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	m := &Manifest{}
-	var (
-		numShards, numItems, numClusters, numUsers uint32
-		horizon                                    int32
-		mlen                                       uint16
-	)
-	if err := read(&m.Version, &numShards, &m.Epsilon, &mlen); err != nil {
-		return nil, fmt.Errorf("release: reading manifest header: %w", err)
-	}
-	mbuf := make([]byte, mlen)
-	if _, err := io.ReadFull(cr, mbuf); err != nil {
-		return nil, fmt.Errorf("release: reading manifest measure: %w", err)
-	}
-	m.Measure = string(mbuf)
-	if err := read(&numItems, &horizon, &numClusters); err != nil {
-		return nil, fmt.Errorf("release: reading manifest dimensions: %w", err)
-	}
-	const maxDim = 1 << 28
-	if numShards > maxDim || numItems > maxDim || numClusters > maxDim {
+	if shards > maxDim || items > maxDim {
 		return nil, fmt.Errorf("release: implausible manifest dimensions")
 	}
-	m.NumShards = int(numShards)
-	m.NumItems = int(numItems)
-	m.Horizon = int(horizon)
-	m.ClusterShard = make([]int32, numClusters)
-	if err := read(m.ClusterShard, &numUsers); err != nil {
-		return nil, fmt.Errorf("release: reading manifest cluster map: %w", err)
-	}
-	if numUsers > maxDim {
-		return nil, fmt.Errorf("release: implausible manifest dimensions")
-	}
-	m.Assign = make([]int32, numUsers)
-	if err := read(m.Assign); err != nil {
-		return nil, fmt.Errorf("release: reading manifest assignment: %w", err)
-	}
-	sum := cr.crc.Sum32()
-	var want uint32
-	if err := binary.Read(r, binary.LittleEndian, &want); err != nil {
-		return nil, fmt.Errorf("release: reading manifest checksum: %w", err)
-	}
-	if sum != want {
-		return nil, fmt.Errorf("release: manifest checksum mismatch (file corrupted)")
-	}
+	m.NumShards, m.NumItems = int(shards), int(items)
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
 	return m, nil
 }
 
-// WriteShard serializes a shard: a CRC-protected header (ids plus the
-// local↔global cluster maps) followed by the embedded release, which
-// carries its own checksum and must come last (readers hand the remaining
-// stream to the release decoder, whose buffering may read ahead).
+// WriteShard serializes a shard as one frame: its header, then the
+// embedded release's body (WriteBody).
+//
+//	version        u64
+//	id             u32
+//	shards         u32
+//	localToGlobal  []i32    local cluster → global cluster, -1 = foreign row
+//	owned          []bool   local clusters this shard serves
+//	release body
 func WriteShard(w io.Writer, s *Shard) error {
 	return WriteShardContext(context.Background(), w, s)
 }
@@ -471,37 +418,23 @@ func WriteShardContext(ctx context.Context, w io.Writer, s *Shard) error {
 	if err := s.Validate(); err != nil {
 		return err
 	}
-	if _, err := io.WriteString(w, shardMagic); err != nil {
+	fw := frame.NewWriter(w, shardMagic)
+	fw.U64(s.Version)
+	fw.U32(uint32(s.ID))
+	fw.U32(uint32(s.NumShards))
+	fw.I32s(s.LocalToGlobal)
+	fw.Bools(s.OwnedLocal)
+	if err := WriteBody(fw, s.Release); err != nil {
 		return err
 	}
-	cw := &crcWriter{w: w, crc: crc32.NewIEEE()}
-	write := func(vs ...any) error {
-		for _, v := range vs {
-			if err := binary.Write(cw, binary.LittleEndian, v); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	numLocal := len(s.LocalToGlobal)
-	ownedBytes := make([]byte, numLocal)
-	for i, o := range s.OwnedLocal {
-		if o {
-			ownedBytes[i] = 1
-		}
-	}
-	if err := write(s.Version, uint32(s.ID), uint32(s.NumShards),
-		uint32(numLocal), s.LocalToGlobal, ownedBytes); err != nil {
+	if err := fw.Close(); err != nil {
 		return err
 	}
-	if err := binary.Write(w, binary.LittleEndian, cw.crc.Sum32()); err != nil {
-		return err
-	}
-	return WriteContext(ctx, w, s.Release)
+	recordPostProcessing(ctx, "release_persist", len(s.Release.Avg))
+	return nil
 }
 
-// ReadShard deserializes and validates a shard (header checksum and the
-// embedded release's own checksum).
+// ReadShard deserializes and validates a shard, including its checksum.
 func ReadShard(r io.Reader) (*Shard, error) {
 	return ReadShardContext(context.Background(), r)
 }
@@ -509,102 +442,33 @@ func ReadShard(r io.Reader) (*Shard, error) {
 // ReadShardContext is ReadShard on a caller-supplied context; see
 // WriteShardContext.
 func ReadShardContext(ctx context.Context, r io.Reader) (*Shard, error) {
-	head := make([]byte, len(shardMagic))
-	if _, err := io.ReadFull(r, head); err != nil {
-		return nil, fmt.Errorf("release: reading shard magic: %w", err)
+	fr := frame.NewReader(r, shardMagic)
+	s := &Shard{Version: fr.U64("version")}
+	id := fr.U32("id")
+	shards := fr.U32("shards")
+	s.LocalToGlobal = fr.I32s("cluster map")
+	s.OwnedLocal = fr.Bools("owned clusters")
+	rel, err := ReadBody(fr)
+	if err == nil {
+		err = fr.Close()
 	}
-	if string(head) != shardMagic {
-		return nil, fmt.Errorf("release: bad shard magic %q", head)
-	}
-	cr := &crcReader{r: r, crc: crc32.NewIEEE()}
-	read := func(vs ...any) error {
-		for _, v := range vs {
-			if err := binary.Read(cr, binary.LittleEndian, v); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	s := &Shard{}
-	var id, numShards, numLocal uint32
-	if err := read(&s.Version, &id, &numShards, &numLocal); err != nil {
-		return nil, fmt.Errorf("release: reading shard header: %w", err)
-	}
-	const maxDim = 1 << 28
-	if numLocal > maxDim || numShards > maxDim {
-		return nil, fmt.Errorf("release: implausible shard dimensions")
-	}
-	s.ID = int(id)
-	s.NumShards = int(numShards)
-	s.LocalToGlobal = make([]int32, numLocal)
-	ownedBytes := make([]byte, numLocal)
-	if err := read(s.LocalToGlobal, ownedBytes); err != nil {
-		return nil, fmt.Errorf("release: reading shard cluster maps: %w", err)
-	}
-	s.OwnedLocal = make([]bool, numLocal)
-	for i, b := range ownedBytes {
-		s.OwnedLocal[i] = b != 0
-	}
-	sum := cr.crc.Sum32()
-	var want uint32
-	if err := binary.Read(r, binary.LittleEndian, &want); err != nil {
-		return nil, fmt.Errorf("release: reading shard header checksum: %w", err)
-	}
-	if sum != want {
-		return nil, fmt.Errorf("release: shard header checksum mismatch (file corrupted)")
-	}
-	rel, err := ReadContext(ctx, r)
 	if err != nil {
-		return nil, fmt.Errorf("release: reading shard %d release: %w", s.ID, err)
+		return nil, err
 	}
-	s.Release = rel
+	if shards > maxDim {
+		return nil, fmt.Errorf("release: implausible shard count")
+	}
+	s.ID, s.NumShards, s.Release = int(id), int(shards), rel
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
+	recordPostProcessing(ctx, "release_load", len(rel.Avg))
 	return s, nil
-}
-
-// manifestFileName renders the versioned manifest filename.
-func manifestFileName(v uint64) string {
-	return fmt.Sprintf("%s%012d%s", manifestPrefix, v, manifestSuffix)
 }
 
 // shardFileName renders the versioned filename for one shard.
 func shardFileName(v uint64, id, numShards int) string {
 	return fmt.Sprintf("%s%012d-%03d-of-%03d%s", shardPrefix, v, id, numShards, shardSuffix)
-}
-
-// parseManifestVersion extracts the version from a manifest filename.
-func parseManifestVersion(name string) (uint64, bool) {
-	if !strings.HasPrefix(name, manifestPrefix) || !strings.HasSuffix(name, manifestSuffix) {
-		return 0, false
-	}
-	digits := strings.TrimSuffix(strings.TrimPrefix(name, manifestPrefix), manifestSuffix)
-	if digits == "" {
-		return 0, false
-	}
-	v, err := strconv.ParseUint(digits, 10, 64)
-	if err != nil {
-		return 0, false
-	}
-	return v, true
-}
-
-// ManifestVersions lists the persisted sharded-generation versions in
-// ascending order, without validating file contents.
-func (s *Store) ManifestVersions() ([]uint64, error) {
-	names, err := s.fsys.ReadDir(s.dir)
-	if err != nil {
-		return nil, fmt.Errorf("release: listing store %s: %w", s.dir, err)
-	}
-	var out []uint64
-	for _, name := range names {
-		if v, ok := parseManifestVersion(name); ok {
-			out = append(out, v)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, nil
 }
 
 // SaveSharded persists a sharded generation as the next manifest version:
@@ -635,7 +499,7 @@ func (s *Store) saveSharded(ctx context.Context, m *Manifest, shards []*Shard) (
 	if len(shards) != m.NumShards {
 		return 0, fmt.Errorf("release: manifest names %d shards, got %d", m.NumShards, len(shards))
 	}
-	versions, err := s.ManifestVersions()
+	versions, err := s.Versions(Manifests)
 	if err != nil {
 		return 0, err
 	}
@@ -656,7 +520,7 @@ func (s *Store) saveSharded(ctx context.Context, m *Manifest, shards []*Shard) (
 		}
 	}
 	m.Version = next
-	final := filepath.Join(s.dir, manifestFileName(next))
+	final := filepath.Join(s.dir, Manifests.file(next))
 	if err := faults.WriteAtomicFunc(s.fsys, final, func(w io.Writer) error {
 		return WriteManifest(w, m)
 	}); err != nil {
@@ -672,38 +536,16 @@ func (s *Store) saveSharded(ctx context.Context, m *Manifest, shards []*Shard) (
 func (s *Store) LoadManifest(ctx context.Context) (m *Manifest, skipped []Skipped, err error) {
 	_, sp := trace.StartChild(ctx, "release_store_load_manifest")
 	defer sp.End()
-	versions, err := s.ManifestVersions()
-	if err != nil {
-		sp.SetStatus(trace.StatusError)
-		return nil, nil, err
-	}
-	for i := len(versions) - 1; i >= 0; i-- {
-		v := versions[i]
-		m, err := s.loadManifestVersion(v)
-		if err != nil {
-			s.recoveries.Inc()
-			s.logf("release: store %s: skipping manifest %d: %v", s.dir, v, err)
-			skipped = append(skipped, Skipped{Name: manifestFileName(v), Err: err})
-			continue
-		}
-		sp.Set(attrVersion.Int(int64(v)))
-		sp.Set(attrSkipped.Int(int64(len(skipped))))
-		return m, skipped, nil
-	}
-	sp.SetStatus(trace.StatusError)
-	return nil, skipped, fmt.Errorf("%w (dir %s, %d manifest(s) skipped)", ErrStoreEmpty, s.dir, len(skipped))
+	m, _, skipped, err = newest(s, sp, Manifests, s.loadManifestVersion)
+	return m, skipped, err
 }
 
 func (s *Store) loadManifestVersion(v uint64) (*Manifest, error) {
-	f, err := s.fsys.Open(filepath.Join(s.dir, manifestFileName(v)))
-	if err != nil {
-		return nil, fmt.Errorf("release: loading manifest %d: %w", v, err)
-	}
-	m, err := ReadManifest(f)
-	if cerr := f.Close(); err == nil && cerr != nil {
-		return nil, fmt.Errorf("release: loading manifest %d: close: %w", v, cerr)
-	}
-	if err != nil {
+	var m *Manifest
+	if err := s.read(Manifests.file(v), func(f io.Reader) (err error) {
+		m, err = ReadManifest(f)
+		return err
+	}); err != nil {
 		return nil, fmt.Errorf("release: loading manifest %d: %w", v, err)
 	}
 	if m.Version != v {
@@ -722,16 +564,11 @@ func (s *Store) LoadShard(ctx context.Context, m *Manifest, id int) (*Shard, err
 		return nil, fmt.Errorf("release: shard id %d out of range [0, %d)", id, m.NumShards)
 	}
 	name := shardFileName(m.Version, id, m.NumShards)
-	f, err := s.fsys.Open(filepath.Join(s.dir, name))
-	if err != nil {
-		sp.SetStatus(trace.StatusError)
-		return nil, fmt.Errorf("release: loading shard %d of version %d: %w", id, m.Version, err)
-	}
-	sh, err := ReadShardContext(ctx, f)
-	if cerr := f.Close(); err == nil && cerr != nil {
-		err = fmt.Errorf("close: %w", cerr)
-	}
-	if err != nil {
+	var sh *Shard
+	if err := s.read(name, func(f io.Reader) (err error) {
+		sh, err = ReadShardContext(ctx, f)
+		return err
+	}); err != nil {
 		sp.SetStatus(trace.StatusError)
 		return nil, fmt.Errorf("release: loading shard %d of version %d: %w", id, m.Version, err)
 	}

@@ -15,7 +15,7 @@ import (
 // release over it, and a 2-shard cluster assignment that puts each
 // community on its own shard. The two communities are bridged by one edge,
 // so each shard's 2-hop halo must pull in the other community's row.
-func shardFixture(t *testing.T) (*Release, *graph.Social, []int32) {
+func shardFixture(t testing.TB) (*Release, *graph.Social, []int32) {
 	t.Helper()
 	const users = 12
 	b := graph.NewSocialBuilder(users)
@@ -313,7 +313,7 @@ func TestStoreShardedRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Corrupt generation 2's manifest mid-file.
-	path := filepath.Join(dir, manifestFileName(2))
+	path := filepath.Join(dir, Manifests.file(2))
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

@@ -16,15 +16,24 @@ import (
 	"socialrec/internal/trace"
 )
 
-// Store filename layout: each persisted release is one immutable versioned
-// file; an in-progress save is a ".tmp" sibling that becomes visible only
-// through an atomic rename. Version numbers are monotonically increasing
-// and zero-padded so lexical and numeric order agree.
-const (
-	filePrefix = "release-"
-	fileSuffix = ".socrec"
-	tmpSuffix  = faults.AtomicTmpSuffix
+// Kind is one family of versioned files in a store directory. Each
+// persisted artifact is one immutable file named prefix + zero-padded
+// version + suffix, so lexical and numeric order agree; an in-progress save
+// is a ".tmp" sibling that becomes visible only through an atomic rename.
+type Kind struct{ prefix, suffix string }
+
+// The store's versioned file kinds. Fulls and Deltas share one version
+// space (NextVersion); sharded generations number their manifests apart.
+var (
+	Fulls     = Kind{"release-", ".socrec"}
+	Deltas    = Kind{"delta-", ".socdlt"}
+	Manifests = Kind{"manifest-", ".socman"}
 )
+
+// file renders the filename of version v.
+func (k Kind) file(v uint64) string {
+	return fmt.Sprintf("%s%012d%s", k.prefix, v, k.suffix)
+}
 
 // Store persists releases crash-safely in one directory and recovers the
 // newest valid version on open.
@@ -110,7 +119,7 @@ func OpenStore(dir string, opts StoreOptions) (*Store, error) {
 	// versions they were building were never visible, so removal is safe
 	// and keeps the directory scan-clean. Sharded generations and delta
 	// releases leave the same kind of debris under their own prefixes.
-	removed, err := faults.SweepTmp(fsys, dir, filePrefix, manifestPrefix, shardPrefix, deltaPrefix)
+	removed, err := faults.SweepTmp(fsys, dir, Fulls.prefix, Manifests.prefix, shardPrefix, Deltas.prefix)
 	for _, name := range removed {
 		s.tempCleaned.Inc()
 		logf("release: store %s: removed stale temp %s (crashed save)", dir, name)
@@ -124,38 +133,22 @@ func OpenStore(dir string, opts StoreOptions) (*Store, error) {
 // Dir returns the store's directory.
 func (s *Store) Dir() string { return s.dir }
 
-// fileName renders the versioned filename for v.
-func fileName(v uint64) string {
-	return fmt.Sprintf("%s%012d%s", filePrefix, v, fileSuffix)
-}
-
-// parseVersion extracts the version from a store filename; ok is false for
-// temp files and foreign names.
-func parseVersion(name string) (uint64, bool) {
-	if !strings.HasPrefix(name, filePrefix) || !strings.HasSuffix(name, fileSuffix) {
-		return 0, false
-	}
-	digits := strings.TrimSuffix(strings.TrimPrefix(name, filePrefix), fileSuffix)
-	if digits == "" {
-		return 0, false
-	}
-	v, err := strconv.ParseUint(digits, 10, 64)
-	if err != nil {
-		return 0, false
-	}
-	return v, true
-}
-
-// Versions lists the persisted version numbers in ascending order, without
-// validating file contents.
-func (s *Store) Versions() ([]uint64, error) {
+// Versions lists the persisted versions of one kind in ascending order,
+// without validating file contents. Temp files and foreign names are
+// ignored.
+func (s *Store) Versions(k Kind) ([]uint64, error) {
 	names, err := s.fsys.ReadDir(s.dir)
 	if err != nil {
 		return nil, fmt.Errorf("release: listing store %s: %w", s.dir, err)
 	}
 	var out []uint64
 	for _, name := range names {
-		if v, ok := parseVersion(name); ok {
+		rest, hasPrefix := strings.CutPrefix(name, k.prefix)
+		digits, hasSuffix := strings.CutSuffix(rest, k.suffix)
+		if !hasPrefix || !hasSuffix {
+			continue
+		}
+		if v, err := strconv.ParseUint(digits, 10, 64); err == nil {
 			out = append(out, v)
 		}
 	}
@@ -200,7 +193,7 @@ func (s *Store) save(ctx context.Context, r *Release) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	final := filepath.Join(s.dir, fileName(next))
+	final := filepath.Join(s.dir, Fulls.file(next))
 	if err := faults.WriteAtomicFunc(s.fsys, final, func(w io.Writer) error {
 		return WriteContext(ctx, w, r)
 	}); err != nil {
@@ -226,26 +219,34 @@ func (s *Store) Load() (rel *Release, version uint64, skipped []Skipped, err err
 func (s *Store) LoadContext(ctx context.Context) (rel *Release, version uint64, skipped []Skipped, err error) {
 	ctx, sp := trace.StartChild(ctx, "release_store_load")
 	defer sp.End()
-	versions, err := s.Versions()
+	return newest(s, sp, Fulls, func(v uint64) (*Release, error) { return s.LoadVersionContext(ctx, v) })
+}
+
+// newest loads the newest version of kind k that load accepts, working
+// backwards over corrupt or truncated ones; each skip is counted on
+// release_store_recoveries_total, logged and reported, newest first. The
+// error is ErrStoreEmpty when no version loads.
+func newest[T any](s *Store, sp trace.Span, k Kind, load func(uint64) (T, error)) (out T, version uint64, skipped []Skipped, err error) {
+	versions, err := s.Versions(k)
 	if err != nil {
 		sp.SetStatus(trace.StatusError)
-		return nil, 0, nil, err
+		return out, 0, nil, err
 	}
 	for i := len(versions) - 1; i >= 0; i-- {
 		v := versions[i]
-		rel, err := s.LoadVersionContext(ctx, v)
+		got, err := load(v)
 		if err != nil {
 			s.recoveries.Inc()
-			s.logf("release: store %s: skipping version %d: %v", s.dir, v, err)
-			skipped = append(skipped, Skipped{Name: fileName(v), Err: err})
+			s.logf("release: store %s: skipping %s: %v", s.dir, k.file(v), err)
+			skipped = append(skipped, Skipped{Name: k.file(v), Err: err})
 			continue
 		}
 		sp.Set(attrVersion.Int(int64(v)))
 		sp.Set(attrSkipped.Int(int64(len(skipped))))
-		return rel, v, skipped, nil
+		return got, v, skipped, nil
 	}
 	sp.SetStatus(trace.StatusError)
-	return nil, 0, skipped, fmt.Errorf("%w (dir %s, %d file(s) skipped)", ErrStoreEmpty, s.dir, len(skipped))
+	return out, 0, skipped, fmt.Errorf("%w (dir %s, %d file(s) skipped)", ErrStoreEmpty, s.dir, len(skipped))
 }
 
 // Span attribute keys for store spans: version numbers and skip counts only,
@@ -263,18 +264,27 @@ func (s *Store) LoadVersion(v uint64) (*Release, error) {
 // LoadVersionContext is LoadVersion on a caller-supplied context; see
 // LoadContext.
 func (s *Store) LoadVersionContext(ctx context.Context, v uint64) (*Release, error) {
-	f, err := s.fsys.Open(filepath.Join(s.dir, fileName(v)))
-	if err != nil {
-		return nil, fmt.Errorf("release: loading version %d: %w", v, err)
-	}
-	rel, err := ReadContext(ctx, f)
-	if cerr := f.Close(); err == nil && cerr != nil {
-		// The release was fully read and checksummed; a close failure
-		// afterwards cannot have corrupted it. Surface it anyway.
-		return nil, fmt.Errorf("release: loading version %d: close: %w", v, cerr)
-	}
-	if err != nil {
+	var rel *Release
+	if err := s.read(Fulls.file(v), func(f io.Reader) (err error) {
+		rel, err = ReadContext(ctx, f)
+		return err
+	}); err != nil {
 		return nil, fmt.Errorf("release: loading version %d: %w", v, err)
 	}
 	return rel, nil
+}
+
+// read opens one store file and hands it to decode. The file is closed
+// after; a close failure is reported even though decode already checked
+// the contents.
+func (s *Store) read(name string, decode func(io.Reader) error) error {
+	f, err := s.fsys.Open(filepath.Join(s.dir, name))
+	if err != nil {
+		return err
+	}
+	err = decode(f)
+	if cerr := f.Close(); err == nil && cerr != nil {
+		err = fmt.Errorf("close: %w", cerr)
+	}
+	return err
 }

@@ -70,7 +70,7 @@ func TestStoreSaveLoadRoundTrip(t *testing.T) {
 	if old.Avg[0] != 1 {
 		t.Errorf("version 1 tag = %v", old.Avg[0])
 	}
-	vs, err := s.Versions()
+	vs, err := s.Versions(Fulls)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestStoreRecoversPastCorruptNewestVersion(t *testing.T) {
 	}
 
 	// Corrupt version 2 in place: truncate it mid-body.
-	path := filepath.Join(dir, fileName(2))
+	path := filepath.Join(dir, Fulls.file(2))
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +176,7 @@ func TestStoreRecoversPastCorruptNewestVersion(t *testing.T) {
 	// And plant a bit-flipped version 3.
 	flipped := bytes.Clone(raw)
 	flipped[len(flipped)/3] ^= 0x40
-	if err := os.WriteFile(filepath.Join(dir, fileName(3)), flipped, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, Fulls.file(3)), flipped, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -190,7 +190,7 @@ func TestStoreRecoversPastCorruptNewestVersion(t *testing.T) {
 	if len(skipped) != 2 {
 		t.Fatalf("skipped = %v, want versions 3 and 2", skipped)
 	}
-	if skipped[0].Name != fileName(3) || skipped[1].Name != fileName(2) {
+	if skipped[0].Name != Fulls.file(3) || skipped[1].Name != Fulls.file(2) {
 		t.Errorf("skipped order = %v, want newest first", skipped)
 	}
 	if got := s.recoveries.Value(); got != 2 {
@@ -200,7 +200,7 @@ func TestStoreRecoversPastCorruptNewestVersion(t *testing.T) {
 
 func TestStoreOpenSweepsTempDebris(t *testing.T) {
 	dir := t.TempDir()
-	debris := filepath.Join(dir, fileName(7)+tmpSuffix)
+	debris := filepath.Join(dir, Fulls.file(7)+faults.AtomicTmpSuffix)
 	if err := os.WriteFile(debris, []byte("half a release"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -254,10 +254,10 @@ func TestStoreVersionNumbersSkipGaps(t *testing.T) {
 	if err := Write(&buf, storeRelease(t, 5)); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, fileName(5)), buf.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, Fulls.file(5)), buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Remove(filepath.Join(dir, fileName(1))); err != nil {
+	if err := os.Remove(filepath.Join(dir, Fulls.file(1))); err != nil {
 		t.Fatal(err)
 	}
 	v, err := s.Save(storeRelease(t, 6))

@@ -157,7 +157,7 @@ func Open(dir string, opts Options) (*Log, *Recovery, error) {
 	if err := fsys.MkdirAll(dir); err != nil {
 		return nil, nil, fmt.Errorf("wal: opening %s: %w", dir, err)
 	}
-	if _, err := faults.SweepTmp(fsys, dir, segPrefix, "quarantine-", "cursor"); err != nil {
+	if _, err := faults.SweepTmp(fsys, dir, segPrefix, "quarantine-"); err != nil {
 		logf("wal: %s: sweeping stale temps: %v", dir, err)
 	}
 	rep := &Recovery{}

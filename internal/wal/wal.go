@@ -18,9 +18,10 @@
 //     bytes are extracted to a quarantine file, the segment is rewritten
 //     without them, and the event is reported. Operators decide what to do
 //     with quarantined bytes; the log itself stays replayable.
-//   - Replay cursors (cursor.go) persist the consumer's progress with the
-//     same atomic-write discipline, so replaying after a crash is
-//     idempotent: records at or below the cursor are skipped.
+//   - Replay(after, …) starts strictly above a sequence number the
+//     consumer has made durable downstream (the Updater's intent journal
+//     records it), so replaying after a crash is idempotent: records at or
+//     below that mark are skipped.
 //
 // On-disk layout, all integers little-endian:
 //
@@ -477,7 +478,8 @@ func (l *Log) replaySegment(name string, after uint64, fn func(Record) error) er
 
 // TruncateThrough removes whole segments whose records all have sequence
 // numbers at or below seq — retention for mutations already folded into a
-// durable downstream artifact (a persisted release plus cursor). The
+// durable downstream artifact (a persisted release plus its journaled
+// sequence number). The
 // newest segment is always kept so the log retains its sequence position.
 // Callers are responsible for not truncating history they still need to
 // rebuild state from (see the streaming runbook in the README).

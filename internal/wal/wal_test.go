@@ -304,47 +304,32 @@ func TestRecoverBadHeader(t *testing.T) {
 	}
 }
 
-// TestCursorIdempotence: replaying the same log twice through a persisted
-// cursor delivers each record exactly once.
-func TestCursorIdempotence(t *testing.T) {
-	dir := t.TempDir()
-	l, _, err := Open(dir, testOpts())
+// TestReplayFromSeq: replay strictly above a consumer's durable mark
+// delivers each record exactly once — replaying the same log twice from
+// the mark is a no-op, and later records arrive once.
+func TestReplayFromSeq(t *testing.T) {
+	l, _, err := Open(t.TempDir(), testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
 	appendStream(t, l, 8)
-	cursor := filepath.Join(dir, "cursor")
 
-	seq, ok, err := LoadCursor(nil, cursor)
-	if err != nil || ok || seq != 0 {
-		t.Fatalf("fresh cursor: seq=%d ok=%v err=%v", seq, ok, err)
-	}
-	first := collect(t, l, seq)
+	first := collect(t, l, 0)
 	if len(first) != 8 {
 		t.Fatalf("first replay: %d records", len(first))
 	}
-	if err := SaveCursor(nil, cursor, first[len(first)-1].Seq); err != nil {
-		t.Fatalf("save cursor: %v", err)
+	mark := first[len(first)-1].Seq
+	if mark != 8 {
+		t.Fatalf("last seq = %d, want 8", mark)
 	}
-	seq, ok, err = LoadCursor(nil, cursor)
-	if err != nil || !ok || seq != 8 {
-		t.Fatalf("reload cursor: seq=%d ok=%v err=%v", seq, ok, err)
-	}
-	if again := collect(t, l, seq); len(again) != 0 {
+	if again := collect(t, l, mark); len(again) != 0 {
 		t.Fatalf("second replay over the same segments delivered %d records, want 0", len(again))
 	}
-	// New records past the cursor are delivered exactly once.
+	// New records past the mark are delivered exactly once.
 	appendStream(t, l, 3)
-	if tail := collect(t, l, seq); len(tail) != 3 {
-		t.Fatalf("tail replay: %d records, want 3", len(tail))
-	}
-	// A corrupt cursor is surfaced, not swallowed.
-	if err := os.WriteFile(cursor, []byte("SOCWCU01garbage....."), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := LoadCursor(nil, cursor); !errors.Is(err, ErrCursorCorrupt) {
-		t.Fatalf("corrupt cursor error = %v", err)
+	if tail := collect(t, l, mark); len(tail) != 3 || tail[0].Seq != mark+1 {
+		t.Fatalf("tail replay: %d records, want 3 from seq %d", len(tail), mark+1)
 	}
 }
 

@@ -5,12 +5,12 @@
 # sociolint privacy-invariant analyzers, the deterministic fault-injection
 # suite (crash-safe store recovery, reload degradation, panic containment,
 # load shedding — under -race), the crash/resume matrix for the
-# checkpointed offline pipeline and the budget journal (scripts/
+# checkpointed offline pipeline and the updater's intent journal (scripts/
 # resume_chaos.sh), the crash/recovery matrix for the streaming update
 # path (scripts/wal_chaos.sh), the router chaos smoke for the sharded
 # serving tier (scripts/router_chaos.sh), a build and smoke test of the
 # paper-scale benchmark module (perfbench/), and a short fuzz smoke over the
-# dataset and release parsers. Every step must pass; the first failure aborts with a non-zero
+# dataset parsers and every release decoder. Every step must pass; the first failure aborts with a non-zero
 # exit. `make ci` is the one-command entry point, locally and in any future
 # pipeline.
 set -euo pipefail
@@ -49,11 +49,11 @@ step "fault injection (crash safety, reload degradation, panic containment, shed
 # failure-path suites by name keeps them un-skippable and makes this gate's
 # coverage explicit even if package lists change.
 go test -race ./internal/faults
-go test -race -run 'TestStore|TestReadCorruptCorpus' ./internal/release
+go test -race -run 'TestStore|TestReadCorruptCorpus|TestDecodersBoundedAllocation' ./internal/release
 go test -race -run 'TestHot|TestFailedReload|TestReload|TestPanicRecovery|TestChaos|TestLimiterSheds|TestDeadline' ./internal/server
-go test -race -run 'TestManagerConcurrentPublishBudget' ./internal/dynamic
+go test -race -run 'TestUpdaterCrashRecompute|TestUpdaterPublishFaultSweep|TestUpdaterBudgetExhaustion|TestUpdaterRefusesCorruptIntent' ./internal/dynamic
 
-step "crash/resume matrix (checkpointed pipeline, budget journal)"
+step "crash/resume matrix (checkpointed pipeline, updater intent journal)"
 ./scripts/resume_chaos.sh
 
 step "wal chaos (streaming updates: crash anywhere, converge byte-identically)"
@@ -86,8 +86,6 @@ step "benchmark budget gate (ns/op >50% or ANY allocs/op growth vs BENCH_PR7.jso
 make benchdiff BENCH_COUNT=2 BENCH_THRESHOLD=50
 
 step "fuzz smoke (10s per target)"
-go test -run='^$' -fuzz='^FuzzReadSocialTSV$' -fuzztime=10s ./internal/dataset
-go test -run='^$' -fuzz='^FuzzReadPreferenceTSV$' -fuzztime=10s ./internal/dataset
-go test -run='^$' -fuzz='^FuzzRead$' -fuzztime=10s ./internal/release
+make fuzz-smoke
 
 printf '\nci: all gates passed\n'

@@ -20,7 +20,7 @@ step() { printf '\n== %s ==\n' "$*"; }
 step "fault-point sweep + crash/resume suites (-race)"
 go test -race -run 'TestFaultPointSweep|TestStagePanicMidRunThenResume|TestStageTimeoutThenResume|TestOpenStoreSweepsTempDebris|TestSpendPersistedExactlyOnce' ./internal/pipeline
 go test -race -run 'TestPipelineCrashMidPersistThenResume|TestPipelineResumeAndPersistIdempotent' ./internal/experiment
-go test -race -run 'TestManagerRestartCannotRespend|TestManagerCrashDuringJournalWrite|TestJournal' ./internal/dynamic
+go test -race -run 'TestUpdaterCrashRecompute|TestUpdaterPublishFaultSweep|TestUpdaterBudgetExhaustion|TestUpdaterRefusesCorruptIntent|TestManagerRestartCannotRespend|TestManagerCrashDuringJournalWrite|TestJournal' ./internal/dynamic
 go test -race -run 'TestWriteAtomic' ./internal/faults
 
 step "CLI crash/resume drill (cmd/experiments -exp release)"
