@@ -46,6 +46,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzReadPreferenceTSV$$' -fuzztime=10s ./internal/dataset
 	$(GO) test -run='^$$' -fuzz='^FuzzRead$$' -fuzztime=10s ./internal/release
 	$(GO) test -run='^$$' -fuzz='^FuzzReadArtifacts$$' -fuzztime=10s ./internal/release
+	$(GO) test -run='^$$' -fuzz='^FuzzParseTraceparent$$' -fuzztime=10s ./internal/trace
 
 # chaos drives the hardened server benchmark under -race with mixed
 # error/panic/latency fault injection; it fails on any escaped panic,

@@ -61,6 +61,23 @@ func TestCLIIntegration(t *testing.T) {
 	if !strings.Contains(out, "NDCG@5") {
 		t.Fatalf("evaluate output malformed:\n%s", out)
 	}
+	// The exit table's rows come from finished trace spans: the graph
+	// load, the engine build root with its clustering and release
+	// children, and the three engine phases of the evaluated lists.
+	_, table, _ := strings.Cut(out, "stage timings:\n")
+	table, _, _ = strings.Cut(table, "\n\n")
+	rows := map[string]bool{}
+	for _, line := range strings.Split(table, "\n") {
+		if f := strings.Fields(line); len(f) > 0 {
+			rows[f[0]] = true
+		}
+	}
+	for _, want := range []string{"graph_load", "engine_build", "cluster_louvain",
+		"laplace_release", "similarity_batch", "cluster_average", "top_n"} {
+		if !rows[want] {
+			t.Errorf("evaluate stage table lacks a %s row:\n%s", want, table)
+		}
+	}
 
 	out = run("./cmd/attack", "-social", social, "-prefs", prefs,
 		"-victim", "0", "-eps", "0.5", "-trials", "1", "-runs", "2")

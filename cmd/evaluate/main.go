@@ -37,6 +37,7 @@ import (
 	"socialrec/internal/release"
 	"socialrec/internal/similarity"
 	"socialrec/internal/telemetry"
+	"socialrec/internal/trace"
 )
 
 func main() {
@@ -83,7 +84,7 @@ func main() {
 			*socialPath, *prefsPath, m, dp.Epsilon(eps), *sample, *runs, *seed,
 			*lenient, *ckptDir, *resume, *fresh)
 	} else {
-		ds = loadDataset(*socialPath, *prefsPath, *lenient)
+		ds = loadDataset(context.Background(), *socialPath, *prefsPath, *lenient)
 		private, err = socialrec.NewEngineFromGraphs(ds.Social, ds.Prefs, socialrec.Config{
 			Measure: *measure, Epsilon: eps, Seed: *seed,
 		})
@@ -105,14 +106,18 @@ func main() {
 	for i, u := range evalUsers {
 		users[i] = int(u)
 	}
-	privLists, err := private.RecommendBatch(users, *n)
+	// Both list sets are computed under one root, so the engine's phase
+	// spans reach the stage table printed below.
+	ctx, listSpan := trace.Start(context.Background(), "evaluate_lists")
+	privLists, err := private.RecommendBatchContext(ctx, users, *n)
 	if err != nil {
 		fatalf("%v", err)
 	}
-	exactLists, err := exact.RecommendBatch(users, *n)
+	exactLists, err := exact.RecommendBatchContext(ctx, users, *n)
 	if err != nil {
 		fatalf("%v", err)
 	}
+	listSpan.End()
 
 	var ndcg, prec, rec, jac float64
 	truth := make([]float64, ds.Prefs.NumItems())
@@ -159,9 +164,10 @@ func main() {
 
 // loadDataset reads and assembles the two graphs, honoring -lenient by
 // quarantining malformed rows (summarized on stderr) instead of aborting.
-func loadDataset(socialPath, prefsPath string, lenient bool) *dataset.Dataset {
+// Reading the social graph is a graph_load span on ctx.
+func loadDataset(ctx context.Context, socialPath, prefsPath string, lenient bool) *dataset.Dataset {
 	opts := dataset.ReadOptions{Lenient: lenient}
-	loadSpan := telemetry.Stages().Start("graph_load")
+	_, loadSpan := trace.Start(ctx, "graph_load")
 	sf, err := os.Open(socialPath)
 	if err != nil {
 		fatalf("%v", err)
@@ -210,7 +216,7 @@ func checkpointedPrecompute(socialPath, prefsPath string, m similarity.Measure, 
 	}
 	spec := experiment.ReleaseSpec{
 		Load: func(ctx context.Context) (*dataset.Dataset, error) {
-			return loadDataset(socialPath, prefsPath, lenient), nil
+			return loadDataset(ctx, socialPath, prefsPath, lenient), nil
 		},
 		DatasetFingerprint: h.Sum64(),
 		Measure:            m,

@@ -138,7 +138,7 @@ func main() {
 		}
 	}
 
-	loadSpan := telemetry.Stages().Start("graph_load")
+	_, loadSpan := trace.Start(context.Background(), "graph_load")
 	sf, err := os.Open(*socialPath)
 	if err != nil {
 		fatal("recserve: opening social graph", "err", err)

@@ -34,8 +34,8 @@ import (
 //
 // Sinks: slog and log calls, fmt.Errorf/errors.New arguments,
 // span-attribute constructors and span names (internal/trace), metric
-// label values and exemplar trace IDs (internal/telemetry), HTTP response
-// writers and http.Error, and panic.
+// label values, stage names and exemplar trace IDs (internal/telemetry),
+// HTTP response writers and http.Error, and panic.
 //
 // Sanitizers: internal/mechanism New* release constructors, dp.Snap and
 // dp.SnapValue, release (*Release).Snap, len/cap, and the aggregate
@@ -991,7 +991,9 @@ func (t *taintInterp) sinkOf(call *ast.CallExpr, fn *types.Func) *sinkSpec {
 		return &sinkSpec{name: "span name " + name, args: nameArgIndex(call, method)}
 	case method && pathIsOrEndsWith(path, "internal/telemetry") && (name == "With" || name == "MustWith"):
 		return &sinkSpec{name: "metric label " + recvNamed(fn) + "." + name, args: []int{0}}
-	case method && pathIsOrEndsWith(path, "internal/telemetry") && recvNamed(fn) == "Tracer" && name == "Start":
+	case method && pathIsOrEndsWith(path, "internal/trace") && name == "Middleware":
+		return &sinkSpec{name: "span name Middleware", args: []int{0}}
+	case method && pathIsOrEndsWith(path, "internal/telemetry") && recvNamed(fn) == "StageTable" && name == "Observe":
 		return &sinkSpec{name: "telemetry stage name", args: []int{0}}
 	case method && pathIsOrEndsWith(path, "internal/telemetry") && name == "ObserveExemplar":
 		return &sinkSpec{name: "exemplar trace ID", args: []int{1}}

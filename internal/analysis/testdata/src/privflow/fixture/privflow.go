@@ -58,6 +58,14 @@ func spanAttrLeak(ctx context.Context, g *graph.Social, u int) {
 	sp.Set(attrDeg.Int(int64(g.Degree(u)))) // want "reaches span attribute trace.Key.Int"
 }
 
+func stageNameLeak(g *graph.Social, u int) {
+	telemetry.Stages().Observe(fmt.Sprint(g.Degree(u)), 0) // want "reaches telemetry stage name"
+}
+
+func httpSpanNameLeak(tr *trace.Tracer, g *graph.Social, u int) http.HandlerFunc {
+	return tr.Middleware(fmt.Sprint(g.Degree(u)), nil) // want "reaches span name Middleware"
+}
+
 func metricLabelLeak(vec *telemetry.CounterVec, g *graph.Social, u int) {
 	c, err := vec.With(fmt.Sprint(g.Degree(u))) // want "reaches metric label CounterVec.With"
 	if err == nil {

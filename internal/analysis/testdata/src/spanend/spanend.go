@@ -94,6 +94,6 @@ func BadDiscard(ctx context.Context) context.Context {
 func BadClosureLeak(ctx context.Context) func() {
 	return func() {
 		_, sp := trace.StartChild(ctx, "bad_closure") // want "never ended"
-		_ = sp.HeadSampled()
+		_ = sp.TraceID()
 	}
 }

@@ -228,11 +228,12 @@ func (r *Recommender) Recommend(users []int32, n int) ([][]Recommendation, error
 }
 
 // RecommendContext is Recommend on a caller-supplied context. When ctx
-// carries an active trace span (a served request), the three phases of
-// each batch — similarity lookup, cluster-average reconstruction, top-n
-// selection — open child spans, so a slow request names the phase that
-// made it slow. The aggregate telemetry stage timings are recorded either
-// way.
+// carries an active trace span (a served request, an evaluation run), the
+// three phases of each batch — similarity lookup, cluster-average
+// reconstruction, top-n selection — open child spans, so a slow request
+// names the phase that made it slow, and the stage table gains a
+// similarity_batch, cluster_average and top_n row as each ends. An
+// untraced call records nothing.
 //
 //sociolint:hotpath
 func (r *Recommender) RecommendContext(ctx context.Context, users []int32, n int) ([][]Recommendation, error) {
@@ -273,7 +274,6 @@ func (r *Recommender) RecommendContext(ctx context.Context, users []int32, n int
 		batch := users[start:end]
 		var sims []similarity.Scores
 		simTrace := trace.StartLeaf(ctx, "similarity_batch", attrBatchSize.Int(int64(len(batch))))
-		simSpan := telemetry.Stages().Start("similarity_batch")
 		if r.SimilaritySource != nil {
 			if cap(sc.sims) < len(batch) {
 				sc.sims = make([]similarity.Scores, len(batch))
@@ -285,9 +285,7 @@ func (r *Recommender) RecommendContext(ctx context.Context, users []int32, n int
 		} else {
 			sims = similarity.ComputeAll(r.social, r.measure, batch, r.Workers)
 		}
-		simSpan.End()
 		simTrace.End()
-		recSpan := telemetry.Stages().Start("reconstruction")
 		buf := rows[:len(batch)]
 		for i := range buf {
 			clear(buf[i])
@@ -300,7 +298,6 @@ func (r *Recommender) RecommendContext(ctx context.Context, users []int32, n int
 			out[start+i] = TopN(buf[i], n, math.Inf(-1))
 		}
 		topTrace.End()
-		recSpan.End()
 	}
 	return out, nil
 }

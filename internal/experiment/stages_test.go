@@ -44,7 +44,6 @@ func quietOpts(dir string) pipeline.Options {
 		CheckpointDir: dir,
 		Resume:        true,
 		Metrics:       telemetry.NewRegistry(),
-		Tracer:        telemetry.NewTracer(),
 		Sleep:         func(time.Duration) {},
 	}
 }

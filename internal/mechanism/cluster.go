@@ -42,10 +42,11 @@ func NewCluster(clusters *community.Clustering, prefs *graph.Preference, eps dp.
 	return NewClusterCtx(context.Background(), clusters, prefs, eps, noise)
 }
 
-// NewClusterCtx is NewCluster on a caller-supplied context: a context
-// carrying an active trace (a pipeline run, an admin reload request) gets
-// a "laplace_release" child span, and the recorded budget spend carries
-// the trace id so the ε is attributable to the run that spent it.
+// NewClusterCtx is NewCluster on a caller-supplied context. The release
+// runs under a "laplace_release" span — a child when ctx carries an active
+// trace (an engine build, a pipeline run, an admin reload request), a root
+// otherwise — and the recorded budget spend carries that span's trace id,
+// so the ε is attributable to the run that spent it.
 func NewClusterCtx(ctx context.Context, clusters *community.Clustering, prefs *graph.Preference, eps dp.Epsilon, noise dp.NoiseSource) (*Cluster, error) {
 	if err := eps.Validate(); err != nil {
 		return nil, err
@@ -72,10 +73,8 @@ func NewClusterCtx(ctx context.Context, clusters *community.Clustering, prefs *g
 	}
 	// Average and perturb (line 7). The noise scale for cluster c is
 	// 1/(|c|·ε): one edge changes the cluster's average by at most 1/|c|.
-	span := telemetry.Stages().Start("laplace_release")
-	defer span.End()
-	_, tsp := trace.StartChild(ctx, "laplace_release")
-	defer tsp.End()
+	ctx, sp := trace.Start(ctx, "laplace_release")
+	defer sp.End()
 	for cl := 0; cl < nc; cl++ {
 		size := float64(clusters.Size(cl))
 		if size == 0 {

@@ -70,10 +70,8 @@ func DeltaRows(ctx context.Context, clusters *community.Clustering, prefs *graph
 			out[base+int(item)]++
 		}
 	}
-	span := telemetry.Stages().Start("laplace_delta_release")
-	defer span.End()
-	_, tsp := trace.StartChild(ctx, "laplace_delta_release")
-	defer tsp.End()
+	ctx, sp := trace.Start(ctx, "laplace_delta_release")
+	defer sp.End()
 	for c := 0; c < nc; c++ {
 		r := rowOf[c]
 		if r < 0 {

@@ -14,7 +14,7 @@ import (
 )
 
 // The collector's own HTTP surface carries the standard middleware
-// stack — traced → instrument → recover — with the same shape as
+// stack — trace.Middleware → instrument → recover — with the same shape as
 // internal/server: every request runs under a root span (an inbound
 // traceparent is continued, the response carries one back), per-endpoint
 // request/error counters and a latency histogram land on the collector's
@@ -70,47 +70,11 @@ func newHTTPMetrics(reg *telemetry.Registry) *httpMetrics {
 	return m
 }
 
-// statusWriter captures the committed status for instrumentation.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-	wrote  bool
-}
-
-func (w *statusWriter) WriteHeader(status int) {
-	w.status = status
-	w.wrote = true
-	w.ResponseWriter.WriteHeader(status)
-}
-
-func (w *statusWriter) Write(p []byte) (int, error) {
-	w.wrote = true
-	return w.ResponseWriter.Write(p)
-}
-
-var attrHTTPStatus = trace.NewKey("fleet_http_status")
-
 // wrap applies the middleware stack to one endpoint handler.
 func (c *Collector) wrap(endpoint string, h http.HandlerFunc) http.Handler {
 	m := c.http
-	name := "fleet_" + endpoint
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var (
-			ctx = r.Context()
-			sp  trace.Span
-		)
-		if tp, err := trace.ParseTraceparent(r.Header.Get(trace.TraceparentHeader)); err == nil {
-			ctx, sp = c.tracer.StartRemote(ctx, name, tp)
-		} else {
-			ctx, sp = c.tracer.StartRoot(ctx, name)
-		}
-		defer sp.End()
-		w.Header().Set(trace.TraceparentHeader, trace.Traceparent{
-			TraceID:  sp.TraceID(),
-			ParentID: sp.SpanID(),
-			Sampled:  sp.HeadSampled(),
-		}.String())
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
+	return c.tracer.Middleware("fleet_"+endpoint, func(w http.ResponseWriter, r *http.Request) {
+		sw := w.(*trace.StatusWriter)
 		start := time.Now()
 		func() {
 			defer func() {
@@ -119,23 +83,19 @@ func (c *Collector) wrap(endpoint string, h http.HandlerFunc) http.Handler {
 					return
 				}
 				m.panics.Inc()
-				c.logger.Error("obsagg: panic recovered",
+				c.logger.ErrorContext(r.Context(), "obsagg: panic recovered",
 					"panic", fmt.Sprint(v), "stack", string(debug.Stack()))
-				if !sw.wrote {
+				if !sw.Wrote {
 					http.Error(sw, "internal error", http.StatusInternalServerError)
 				}
 			}()
-			h(sw, r.WithContext(ctx))
+			h(sw, r)
 		}()
-		tid, _ := trace.FromContext(ctx).IDs()
+		tid, _ := trace.FromContext(r.Context()).IDs()
 		m.latency[endpoint].ObserveExemplar(time.Since(start).Seconds(), tid)
 		m.requests[endpoint].Inc()
-		sp.Set(attrHTTPStatus.Int(int64(sw.status)))
-		if sw.status >= 400 {
+		if sw.Status >= 400 {
 			m.errors[endpoint].Inc()
-		}
-		if sw.status >= 500 {
-			sp.SetStatus(trace.StatusError)
 		}
 	})
 }

@@ -122,7 +122,10 @@ type Config struct {
 	EpsilonBudget float64
 	// Rules tunes alerting.
 	Rules RuleConfig
-	// Logger receives scrape failures; nil selects a text logger.
+	// Logger receives scrape failures and recovered panics; nil selects a
+	// text logger. Whatever handler is supplied is wrapped with
+	// trace.NewSlogHandler, so a record logged with a request context
+	// carries trace_id and span_id.
 	Logger *slog.Logger
 	// Metrics is the collector's own registry (socmon's /metrics); nil
 	// selects telemetry.Default().
@@ -265,6 +268,7 @@ func New(cfg Config) (*Collector, error) {
 	if c.logger == nil {
 		c.logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
 	}
+	c.logger = slog.New(trace.NewSlogHandler(c.logger.Handler()))
 	if c.client == nil {
 		c.client = &http.Client{}
 	}

@@ -1,6 +1,7 @@
 package obsagg
 
 import (
+	"bytes"
 	"encoding/json"
 	"log/slog"
 	"math"
@@ -646,5 +647,40 @@ func TestFleetTraceEndpointValidation(t *testing.T) {
 	_ = resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("limit=0 status: %d", resp.StatusCode)
+	}
+}
+
+// TestPanicLogCarriesTraceID: a panic recovered behind wrap is logged with
+// the request's context, so the record carries the trace_id of the errored
+// fleet_* trace the response's traceparent names — the log line and the
+// trace join on it.
+func TestPanicLogCarriesTraceID(t *testing.T) {
+	var logs bytes.Buffer
+	c := newTestCollector(t, Config{
+		Targets: []Target{{Name: "shard_0", Role: "shard", URL: "http://127.0.0.1:1"}},
+		Logger:  slog.New(slog.NewJSONHandler(&logs, nil)),
+	})
+	rec := httptest.NewRecorder()
+	c.wrap(epHealthz, func(http.ResponseWriter, *http.Request) { panic("boom") }).
+		ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status = %d, want 500", rec.Code)
+	}
+	tp, err := trace.ParseTraceparent(rec.Header().Get(trace.TraceparentHeader))
+	if err != nil {
+		t.Fatalf("response traceparent: %v", err)
+	}
+	var record struct {
+		Msg     string `json:"msg"`
+		TraceID string `json:"trace_id"`
+	}
+	if err := json.Unmarshal(logs.Bytes(), &record); err != nil {
+		t.Fatalf("log record %q: %v", logs.String(), err)
+	}
+	if record.Msg != "obsagg: panic recovered" || record.TraceID != tp.TraceID.String() {
+		t.Errorf("log record %+v, want the panic logged under trace %s", record, tp.TraceID)
+	}
+	if td := c.tracer.Lookup(tp.TraceID); td == nil || !td.Err() || td.Root.Name != "fleet_healthz" {
+		t.Errorf("errored fleet_healthz trace not retained: %+v", td)
 	}
 }

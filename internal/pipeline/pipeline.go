@@ -64,8 +64,9 @@ type Port struct {
 // enforces the latter).
 type Stage interface {
 	// Name identifies the stage; it must be a valid telemetry name and
-	// unique within a pipeline. The stage tracer records spans under it
-	// and the checkpoint receipt is stored as "<name>.stage".
+	// unique within a pipeline. Each attempt runs under a trace span of
+	// this name (and so lands in the stage table under it), and the
+	// checkpoint receipt is stored as "<name>.stage".
 	Name() string
 	// Version is the code-level stage version. Bumping it invalidates
 	// every existing checkpoint of this stage (and, through fingerprint
@@ -177,7 +178,7 @@ func New(stages ...Stage) (*Pipeline, error) {
 	produced := make(map[Key]string)
 	for _, s := range stages {
 		name := s.Name()
-		if !validName(name) {
+		if !telemetry.ValidName(name) {
 			return nil, fmt.Errorf("pipeline: invalid stage name %q (want [a-z][a-z0-9_]*)", name)
 		}
 		if seenStage[name] {
@@ -193,7 +194,7 @@ func New(stages ...Stage) (*Pipeline, error) {
 			}
 		}
 		for _, out := range s.Outputs() {
-			if !validName(string(out.Key)) {
+			if !telemetry.ValidName(string(out.Key)) {
 				return nil, fmt.Errorf("pipeline: stage %q output key %q is not a valid name", name, out.Key)
 			}
 			if prev, dup := produced[out.Key]; dup {
@@ -210,22 +211,3 @@ func New(stages ...Stage) (*Pipeline, error) {
 
 // Stages returns the pipeline's stages in execution order.
 func (p *Pipeline) Stages() []Stage { return p.stages }
-
-// validName mirrors telemetry's name rule: [a-z][a-z0-9_]*. Stage names
-// become tracer stage names and checkpoint file names, so the same
-// no-sensitive-tokens shape applies.
-func validName(s string) bool {
-	if len(s) == 0 {
-		return false
-	}
-	for i, r := range s {
-		switch {
-		case r >= 'a' && r <= 'z':
-		case r == '_' && i > 0:
-		case r >= '0' && r <= '9' && i > 0:
-		default:
-			return false
-		}
-	}
-	return true
-}

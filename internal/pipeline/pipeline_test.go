@@ -59,7 +59,6 @@ func testOpts(dir string) Options {
 		CheckpointDir: dir,
 		Resume:        true,
 		Metrics:       telemetry.NewRegistry(),
-		Tracer:        telemetry.NewTracer(),
 		Sleep:         func(time.Duration) {},
 	}
 }

@@ -54,8 +54,6 @@ type Options struct {
 	// Metrics receives the pipeline counters/gauges; nil selects
 	// telemetry.Default().
 	Metrics *telemetry.Registry
-	// Tracer records per-stage spans; nil selects telemetry.Stages().
-	Tracer *telemetry.Tracer
 	// Sleep replaces time.Sleep for backoff waits (tests); nil selects
 	// time.Sleep.
 	Sleep func(time.Duration)
@@ -210,10 +208,6 @@ func (p *Pipeline) Run(ctx context.Context, opts Options) (res *Result, err erro
 	if reg == nil {
 		reg = telemetry.Default()
 	}
-	tracer := opts.Tracer
-	if tracer == nil {
-		tracer = telemetry.Stages()
-	}
 	met := newPipelineMetrics(reg)
 
 	res = &Result{State: NewState()}
@@ -260,7 +254,7 @@ func (p *Pipeline) Run(ctx context.Context, opts Options) (res *Result, err erro
 			}
 		}
 
-		report, err := p.runStage(ctx, stage, fp, res.State, store, opts, met, tracer, logf, sleep)
+		report, err := p.runStage(ctx, stage, fp, res.State, store, opts, met, logf, sleep)
 		res.Stages = append(res.Stages, report)
 		if err != nil {
 			met.failures.Inc()
@@ -315,7 +309,7 @@ func (p *Pipeline) tryResume(store *Store, stage Stage, fp uint64, st *State, me
 
 // runStage executes one stage with retries, timeout, heartbeat and
 // checkpointing.
-func (p *Pipeline) runStage(ctx context.Context, stage Stage, fp uint64, st *State, store *Store, opts Options, met *pipelineMetrics, tracer *telemetry.Tracer, logf func(string, ...any), sleep func(time.Duration)) (StageReport, error) {
+func (p *Pipeline) runStage(ctx context.Context, stage Stage, fp uint64, st *State, store *Store, opts Options, met *pipelineMetrics, logf func(string, ...any), sleep func(time.Duration)) (StageReport, error) {
 	report := StageReport{Stage: stage.Name(), Fingerprint: fp}
 	if store != nil {
 		// Invalidate any stale commit point before mutating artifacts, so
@@ -347,7 +341,7 @@ func (p *Pipeline) runStage(ctx context.Context, stage Stage, fp uint64, st *Sta
 				stage.Name(), attempt+1, opts.Retries+1, lastErr)
 		}
 		report.Attempts++
-		lastErr = p.attemptStage(ctx, stage, st, opts, met, tracer, logf)
+		lastErr = p.attemptStage(ctx, stage, st, opts, met, logf)
 		if lastErr == nil {
 			break
 		}
@@ -410,7 +404,7 @@ func (p *Pipeline) runStage(ctx context.Context, stage Stage, fp uint64, st *Sta
 
 // attemptStage runs one attempt under the per-stage timeout with panic
 // containment and heartbeat progress.
-func (p *Pipeline) attemptStage(ctx context.Context, stage Stage, st *State, opts Options, met *pipelineMetrics, tracer *telemetry.Tracer, logf func(string, ...any)) (err error) {
+func (p *Pipeline) attemptStage(ctx context.Context, stage Stage, st *State, opts Options, met *pipelineMetrics, logf func(string, ...any)) (err error) {
 	runCtx := ctx
 	if opts.StageTimeout > 0 {
 		var cancel context.CancelFunc
@@ -440,12 +434,10 @@ func (p *Pipeline) attemptStage(ctx context.Context, stage Stage, st *State, opt
 
 	met.inflight.Add(1)
 	defer met.inflight.Add(-1)
-	// Two spans, same stage name: the telemetry span feeds the aggregate
-	// stage table, the trace span joins the run's causal tree. A failed or
-	// panicked attempt marks the trace span errored, which forces the whole
-	// run trace through tail retention.
-	span := tracer.Start(stage.Name())
-	defer span.End()
+	// The attempt's span joins the run's causal tree and, as it ends, adds
+	// its duration to the stage's row of the stage table. A failed or
+	// panicked attempt marks it errored, which forces the whole run trace
+	// through tail retention.
 	runCtx, tsp := trace.StartChild(runCtx, stage.Name())
 	defer func() {
 		if err != nil {

@@ -294,68 +294,27 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	rt.mux.ServeHTTP(w, r)
 }
 
-// attrHTTPStatus mirrors internal/server's root-span status attribute.
 var (
-	attrRouterStatus = trace.NewKey("router_http_status")
-	attrShardCalled  = trace.NewKey("shard_called")
-	attrReplicaIdx   = trace.NewKey("replica_idx")
-	attrAttempt      = trace.NewKey("attempt")
+	attrShardCalled = trace.NewKey("shard_called")
+	attrReplicaIdx  = trace.NewKey("replica_idx")
+	attrAttempt     = trace.NewKey("attempt")
 )
 
-// route wraps a handler with the router's request middleware: a root span
-// (continuing an inbound W3C traceparent), per-endpoint accounting, and —
-// for serving endpoints — the end-to-end request deadline.
+// route wraps a handler with the router's request middleware: the tracer's
+// root span (continuing an inbound W3C traceparent), per-endpoint
+// accounting, and — for serving endpoints — the end-to-end request
+// deadline.
 func (rt *Router) route(endpoint string, deadline bool, h http.HandlerFunc) http.HandlerFunc {
-	name := "router_" + endpoint
-	return func(w http.ResponseWriter, r *http.Request) {
-		rt.m.requests[endpoint].Inc()
-		var (
-			ctx context.Context
-			sp  trace.Span
-		)
-		if tp, err := trace.ParseTraceparent(r.Header.Get(trace.TraceparentHeader)); err == nil {
-			ctx, sp = rt.tracer.StartRemote(r.Context(), name, tp)
-		} else {
-			ctx, sp = rt.tracer.StartRoot(r.Context(), name)
-		}
-		defer sp.End()
-		w.Header().Set(trace.TraceparentHeader, trace.Traceparent{
-			TraceID:  sp.TraceID(),
-			ParentID: sp.SpanID(),
-			Sampled:  sp.HeadSampled(),
-		}.String())
+	requests := rt.m.requests[endpoint]
+	return rt.tracer.Middleware("router_"+endpoint, func(w http.ResponseWriter, r *http.Request) {
+		requests.Inc()
 		if deadline {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, rt.cfg.RequestTimeout)
+			ctx, cancel := context.WithTimeout(r.Context(), rt.cfg.RequestTimeout)
 			defer cancel()
+			r = r.WithContext(ctx)
 		}
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		h(sw, r.WithContext(ctx))
-		sp.Set(attrRouterStatus.Int(int64(sw.status)))
-		if sw.status >= http.StatusInternalServerError {
-			sp.SetStatus(trace.StatusError)
-		}
-	}
-}
-
-// statusWriter records the committed status for span accounting.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-	wrote  bool
-}
-
-func (w *statusWriter) WriteHeader(status int) {
-	if !w.wrote {
-		w.status = status
-		w.wrote = true
-	}
-	w.ResponseWriter.WriteHeader(status)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	w.wrote = true
-	return w.ResponseWriter.Write(b)
+		h(w, r)
+	})
 }
 
 func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -863,12 +822,8 @@ func (rt *Router) attempt(ctx context.Context, rep *replica, method, path string
 	}
 	// Propagate the trace across the hop: the shard continues this span's
 	// trace, so one trace id covers both processes.
-	if !sp.TraceID().IsZero() {
-		req.Header.Set(trace.TraceparentHeader, trace.Traceparent{
-			TraceID:  sp.TraceID(),
-			ParentID: sp.SpanID(),
-			Sampled:  sp.HeadSampled(),
-		}.String())
+	if tp := sp.Traceparent(); tp != "" {
+		req.Header.Set(trace.TraceparentHeader, tp)
 	}
 	// Propagate the deadline: hand the shard strictly less than our
 	// remaining budget, so its deadline middleware always fires before

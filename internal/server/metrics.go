@@ -90,26 +90,6 @@ func newMetrics(reg *telemetry.Registry) *metrics {
 	return m
 }
 
-// statusWriter captures the status code a handler writes and whether a
-// response has been committed (so the recovery middleware knows if a 500
-// can still be sent).
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-	wrote  bool
-}
-
-func (w *statusWriter) WriteHeader(status int) {
-	w.status = status
-	w.wrote = true
-	w.ResponseWriter.WriteHeader(status)
-}
-
-func (w *statusWriter) Write(p []byte) (int, error) {
-	w.wrote = true
-	return w.ResponseWriter.Write(p)
-}
-
 func statusClass(status int) string {
 	switch {
 	case status < 300:
@@ -128,8 +108,8 @@ func statusClass(status int) string {
 // histogram. endpoint must be one of the static endpoint constants. Each
 // latency observation carries the request's trace id as an exemplar, so a
 // latency-bucket spike on a dashboard links to a concrete retained trace.
-// The traced middleware outside already wraps the ResponseWriter; reuse its
-// statusWriter so both layers observe the same committed status.
+// The tracer's middleware outside hands every route a *trace.StatusWriter;
+// reading it means both layers observe the same committed status.
 func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 	requests := s.metrics.requests[endpoint]
 	errors := s.metrics.errors[endpoint]
@@ -137,10 +117,7 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 	return func(w http.ResponseWriter, r *http.Request) {
 		s.metrics.inFlight.Add(1)
 		start := time.Now()
-		sw, ok := w.(*statusWriter)
-		if !ok {
-			sw = &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		}
+		sw := w.(*trace.StatusWriter)
 		h(sw, r)
 		tid, _ := trace.FromContext(r.Context()).IDs()
 		elapsed := time.Since(start)
@@ -148,8 +125,8 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 		s.observeLatency(elapsed)
 		s.metrics.inFlight.Add(-1)
 		requests.Inc()
-		s.metrics.responses[statusClass(sw.status)].Inc()
-		if sw.status >= 400 {
+		s.metrics.responses[statusClass(sw.Status)].Inc()
+		if sw.Status >= 400 {
 			errors.Inc()
 		}
 	}

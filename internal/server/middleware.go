@@ -13,20 +13,21 @@ import (
 )
 
 // Hardening middleware for the request path. The serving endpoints run the
-// full stack, assembled outermost-first by traced(harden()):
+// full stack, assembled outermost-first by trace.Middleware(harden()):
 //
-//	traced → instrument → limit → recover → deadline → chaos → handler
+//	trace.Middleware → instrument → limit → recover → deadline → chaos → handler
 //
-// traced is outermost so the root span covers the entire request (shed and
-// panicked requests still produce spans) and every inner layer sees the
-// span through the request context; instrument counts per endpoint; limit
+// The tracer's middleware is outermost so the root span covers the entire
+// request (shed and panicked requests still produce spans) and every inner
+// layer sees the span through the request context and writes through the
+// *trace.StatusWriter it hands down; instrument counts per endpoint; limit
 // sheds before any work is spent; recover contains everything below it,
 // including injected chaos panics; deadline bounds the handler's context;
 // chaos (active only when Config.Faults is armed) injects deterministic
 // faults at the innermost point so every injected failure exercises the
 // entire recovery stack above it.
 //
-// The health endpoints deliberately run only traced+instrument+recover:
+// The health endpoints deliberately run only trace+instrument+recover:
 // liveness and readiness probes must keep answering while the serving path
 // is saturated, or an overloaded-but-healthy process gets restarted into a
 // thundering herd.
@@ -38,44 +39,6 @@ func (s *Server) harden(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 	h = s.recovery(h)
 	h = s.limit(h)
 	return s.instrument(endpoint, h)
-}
-
-// attrHTTPStatus carries the response status on the root span. Statuses are
-// small static integers; no request content rides along.
-var attrHTTPStatus = trace.NewKey("http_status")
-
-// traced opens the request's root span: an inbound W3C traceparent header
-// is continued (same trace ID, so the deterministic head-sampling decision
-// matches the caller's; remote span as parent), anything else — absent or
-// malformed — starts a fresh root. The response always carries the
-// traceparent of the span that handled it, so clients can quote the id
-// back when reporting a slow or failed request. A 5xx marks the span
-// errored, which forces the whole trace through tail retention.
-func (s *Server) traced(endpoint string, h http.HandlerFunc) http.HandlerFunc {
-	name := "http_" + endpoint
-	return func(w http.ResponseWriter, r *http.Request) {
-		var (
-			ctx context.Context
-			sp  trace.Span
-		)
-		if tp, err := trace.ParseTraceparent(r.Header.Get(trace.TraceparentHeader)); err == nil {
-			ctx, sp = s.tracer.StartRemote(r.Context(), name, tp)
-		} else {
-			ctx, sp = s.tracer.StartRoot(r.Context(), name)
-		}
-		defer sp.End()
-		w.Header().Set(trace.TraceparentHeader, trace.Traceparent{
-			TraceID:  sp.TraceID(),
-			ParentID: sp.SpanID(),
-			Sampled:  sp.HeadSampled(),
-		}.String())
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		h(sw, r.WithContext(ctx))
-		sp.Set(attrHTTPStatus.Int(int64(sw.status)))
-		if sw.status >= http.StatusInternalServerError {
-			sp.SetStatus(trace.StatusError)
-		}
-	}
 }
 
 // recovery converts a handler panic into a 500 response and a counter
@@ -92,7 +55,7 @@ func (s *Server) recovery(h http.HandlerFunc) http.HandlerFunc {
 			s.metrics.panics.Inc()
 			s.logger.ErrorContext(r.Context(), "server: panic recovered",
 				"panic", fmt.Sprint(v), "stack", string(debug.Stack()))
-			if sw, ok := w.(*statusWriter); ok && sw.wrote {
+			if sw, ok := w.(*trace.StatusWriter); ok && sw.Wrote {
 				// The handler already committed a response; nothing more
 				// can be sent, but the connection and process survive.
 				return

@@ -189,7 +189,6 @@ type Server struct {
 	mux     *http.ServeMux
 	metrics *metrics
 	logger  *slog.Logger
-	tracer  *trace.Tracer
 	sem     chan struct{} // concurrency limiter; nil disables shedding
 
 	// ewmaNanos is the recent-latency EWMA feeding the adaptive
@@ -227,7 +226,7 @@ func New(cfg Config) (*Server, error) {
 		tracer = trace.Default()
 	}
 	s := &Server{cfg: cfg, mux: http.NewServeMux(), metrics: newMetrics(cfg.Metrics),
-		logger: logger, tracer: tracer}
+		logger: logger}
 	if cfg.MaxInFlight > 0 {
 		s.sem = make(chan struct{}, cfg.MaxInFlight)
 	}
@@ -236,13 +235,16 @@ func New(cfg Config) (*Server, error) {
 	// exactly what an operator reaches for under duress. Every route is
 	// traced — root spans are cheap, and a reload trace is the one an
 	// operator most wants to find afterwards.
-	s.mux.HandleFunc("GET /healthz", s.traced(epHealthz, s.instrument(epHealthz, s.recovery(s.handleHealthz))))
-	s.mux.HandleFunc("GET /readyz", s.traced(epReadyz, s.instrument(epReadyz, s.recovery(s.handleReadyz))))
-	s.mux.HandleFunc("POST /admin/reload", s.traced(epReload, s.instrument(epReload, s.recovery(s.handleReload))))
-	s.mux.HandleFunc("GET /stats", s.traced(epStats, s.harden(epStats, s.handleStats)))
-	s.mux.HandleFunc("GET /recommend", s.traced(epRecommend, s.harden(epRecommend, s.handleRecommend)))
-	s.mux.HandleFunc("POST /recommend/batch", s.traced(epBatch, s.harden(epBatch, s.handleBatch)))
-	s.mux.HandleFunc("GET /users", s.traced(epUsers, s.harden(epUsers, s.handleUsers)))
+	route := func(pattern, endpoint string, h http.HandlerFunc) {
+		s.mux.HandleFunc(pattern, tracer.Middleware("http_"+endpoint, h))
+	}
+	route("GET /healthz", epHealthz, s.instrument(epHealthz, s.recovery(s.handleHealthz)))
+	route("GET /readyz", epReadyz, s.instrument(epReadyz, s.recovery(s.handleReadyz)))
+	route("POST /admin/reload", epReload, s.instrument(epReload, s.recovery(s.handleReload)))
+	route("GET /stats", epStats, s.harden(epStats, s.handleStats))
+	route("GET /recommend", epRecommend, s.harden(epRecommend, s.handleRecommend))
+	route("POST /recommend/batch", epBatch, s.harden(epBatch, s.handleBatch))
+	route("GET /users", epUsers, s.harden(epUsers, s.handleUsers))
 	return s, nil
 }
 

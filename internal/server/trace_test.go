@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"socialrec"
 	"socialrec/internal/core"
 	"socialrec/internal/dataset"
 	"socialrec/internal/telemetry"
@@ -258,5 +259,43 @@ func TestExemplarLinksLatencyToTrace(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("no latency exemplar carries trace id %s", tp.TraceID)
+	}
+}
+
+// TestServedRequestFeedsStageTable: the stage table /metrics serves is fed
+// by finished trace spans, so one traced /recommend on a real engine adds
+// exactly one entry each to the HTTP root's row and to the rows of the
+// engine's three per-batch phases.
+func TestServedRequestFeedsStageTable(t *testing.T) {
+	b := socialrec.NewGraphBuilder(6, 4)
+	for _, e := range [][2]int{{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3}, {2, 3}} {
+		b.AddFriendship(e[0], e[1])
+	}
+	for u := 0; u < 6; u++ {
+		b.AddPreference(u, u%4)
+	}
+	eng, err := socialrec.NewEngine(b, socialrec.Config{Epsilon: 1, LouvainRuns: 1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := tracedServer(t, trace.New(trace.Config{Seed: 13}), eng)
+
+	rows := []string{"http_recommend", "similarity_batch", "cluster_average", "top_n"}
+	counts := func() map[string]int64 {
+		out := map[string]int64{}
+		for _, s := range telemetry.Stages().Snapshot() {
+			out[s.Stage] = s.Count
+		}
+		return out
+	}
+	before := counts()
+	if resp := doGet(t, ts.URL+"/recommend?user=alice&n=2", ""); resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d", resp.StatusCode)
+	}
+	after := counts()
+	for _, row := range rows {
+		if got := after[row] - before[row]; got != 1 {
+			t.Errorf("%s row grew by %d, want 1", row, got)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"socialrec/internal/raceflag"
 )
@@ -48,17 +49,17 @@ func TestObserveExemplarAllocBudget(t *testing.T) {
 	}
 }
 
-// TestStageTracerAllocBudget pins the aggregate stage tracer at zero
-// steady-state allocations per Start/End pair.
+// TestStageTracerAllocBudget pins the stage table's fold — what every
+// trace span's End pays — at zero steady-state allocations.
 func TestStageTracerAllocBudget(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("alloc counts are only exact without the race detector")
 	}
-	tr := Stages()
-	tr.Start("alloc_budget_stage").End() // create the stage entry
+	tab := Stages()
+	tab.Observe("alloc_budget_stage", time.Microsecond) // create the stage entry
 	if got := testing.AllocsPerRun(200, func() {
-		tr.Start("alloc_budget_stage").End()
+		tab.Observe("alloc_budget_stage", time.Microsecond)
 	}); got != 0 {
-		t.Errorf("stage Start/End allocs/run = %v, want 0", got)
+		t.Errorf("stage Observe allocs/run = %v, want 0", got)
 	}
 }

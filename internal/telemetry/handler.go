@@ -9,7 +9,7 @@ import (
 )
 
 // Report bundles the three observability surfaces — metric snapshot,
-// pipeline stage timings, privacy-budget ledger — into one document, the
+// per-stage span timings, privacy-budget ledger — into one document, the
 // payload of cmd/recserve's /metrics endpoint.
 type Report struct {
 	Metrics       Snapshot       `json:"metrics"`
@@ -19,7 +19,7 @@ type Report struct {
 
 // NewReport snapshots the three sources. Any of them may be nil, yielding
 // an empty section.
-func NewReport(r *Registry, t *Tracer, l *Ledger) Report {
+func NewReport(r *Registry, t *StageTable, l *Ledger) Report {
 	var rep Report
 	if r != nil {
 		rep.Metrics = r.Snapshot()
@@ -96,7 +96,7 @@ func (rep Report) WritePrometheus(w io.Writer) error {
 // Handler serves the combined report: JSON by default (or with
 // Accept: application/json), Prometheus text with ?format=prometheus or an
 // Accept header preferring text/plain. Any source may be nil.
-func Handler(r *Registry, t *Tracer, l *Ledger) http.Handler {
+func Handler(r *Registry, t *StageTable, l *Ledger) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		rep := NewReport(r, t, l)
 		format := req.URL.Query().Get("format")

@@ -5,9 +5,10 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 )
 
-func reportFixtures() (*Registry, *Tracer, *Ledger) {
+func reportFixtures() (*Registry, *StageTable, *Ledger) {
 	r := NewRegistry()
 	vec := r.NewCounterVec("http_requests_total", "requests", "endpoint", "recommend", "stats")
 	vec.MustWith("recommend").Add(7)
@@ -15,8 +16,8 @@ func reportFixtures() (*Registry, *Tracer, *Ledger) {
 	h := r.NewHistogram("http_request_seconds", "latency", []float64{0.001, 0.01})
 	h.Observe(0.0005)
 	h.Observe(0.5)
-	tr := NewTracer()
-	tr.Time("laplace_release", func() {})
+	tr := NewStageTable()
+	tr.Observe("laplace_release", time.Millisecond)
 	l := NewLedger()
 	l.Record(ReleaseEvent{Mechanism: "cluster", Epsilon: 0.5, Sensitivity: 1, Values: 100})
 	return r, tr, l

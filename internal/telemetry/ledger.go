@@ -107,7 +107,7 @@ func NewLedger() *Ledger {
 // identifier is recorded under "invalid_mechanism" — the ledger never
 // exports caller-supplied dynamic strings.
 func (l *Ledger) Record(ev ReleaseEvent) {
-	if !validName(ev.Mechanism) {
+	if !ValidName(ev.Mechanism) {
 		ev.Mechanism = "invalid_mechanism"
 	}
 	if ev.TraceID != "" && !isTraceHex(ev.TraceID) {

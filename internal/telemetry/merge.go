@@ -15,13 +15,6 @@ import (
 // fixed bucket layout already carried. Histograms whose layouts differ do
 // not merge; callers must skip (and count) them rather than guess.
 
-// ValidName reports whether s is a legal metric, label or identifier name
-// under the registry's closed-world rule ([a-z][a-z0-9_]*). Exported for
-// aggregators that re-validate names arriving over the wire: a scraped
-// snapshot claims its names were validated at the source, but the
-// collector must not trust the claim before re-exporting them.
-func ValidName(s string) bool { return validName(s) }
-
 // SameBuckets reports whether two histogram snapshots share an identical
 // bucket layout (same boundaries in the same order). Bit-exact float
 // comparison is deliberate: layouts are identical by construction when the

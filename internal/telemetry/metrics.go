@@ -61,14 +61,14 @@ type CounterVec struct {
 // complete set of legal label values. Registration with an identical
 // specification is idempotent; a conflicting one panics.
 func (r *Registry) NewCounterVec(name, help, labelKey string, values ...string) *CounterVec {
-	if !validName(labelKey) {
+	if !ValidName(labelKey) {
 		panic(fmt.Sprintf("telemetry: invalid label key %q", labelKey))
 	}
 	if len(values) == 0 {
 		panic(fmt.Sprintf("telemetry: counter vec %q declares no label values", name))
 	}
 	for _, v := range values {
-		if !validName(v) {
+		if !ValidName(v) {
 			panic(fmt.Sprintf("telemetry: invalid label value %q for %q (label values are static identifiers, never request data)", v, name))
 		}
 	}
@@ -357,14 +357,14 @@ type HistogramVec struct {
 // NewHistogramVec registers a histogram family over the declared label
 // values. nil bounds select DefLatencyBuckets.
 func (r *Registry) NewHistogramVec(name, help, labelKey string, bounds []float64, values ...string) *HistogramVec {
-	if !validName(labelKey) {
+	if !ValidName(labelKey) {
 		panic(fmt.Sprintf("telemetry: invalid label key %q", labelKey))
 	}
 	if len(values) == 0 {
 		panic(fmt.Sprintf("telemetry: histogram vec %q declares no label values", name))
 	}
 	for _, v := range values {
-		if !validName(v) {
+		if !ValidName(v) {
 			panic(fmt.Sprintf("telemetry: invalid label value %q for %q (label values are static identifiers, never request data)", v, name))
 		}
 	}

@@ -33,7 +33,7 @@ var poolStatsRegistry = struct {
 // happens at package init with compile-time-constant names, so a dynamic
 // name here would mean request data is about to become a metric name.
 func RegisterPoolStats(name string, fn func() PoolStats) {
-	if !validName(name) {
+	if !ValidName(name) {
 		panic("telemetry: invalid pool name (pool names are static identifiers declared up front, never request data)")
 	}
 	if fn == nil {

@@ -1,8 +1,8 @@
 // Package telemetry is the repository's stdlib-only observability layer:
 // a metrics registry of atomic counters, gauges and fixed-bucket latency
-// histograms (lock-free hot path, snapshot-on-read), a lightweight stage
-// tracer for the offline release pipeline, and a privacy-budget ledger that
-// records every differentially private release the process performs.
+// histograms (lock-free hot path, snapshot-on-read), the stage table that
+// finished trace spans fold into, and a privacy-budget ledger that records
+// every differentially private release the process performs.
 //
 // # The no-sensitive-labels invariant
 //
@@ -25,7 +25,7 @@
 // from importing any module-internal package (so no preference or graph
 // type can even be named here) or math/rand.
 //
-// The hot path (Counter.Add, Gauge.Set, Histogram.Observe, Tracer spans) is
+// The hot path (Counter.Add, Gauge.Set, Histogram.Observe, StageTable.Observe) is
 // lock-free: instruments are immutable after registration and mutate only
 // sync/atomic values. Registration and snapshotting take a registry lock
 // and are expected to be rare.
@@ -37,12 +37,15 @@ import (
 	"sync"
 )
 
-// validName reports whether s is a legal metric, label or stage name:
-// non-empty, starting with a lower-case letter, continuing with lower-case
-// letters, digits or underscores. The restriction is deliberate — names
-// this shape cannot smuggle user tokens, item ids or float values into the
-// exported state.
-func validName(s string) bool {
+// ValidName reports whether s is a legal metric, label, stage, span or
+// attribute name: non-empty, starting with a lower-case letter, continuing
+// with lower-case letters, digits or underscores. The restriction is
+// deliberate — names this shape cannot smuggle user tokens, item ids or
+// float values into the exported state. It is the repository's one
+// static-identifier rule: internal/trace, internal/pipeline and the fleet
+// collector (which re-validates names scraped off the wire before
+// re-exporting them) all apply it.
+func ValidName(s string) bool {
 	if len(s) == 0 {
 		return false
 	}
@@ -88,7 +91,7 @@ func NewRegistry() *Registry {
 // names and cross-kind collisions. Returns false if the name is already
 // registered for the same kind (the caller then checks spec compatibility).
 func (r *Registry) register(name, kind string) bool {
-	if !validName(name) {
+	if !ValidName(name) {
 		panic(fmt.Sprintf("telemetry: invalid metric name %q (want [a-z][a-z0-9_]*)", name))
 	}
 	if have, ok := r.names[name]; ok {
@@ -105,7 +108,7 @@ func (r *Registry) register(name, kind string) bool {
 var (
 	defaultRegistry = NewRegistry()
 	defaultLedger   = NewLedger()
-	defaultTracer   = NewTracer()
+	defaultStages   = NewStageTable()
 )
 
 // Default returns the process-wide registry, the one cmd/recserve serves at
@@ -117,10 +120,11 @@ func Default() *Registry { return defaultRegistry }
 // and internal/release record every release event here.
 func Budget() *Ledger { return defaultLedger }
 
-// Stages returns the process-wide pipeline stage tracer. The offline
-// pipeline (clustering, Laplace release) and the serving path (similarity
-// batch, reconstruction) record spans here.
-func Stages() *Tracer { return defaultTracer }
+// Stages returns the process-wide stage table: every finished
+// internal/trace span — offline roots such as engine_build and
+// laplace_release, request roots and the serving path's per-batch phases —
+// folds its duration in here.
+func Stages() *StageTable { return defaultStages }
 
 // sortedKeys returns m's keys ordered for deterministic snapshots.
 func sortedKeys[V any](m map[string]V) []string {

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"sync"
+
+	"socialrec/internal/telemetry"
 )
 
 // maxAttrsPerSpan bounds per-span attribute storage; later Sets are
@@ -31,7 +33,7 @@ type Key struct {
 // would mean request data is about to become an attribute key. Redeclaring
 // a name returns an equal Key (subsystems may share one).
 func NewKey(name string) Key {
-	if !validName(name) {
+	if !telemetry.ValidName(name) {
 		// The offending name is deliberately not echoed: a dynamic name
 		// here is suspected request data, and panic messages land in crash
 		// logs. The stack trace identifies the offending declaration.
@@ -89,7 +91,7 @@ func (k Key) Bool(v bool) Attr {
 // other string — a user token, an item, a file path — is recorded as
 // "invalid_value" instead, upholding the no-preference-edges invariant.
 func (k Key) Ident(v string) Attr {
-	if !validName(v) {
+	if !telemetry.ValidName(v) {
 		v = "invalid_value"
 	}
 	return Attr{key: k, kind: kindIdent, str: v}

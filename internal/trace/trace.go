@@ -11,8 +11,8 @@
 // discipline that guards telemetry labels guards span state, enforced by
 // construction rather than by review:
 //
-//   - Span names must be static identifiers ([a-z][a-z0-9_]*); anything
-//     else is recorded as "invalid_span".
+//   - Span names must be static identifiers (telemetry.ValidName:
+//     [a-z][a-z0-9_]*); anything else is recorded as "invalid_span".
 //   - Attribute keys are declared up front through NewKey, which validates
 //     the name and registers it in a closed world; a Key cannot be forged
 //     (its field is unexported) and a zero Key is dropped on Set.
@@ -105,25 +105,6 @@ func (s Status) String() string {
 	return "ok"
 }
 
-// validName reports whether s is a static identifier, the same rule
-// telemetry applies to metric names and label values: non-empty, lower-case
-// letter first, then lower-case letters, digits or underscores.
-func validName(s string) bool {
-	if len(s) == 0 {
-		return false
-	}
-	for i, r := range s {
-		switch {
-		case r >= 'a' && r <= 'z':
-		case r == '_' && i > 0:
-		case r >= '0' && r <= '9' && i > 0:
-		default:
-			return false
-		}
-	}
-	return true
-}
-
 // Config assembles a Tracer. The zero value selects production defaults.
 type Config struct {
 	// Capacity is how many retained traces the ring holds before the
@@ -200,7 +181,7 @@ func New(cfg Config) *Tracer {
 		bar = uint64(rate * float64(^uint64(0)))
 	}
 	proc := cfg.Process
-	if proc != "" && !validName(proc) {
+	if proc != "" && !telemetry.ValidName(proc) {
 		proc = "invalid_process"
 	}
 	t := &Tracer{
@@ -440,30 +421,23 @@ func (sp Span) TraceID() TraceID {
 	return s.traceID
 }
 
-// SpanID returns the span's ID (zero for an inert span).
-func (sp Span) SpanID() SpanID {
+// Traceparent renders the span as a W3C traceparent header value — its
+// trace ID, itself as the parent and its head-sampling fate — under one
+// lock; "" for an inert span. It is what an HTTP root echoes on its
+// response and what a proxy hop sends downstream.
+func (sp Span) Traceparent() string {
 	s := sp.sp
 	if s == nil {
-		return SpanID{}
+		return ""
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.gen != sp.gen {
-		return SpanID{}
+		s.mu.Unlock()
+		return ""
 	}
-	return s.spanID
-}
-
-// HeadSampled reports the deterministic head-sampling fate of the span's
-// trace (false for an inert span).
-func (sp Span) HeadSampled() bool {
-	s := sp.sp
-	if s == nil {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.gen == sp.gen && s.head
+	tp := Traceparent{TraceID: s.traceID, ParentID: s.spanID, Sampled: s.head}
+	s.mu.Unlock()
+	return tp.String()
 }
 
 // Start opens a span named name. If ctx carries an active span the new
@@ -541,7 +515,7 @@ func (t *Tracer) StartRemote(ctx context.Context, name string, tp Traceparent) (
 }
 
 func (t *Tracer) startRoot(ctx context.Context, name string, traceID TraceID, parent SpanID) (context.Context, Span) {
-	if !validName(name) {
+	if !telemetry.ValidName(name) {
 		name = "invalid_span"
 	}
 	t.started.Add(1)
@@ -596,7 +570,7 @@ func (t *Tracer) startRoot(ctx context.Context, name string, traceID TraceID, pa
 //
 //sociolint:hotpath
 func (parent Span) newChild(name string, attrs []Attr) Span {
-	if !validName(name) {
+	if !telemetry.ValidName(name) {
 		name = "invalid_span"
 	}
 	ps := parent.sp
@@ -686,9 +660,13 @@ func (sp Span) SetStatus(st Status) {
 // End finishes the span and returns its duration. Ending a child folds its
 // compact record into its trace's pooled accumulator; ending the root runs
 // the sampling decision and, when retained, copies the accumulated records
-// into the ring (copy-on-retain) before both objects recycle. End is
-// idempotent — second and later calls are no-ops returning 0, enforced by
-// the generation check even after the underlying object is reused.
+// into the ring (copy-on-retain) before both objects recycle. Every live
+// span — root, child or leaf, kept or discarded by the sampler, past
+// MaxChildren or late — then adds its duration to its name's row of
+// telemetry.Stages(), the stage table /metrics and the exit tables print.
+// End is idempotent — second and later calls are no-ops returning 0 that
+// add nothing, enforced by the generation check even after the underlying
+// object is reused.
 //
 //sociolint:hotpath
 func (sp Span) End() time.Duration {
@@ -741,6 +719,7 @@ func (sp Span) End() time.Duration {
 	s.nattrs = 0
 	s.mu.Unlock()
 	spanPool.Put(s)
+	telemetry.Stages().Observe(rec.name, d)
 	return d
 }
 

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"socialrec/internal/telemetry"
 )
 
 var (
@@ -353,15 +355,17 @@ func TestQuantileEstimator(t *testing.T) {
 	}
 }
 
+// TestValidNameRule pins the static-identifier rule span names, attribute
+// keys and identifier values share with telemetry's metric and stage names.
 func TestValidNameRule(t *testing.T) {
 	for _, good := range []string{"a", "top_n", "http_recommend", "x9"} {
-		if !validName(good) {
-			t.Errorf("validName(%q) = false", good)
+		if !telemetry.ValidName(good) {
+			t.Errorf("ValidName(%q) = false", good)
 		}
 	}
 	for _, bad := range []string{"", "_x", "9x", "Top", "a-b", "a b", "héllo"} {
-		if validName(bad) {
-			t.Errorf("validName(%q) = true", bad)
+		if telemetry.ValidName(bad) {
+			t.Errorf("ValidName(%q) = true", bad)
 		}
 	}
 }

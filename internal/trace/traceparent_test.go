@@ -62,3 +62,41 @@ func TestParseTraceparentMalformed(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParseTraceparent: the parser every binary's HTTP edge runs on
+// untrusted headers never panics, accepts only non-zero ids, and an
+// accepted version-00 header round-trips through String byte for byte —
+// up to the unused trace-flags bits, which String re-emits as zero (the
+// spec has a sender zero them; only the sampled bit survives).
+func FuzzParseTraceparent(f *testing.F) {
+	for _, seed := range []string{
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-00",
+		"01-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-extra",
+		"00-00000000000000000000000000000000-00f067aa0ba902b7-01",
+		"ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-7f",
+		"",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		tp, err := ParseTraceparent(s)
+		if err != nil {
+			return
+		}
+		if tp.TraceID.IsZero() || tp.ParentID.IsZero() {
+			t.Fatalf("accepted %q with a zero id: %+v", s, tp)
+		}
+		if s[:2] != "00" {
+			return
+		}
+		want := s[:53] + "00"
+		if tp.Sampled {
+			want = s[:53] + "01"
+		}
+		if got := tp.String(); got != want {
+			t.Fatalf("round trip %q -> %q, want %q", s, got, want)
+		}
+	})
+}

@@ -42,7 +42,7 @@ import (
 	"socialrec/internal/release"
 	"socialrec/internal/simcache"
 	"socialrec/internal/similarity"
-	"socialrec/internal/telemetry"
+	"socialrec/internal/trace"
 )
 
 // Recommendation pairs an item id with its estimated utility for the target
@@ -81,8 +81,8 @@ type Config struct {
 }
 
 // cluster runs the configured clustering pipeline over the public social
-// graph.
-func (cfg Config) cluster(social *graph.Social) (*community.Clustering, error) {
+// graph, each step under a span on ctx.
+func (cfg Config) cluster(ctx context.Context, social *graph.Social) (*community.Clustering, error) {
 	runs := cfg.LouvainRuns
 	if runs <= 0 {
 		runs = 10
@@ -90,24 +90,24 @@ func (cfg Config) cluster(social *graph.Social) (*community.Clustering, error) {
 	var clusters *community.Clustering
 	switch cfg.Clusterer {
 	case "", "louvain":
-		telemetry.Stages().Time("cluster_louvain", func() {
-			clusters, _ = community.BestOf(social, runs, cfg.Seed, community.Options{})
-		})
+		_, sp := trace.Start(ctx, "cluster_louvain")
+		clusters, _ = community.BestOf(social, runs, cfg.Seed, community.Options{})
+		sp.End()
 	case "labelprop":
-		telemetry.Stages().Time("cluster_labelprop", func() {
-			clusters = community.LabelPropagation(social, cfg.Seed, 0)
-		})
+		_, sp := trace.Start(ctx, "cluster_labelprop")
+		clusters = community.LabelPropagation(social, cfg.Seed, 0)
+		sp.End()
 	case "cnm":
-		telemetry.Stages().Time("cluster_cnm", func() {
-			clusters = community.CNM(social)
-		})
+		_, sp := trace.Start(ctx, "cluster_cnm")
+		clusters = community.CNM(social)
+		sp.End()
 	default:
 		return nil, fmt.Errorf("socialrec: unknown clusterer %q (want louvain, labelprop or cnm)", cfg.Clusterer)
 	}
 	if cfg.MinClusterSize > 1 {
-		span := telemetry.Stages().Start("merge_small")
+		_, sp := trace.Start(ctx, "merge_small")
 		merged, err := community.MergeSmall(social, clusters, cfg.MinClusterSize)
-		span.End()
+		sp.End()
 		if err != nil {
 			return nil, err
 		}
@@ -243,11 +243,14 @@ func newEngine(social *graph.Social, prefs *graph.Preference, cfg Config) (*Engi
 	if err := eps.Validate(); err != nil {
 		return nil, err
 	}
-	clusters, err := cfg.cluster(social)
+	// One engine_build root: clustering and the release are its children.
+	ctx, sp := trace.Start(context.Background(), "engine_build")
+	defer sp.End()
+	clusters, err := cfg.cluster(ctx, social)
 	if err != nil {
 		return nil, err
 	}
-	est, err := mechanism.NewCluster(clusters, prefs, eps, dp.SourceFor(eps, cfg.Seed+1))
+	est, err := mechanism.NewClusterCtx(ctx, clusters, prefs, eps, dp.SourceFor(eps, cfg.Seed+1))
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package socialrec
 
 import (
+	"context"
 	"fmt"
 
 	"socialrec/internal/core"
@@ -8,6 +9,7 @@ import (
 	"socialrec/internal/graph"
 	"socialrec/internal/mechanism"
 	"socialrec/internal/similarity"
+	"socialrec/internal/trace"
 )
 
 // WeightedGraphBuilder accumulates a social graph plus a *weighted*
@@ -79,7 +81,9 @@ func NewWeightedEngineFromGraphs(social *graph.Social, prefs *graph.WeightedPref
 	if err := eps.Validate(); err != nil {
 		return nil, err
 	}
-	clusters, err := cfg.cluster(social)
+	ctx, sp := trace.Start(context.Background(), "engine_build")
+	defer sp.End()
+	clusters, err := cfg.cluster(ctx, social)
 	if err != nil {
 		return nil, err
 	}
