@@ -35,20 +35,18 @@ package main
 
 import (
 	"context"
-	"errors"
 	"expvar"
 	"flag"
 	"fmt"
 	"log/slog"
 	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"socialrec/internal/dataset"
 	"socialrec/internal/faults"
+	"socialrec/internal/httpedge"
 	"socialrec/internal/release"
 	"socialrec/internal/router"
 	"socialrec/internal/telemetry"
@@ -190,38 +188,13 @@ func main() {
 	mux.Handle("GET /debug/traces", trace.Handler(trace.Default()))
 	mux.Handle("GET /debug/traces/{trace_id}", trace.LookupHandler(trace.Default()))
 
-	httpSrv := &http.Server{
-		Addr:              *addr,
-		Handler:           mux,
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		WriteTimeout:      30 * time.Second,
-		IdleTimeout:       120 * time.Second,
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.ListenAndServe() }()
 	//sociolint:ignore privflow shard count and manifest version are topology metadata, not preference data
 	logger.Info("recrouter: routing", "addr", *addr, "shards", manifest.NumShards,
 		"users", manifest.NumUsers(), "manifest_version", manifest.Version)
-
-	select {
-	case err := <-errc:
-		fatal("recrouter: listener failed", "err", err)
-	case <-ctx.Done():
-	}
-
 	// Graceful drain: the router stops admitting serving requests and
 	// cancels in-flight hedges, then the listener drains connections.
-	logger.Info("recrouter: shutting down")
-	shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := rt.Shutdown(shutCtx); err != nil {
-		logger.Error("recrouter: drain", "err", err)
+	if err := httpedge.Serve(context.Background(), *addr, mux, rt.Shutdown); err != nil {
+		fatal("recrouter: serving", "err", err)
 	}
-	if err := httpSrv.Shutdown(shutCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		logger.Error("recrouter: shutdown", "err", err)
-	}
+	logger.Info("recrouter: shut down")
 }

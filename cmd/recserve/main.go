@@ -44,7 +44,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"expvar"
 	"flag"
 	"fmt"
@@ -63,6 +62,7 @@ import (
 	"socialrec/internal/dataset"
 	"socialrec/internal/faults"
 	"socialrec/internal/graph"
+	"socialrec/internal/httpedge"
 	"socialrec/internal/release"
 	"socialrec/internal/router"
 	"socialrec/internal/server"
@@ -316,20 +316,6 @@ func main() {
 		}()
 	}
 
-	// Header/read timeouts bound slow-loris clients, the write timeout
-	// bounds stuck responses, and the idle timeout reaps dead keep-alive
-	// connections. Per-request handler deadlines live in internal/server.
-	httpSrv := &http.Server{
-		Addr:              *addr,
-		Handler:           mux,
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		WriteTimeout:      30 * time.Second,
-		IdleTimeout:       120 * time.Second,
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
 	if reload != nil {
 		hup := make(chan os.Signal, 1)
 		signal.Notify(hup, syscall.SIGHUP)
@@ -346,26 +332,13 @@ func main() {
 		}()
 	}
 
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.ListenAndServe() }()
 	logger.Info("recserve: serving", "users", social.NumUsers(), "addr", *addr,
 		//sociolint:ignore privflow cluster count and epsilon are public release parameters
 		"clusters", engine.NumClusters(), "epsilon", engine.Epsilon())
-
-	select {
-	case err := <-errc:
-		fatal("recserve: listener failed", "err", err)
-	case <-ctx.Done():
+	if err := httpedge.Serve(context.Background(), *addr, mux, nil); err != nil {
+		fatal("recserve: serving", "err", err)
 	}
-
-	// Graceful drain: stop accepting, give in-flight requests 5 s.
-	logger.Info("recserve: shutting down")
-	shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := httpSrv.Shutdown(shutCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		logger.Error("recserve: shutdown", "err", err)
-	}
-
+	logger.Info("recserve: shut down")
 	logger.Info("recserve: final privacy budget", "budget", telemetry.Budget().Snapshot().String())
 	logger.Info("recserve: final stage timings", "table", telemetry.Stages().Table())
 }

@@ -34,17 +34,14 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
+	"socialrec/internal/httpedge"
 	"socialrec/internal/obsagg"
 	"socialrec/internal/telemetry"
 	"socialrec/internal/trace"
@@ -135,33 +132,12 @@ func main() {
 		fatal("socmon: building collector", "err", err)
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	go coll.Run(ctx)
-
-	httpSrv := &http.Server{
-		Addr:              *addr,
-		Handler:           coll.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		WriteTimeout:      30 * time.Second,
-		IdleTimeout:       120 * time.Second,
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.ListenAndServe() }()
+	// The scrape loop runs until the process exits.
+	go coll.Run(context.Background())
 	logger.Info("socmon: collecting", "addr", *addr, "targets", len(targets),
 		"interval", interval.String())
-
-	select {
-	case err := <-errc:
-		fatal("socmon: listener failed", "err", err)
-	case <-ctx.Done():
+	if err := httpedge.Serve(context.Background(), *addr, coll.Handler(), nil); err != nil {
+		fatal("socmon: serving", "err", err)
 	}
-
-	logger.Info("socmon: shutting down")
-	shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := httpSrv.Shutdown(shutCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		logger.Error("socmon: shutdown", "err", err)
-	}
+	logger.Info("socmon: shut down")
 }

@@ -991,8 +991,10 @@ func (t *taintInterp) sinkOf(call *ast.CallExpr, fn *types.Func) *sinkSpec {
 		return &sinkSpec{name: "span name " + name, args: nameArgIndex(call, method)}
 	case method && pathIsOrEndsWith(path, "internal/telemetry") && (name == "With" || name == "MustWith"):
 		return &sinkSpec{name: "metric label " + recvNamed(fn) + "." + name, args: []int{0}}
-	case method && pathIsOrEndsWith(path, "internal/trace") && name == "Middleware":
-		return &sinkSpec{name: "span name Middleware", args: []int{0}}
+	case !method && pathIsOrEndsWith(path, "internal/httpedge") && name == "New":
+		// The Config carries each root span's name (SpanPrefix and every
+		// Route's Endpoint), which is also the endpoint metric label.
+		return &sinkSpec{name: "span name httpedge.New", args: []int{0}}
 	case method && pathIsOrEndsWith(path, "internal/telemetry") && recvNamed(fn) == "StageTable" && name == "Observe":
 		return &sinkSpec{name: "telemetry stage name", args: []int{0}}
 	case method && pathIsOrEndsWith(path, "internal/telemetry") && name == "ObserveExemplar":

@@ -12,6 +12,7 @@ import (
 
 	"socialrec/internal/dp"
 	"socialrec/internal/graph"
+	"socialrec/internal/httpedge"
 	"socialrec/internal/similarity"
 	"socialrec/internal/telemetry"
 	"socialrec/internal/trace"
@@ -62,8 +63,9 @@ func stageNameLeak(g *graph.Social, u int) {
 	telemetry.Stages().Observe(fmt.Sprint(g.Degree(u)), 0) // want "reaches telemetry stage name"
 }
 
-func httpSpanNameLeak(tr *trace.Tracer, g *graph.Social, u int) http.HandlerFunc {
-	return tr.Middleware(fmt.Sprint(g.Degree(u)), nil) // want "reaches span name Middleware"
+func httpSpanNameLeak(g *graph.Social, u int) *http.ServeMux {
+	routes := []httpedge.Route{{Endpoint: fmt.Sprint(g.Degree(u))}}
+	return httpedge.New(httpedge.Config{Routes: routes}) // want "reaches span name httpedge.New"
 }
 
 func metricLabelLeak(vec *telemetry.CounterVec, g *graph.Social, u int) {

@@ -3,117 +3,42 @@ package obsagg
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"net/http"
-	"runtime/debug"
 	"strconv"
-	"time"
 
+	"socialrec/internal/httpedge"
 	"socialrec/internal/telemetry"
 	"socialrec/internal/trace"
 )
 
-// The collector's own HTTP surface carries the standard middleware
-// stack — trace.Middleware → instrument → recover — with the same shape as
-// internal/server: every request runs under a root span (an inbound
-// traceparent is continued, the response carries one back), per-endpoint
-// request/error counters and a latency histogram land on the collector's
-// registry, and a panic becomes a 500, not a dead collector. There is no
-// load shedding: the fleet view must answer precisely when the fleet is
-// on fire.
-
-// Endpoint label values for the collector's own instruments.
-const (
-	epFleetMetrics = "fleet_metrics"
-	epFleetTraces  = "fleet_traces"
-	epFleetTrace   = "fleet_trace"
-	epFleetBudget  = "fleet_budget"
-	epFleetAlerts  = "fleet_alerts"
-	epHealthz      = "healthz"
-	epReadyz       = "readyz"
-	epMetrics      = "metrics"
-)
-
-var selfEndpoints = []string{
-	epFleetMetrics, epFleetTraces, epFleetTrace, epFleetBudget,
-	epFleetAlerts, epHealthz, epReadyz, epMetrics,
-}
-
-// httpMetrics are the per-endpoint serving instruments, named like the
-// serving tier's so a future collector-of-collectors merges them too.
-type httpMetrics struct {
-	requests map[string]*telemetry.Counter
-	errors   map[string]*telemetry.Counter
-	latency  map[string]*telemetry.Histogram
-	panics   *telemetry.Counter
-}
-
-func newHTTPMetrics(reg *telemetry.Registry) *httpMetrics {
-	m := &httpMetrics{
-		requests: map[string]*telemetry.Counter{},
-		errors:   map[string]*telemetry.Counter{},
-		latency:  map[string]*telemetry.Histogram{},
-		panics: reg.NewCounter("http_panics_recovered_total",
-			"handler panics converted to 500s"),
-	}
-	reqVec := reg.NewCounterVec("http_requests_total",
-		"requests handled, by endpoint", "endpoint", selfEndpoints...)
-	errVec := reg.NewCounterVec("http_errors_total",
-		"4xx/5xx responses, by endpoint", "endpoint", selfEndpoints...)
-	latVec := reg.NewHistogramVec("http_request_seconds",
-		"request latency, by endpoint", "endpoint", nil, selfEndpoints...)
-	for _, ep := range selfEndpoints {
-		m.requests[ep] = reqVec.MustWith(ep)
-		m.errors[ep] = errVec.MustWith(ep)
-		m.latency[ep] = latVec.MustWith(ep)
-	}
-	return m
-}
-
-// wrap applies the middleware stack to one endpoint handler.
-func (c *Collector) wrap(endpoint string, h http.HandlerFunc) http.Handler {
-	m := c.http
-	return c.tracer.Middleware("fleet_"+endpoint, func(w http.ResponseWriter, r *http.Request) {
-		sw := w.(*trace.StatusWriter)
-		start := time.Now()
-		func() {
-			defer func() {
-				v := recover()
-				if v == nil {
-					return
-				}
-				m.panics.Inc()
-				c.logger.ErrorContext(r.Context(), "obsagg: panic recovered",
-					"panic", fmt.Sprint(v), "stack", string(debug.Stack()))
-				if !sw.Wrote {
-					http.Error(sw, "internal error", http.StatusInternalServerError)
-				}
-			}()
-			h(sw, r)
-		}()
-		tid, _ := trace.FromContext(r.Context()).IDs()
-		m.latency[endpoint].ObserveExemplar(time.Since(start).Seconds(), tid)
-		m.requests[endpoint].Inc()
-		if sw.Status >= 400 {
-			m.errors[endpoint].Inc()
-		}
-	})
-}
-
 // Handler returns the collector's full HTTP surface.
 func (c *Collector) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.Handle("GET /fleet/metrics", c.wrap(epFleetMetrics, c.handleFleetMetrics))
-	mux.Handle("GET /fleet/traces", c.wrap(epFleetTraces, c.handleFleetTraces))
-	mux.Handle("GET /fleet/traces/{trace_id}", c.wrap(epFleetTrace, c.handleFleetTrace))
-	mux.Handle("GET /fleet/budget", c.wrap(epFleetBudget, c.handleFleetBudget))
-	mux.Handle("GET /fleet/alerts", c.wrap(epFleetAlerts, c.handleFleetAlerts))
-	mux.Handle("GET /healthz", c.wrap(epHealthz, c.handleHealthz))
-	mux.Handle("GET /readyz", c.wrap(epReadyz, c.handleReadyz))
-	mux.Handle("GET /metrics", c.wrap(epMetrics, func(w http.ResponseWriter, r *http.Request) {
-		telemetry.Handler(c.registry, nil, nil).ServeHTTP(w, r)
-	}))
-	return mux
+	return c.edge(
+		httpedge.Route{Pattern: "GET /fleet/metrics", Endpoint: "fleet_metrics", Handler: c.handleFleetMetrics},
+		httpedge.Route{Pattern: "GET /fleet/traces", Endpoint: "fleet_traces", Handler: c.handleFleetTraces},
+		httpedge.Route{Pattern: "GET /fleet/traces/{trace_id}", Endpoint: "fleet_trace", Handler: c.handleFleetTrace},
+		httpedge.Route{Pattern: "GET /fleet/budget", Endpoint: "fleet_budget", Handler: c.handleFleetBudget},
+		httpedge.Route{Pattern: "GET /fleet/alerts", Endpoint: "fleet_alerts", Handler: c.handleFleetAlerts},
+		httpedge.Route{Pattern: "GET /healthz", Endpoint: "healthz", Handler: c.handleHealthz},
+		httpedge.Route{Pattern: "GET /readyz", Endpoint: "readyz", Handler: c.handleReadyz},
+		httpedge.Route{Pattern: "GET /metrics", Endpoint: "metrics", Handler: telemetry.Handler(c.registry, nil, nil).ServeHTTP},
+	)
+}
+
+// edge serves routes behind the same edge as the serving tier: fleet_*
+// root spans and the tier's http_* families on the collector's registry,
+// so a future collector-of-collectors merges them too. There is no load
+// shedding and no deadline: the fleet view must answer precisely when the
+// fleet is on fire.
+func (c *Collector) edge(routes ...httpedge.Route) *http.ServeMux {
+	return httpedge.New(httpedge.Config{
+		SpanPrefix:   "fleet",
+		MetricPrefix: "http",
+		Routes:       routes,
+		Metrics:      c.registry,
+		Tracer:       c.tracer,
+		Logger:       c.logger,
+	})
 }
 
 func (c *Collector) handleFleetMetrics(w http.ResponseWriter, r *http.Request) {

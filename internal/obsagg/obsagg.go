@@ -201,7 +201,6 @@ type Collector struct {
 	now      func() time.Time
 	targets  []*targetState
 	self     *selfMetrics
-	http     *httpMetrics
 	registry *telemetry.Registry
 	alerts   *alertEngine
 
@@ -288,7 +287,6 @@ func New(cfg Config) (*Collector, error) {
 		names[i] = t.Name
 	}
 	c.self = newSelfMetrics(reg, names, c)
-	c.http = newHTTPMetrics(reg)
 	for _, t := range cfg.Targets {
 		c.targets = append(c.targets, &targetState{
 			target:   t,

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"socialrec/internal/httpedge"
 	"socialrec/internal/telemetry"
 	"socialrec/internal/trace"
 )
@@ -650,10 +651,10 @@ func TestFleetTraceEndpointValidation(t *testing.T) {
 	}
 }
 
-// TestPanicLogCarriesTraceID: a panic recovered behind wrap is logged with
-// the request's context, so the record carries the trace_id of the errored
-// fleet_* trace the response's traceparent names — the log line and the
-// trace join on it.
+// TestPanicLogCarriesTraceID: a panic recovered behind the collector's
+// edge is logged with the request's context, so the record carries the
+// trace_id of the errored fleet_* trace the response's traceparent names —
+// the log line and the trace join on it.
 func TestPanicLogCarriesTraceID(t *testing.T) {
 	var logs bytes.Buffer
 	c := newTestCollector(t, Config{
@@ -661,7 +662,8 @@ func TestPanicLogCarriesTraceID(t *testing.T) {
 		Logger:  slog.New(slog.NewJSONHandler(&logs, nil)),
 	})
 	rec := httptest.NewRecorder()
-	c.wrap(epHealthz, func(http.ResponseWriter, *http.Request) { panic("boom") }).
+	panicking := func(http.ResponseWriter, *http.Request) { panic("boom") }
+	c.edge(httpedge.Route{Pattern: "GET /healthz", Endpoint: "healthz", Handler: panicking}).
 		ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("status = %d, want 500", rec.Code)
@@ -677,7 +679,7 @@ func TestPanicLogCarriesTraceID(t *testing.T) {
 	if err := json.Unmarshal(logs.Bytes(), &record); err != nil {
 		t.Fatalf("log record %q: %v", logs.String(), err)
 	}
-	if record.Msg != "obsagg: panic recovered" || record.TraceID != tp.TraceID.String() {
+	if record.Msg != "httpedge: panic recovered" || record.TraceID != tp.TraceID.String() {
 		t.Errorf("log record %+v, want the panic logged under trace %s", record, tp.TraceID)
 	}
 	if td := c.tracer.Lookup(tp.TraceID); td == nil || !td.Err() || td.Root.Name != "fleet_healthz" {

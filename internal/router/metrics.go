@@ -6,35 +6,19 @@ import (
 	"socialrec/internal/telemetry"
 )
 
-// Endpoint label values for router_requests_total — the only strings the
-// router feeds telemetry as label values besides the static per-shard
-// labels below. User tokens and request payloads never reach the registry.
-const (
-	rEpHealthz   = "healthz"
-	rEpReadyz    = "readyz"
-	rEpStats     = "stats"
-	rEpUsers     = "users"
-	rEpRecommend = "recommend"
-	rEpBatch     = "batch"
-	rEpReload    = "reload"
-)
-
-var routerEndpoints = []string{
-	rEpHealthz, rEpReadyz, rEpStats, rEpUsers, rEpRecommend, rEpBatch, rEpReload,
-}
-
 // shardLabel renders the static label value for shard i ("s0", "s1", ...).
 // The full value set is fixed at router construction, which is what keeps
 // the registry's closed-world invariant: a shard id is topology, never
 // request data.
 func shardLabel(i int) string { return fmt.Sprintf("s%d", i) }
 
-// metrics holds the router's pre-resolved instruments: every per-shard
-// family is resolved to a slice indexed by shard id at construction, so
-// the proxy hot path never performs a label lookup that could fail.
+// metrics holds the router's pre-resolved instruments (the per-endpoint
+// router_* families are internal/httpedge's): every per-shard family is
+// resolved to a slice indexed by shard id at construction, so the proxy
+// hot path never performs a label lookup that could fail. Shard labels
+// are the only label values the router feeds telemetry; user tokens and
+// request payloads never reach the registry.
 type metrics struct {
-	requests map[string]*telemetry.Counter // by endpoint
-
 	attempts      []*telemetry.Counter   // proxied attempts, by shard
 	failures      []*telemetry.Counter   // failed attempts, by shard
 	retries       []*telemetry.Counter   // retry attempts, by shard
@@ -52,20 +36,15 @@ type metrics struct {
 	drainShed  *telemetry.Counter
 	chaosShard *telemetry.Counter
 	draining   *telemetry.Gauge
-	inflight   *telemetry.Gauge
 }
 
 func newMetrics(reg *telemetry.Registry, replicasPerShard []int) *metrics {
-	if reg == nil {
-		reg = telemetry.Default()
-	}
 	numShards := len(replicasPerShard)
 	labels := make([]string, numShards)
 	for i := range labels {
 		labels[i] = shardLabel(i)
 	}
 	m := &metrics{
-		requests: map[string]*telemetry.Counter{},
 		degraded: reg.NewCounter("router_degraded_total",
 			"batch responses served partial because one or more shards were unavailable"),
 		misrouted: reg.NewCounter("router_misdirected_total",
@@ -76,13 +55,6 @@ func newMetrics(reg *telemetry.Registry, replicasPerShard []int) *metrics {
 			"shard attempts failed deliberately by fault injection at router.shard_call"),
 		draining: reg.NewGauge("router_draining",
 			"1 while the router is draining for shutdown"),
-		inflight: reg.NewGauge("router_in_flight",
-			"requests currently being handled by the router"),
-	}
-	reqVec := reg.NewCounterVec("router_requests_total",
-		"requests handled by the router, by endpoint", "endpoint", routerEndpoints...)
-	for _, ep := range routerEndpoints {
-		m.requests[ep] = reqVec.MustWith(ep)
 	}
 	resolve := func(name, help string) []*telemetry.Counter {
 		vec := reg.NewCounterVec(name, help, "shard", labels...)

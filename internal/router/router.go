@@ -17,8 +17,8 @@ import (
 	"time"
 
 	"socialrec/internal/faults"
+	"socialrec/internal/httpedge"
 	"socialrec/internal/release"
-	"socialrec/internal/server"
 	"socialrec/internal/telemetry"
 	"socialrec/internal/trace"
 )
@@ -51,7 +51,7 @@ type Config struct {
 	// request's remaining budget.
 	PerTryTimeout time.Duration
 	// RequestTimeout bounds each routed request end to end; 0 selects
-	// 10 s.
+	// 10 s. An inbound Request-Budget-Ms can only tighten it.
 	RequestTimeout time.Duration
 	// RetryBackoff is the base backoff before a retry (doubled per
 	// attempt, jittered, capped at 16x); 0 selects 10 ms.
@@ -114,7 +114,6 @@ type Router struct {
 	mux      *http.ServeMux
 	m        *metrics
 	logger   *slog.Logger
-	tracer   *trace.Tracer
 	client   *http.Client
 	replicas [][]*replica // by shard
 	rings    []*Ring      // per-shard replica ring (affinity + failover order)
@@ -169,9 +168,11 @@ func New(cfg Config) (*Router, error) {
 		logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
 	}
 	logger = slog.New(trace.NewSlogHandler(logger.Handler()))
-	tracer := cfg.Tracer
-	if tracer == nil {
-		tracer = trace.Default()
+	if cfg.Tracer == nil {
+		cfg.Tracer = trace.Default()
+	}
+	if cfg.Metrics == nil {
+		cfg.Metrics = telemetry.Default()
 	}
 	client := cfg.Client
 	if client == nil {
@@ -186,10 +187,8 @@ func New(cfg Config) (*Router, error) {
 	}
 	rt := &Router{
 		cfg:      cfg,
-		mux:      http.NewServeMux(),
 		m:        newMetrics(cfg.Metrics, replicasPerShard),
 		logger:   logger,
-		tracer:   tracer,
 		client:   client,
 		replicas: make([][]*replica, len(cfg.Shards)),
 		rings:    make([]*Ring, len(cfg.Shards)),
@@ -220,13 +219,25 @@ func New(cfg Config) (*Router, error) {
 		rt.rings[s] = ring
 	}
 
-	rt.mux.HandleFunc("GET /healthz", rt.route(rEpHealthz, false, rt.handleHealthz))
-	rt.mux.HandleFunc("GET /readyz", rt.route(rEpReadyz, false, rt.handleReadyz))
-	rt.mux.HandleFunc("GET /stats", rt.route(rEpStats, true, rt.handleStats))
-	rt.mux.HandleFunc("GET /users", rt.route(rEpUsers, true, rt.handleUsers))
-	rt.mux.HandleFunc("GET /recommend", rt.route(rEpRecommend, true, rt.handleRecommend))
-	rt.mux.HandleFunc("POST /recommend/batch", rt.route(rEpBatch, true, rt.handleBatch))
-	rt.mux.HandleFunc("POST /admin/reload", rt.route(rEpReload, false, rt.handleReload))
+	// Serving endpoints carry the end-to-end request deadline; probes and
+	// the reload fan-out (bounded per attempt instead) do not.
+	timeout := cfg.RequestTimeout
+	rt.mux = httpedge.New(httpedge.Config{
+		SpanPrefix:   "router",
+		MetricPrefix: "router",
+		Routes: []httpedge.Route{
+			{Pattern: "GET /healthz", Endpoint: "healthz", Handler: rt.handleHealthz},
+			{Pattern: "GET /readyz", Endpoint: "readyz", Handler: rt.handleReadyz},
+			{Pattern: "GET /stats", Endpoint: "stats", Timeout: timeout, Handler: rt.handleStats},
+			{Pattern: "GET /users", Endpoint: "users", Timeout: timeout, Handler: rt.handleUsers},
+			{Pattern: "GET /recommend", Endpoint: "recommend", Timeout: timeout, Handler: rt.handleRecommend},
+			{Pattern: "POST /recommend/batch", Endpoint: "batch", Timeout: timeout, Handler: rt.handleBatch},
+			{Pattern: "POST /admin/reload", Endpoint: "reload", Handler: rt.handleReload},
+		},
+		Metrics: cfg.Metrics,
+		Tracer:  cfg.Tracer,
+		Logger:  logger,
+	})
 	return rt, nil
 }
 
@@ -283,14 +294,12 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		rt.mu.RUnlock()
 		rt.m.drainShed.Inc()
 		w.Header().Set("Retry-After", "1")
-		writeJSONTo(w, http.StatusServiceUnavailable, map[string]string{"error": "router draining"})
+		rt.writeJSON(r.Context(), w, http.StatusServiceUnavailable, map[string]string{"error": "router draining"})
 		return
 	}
 	rt.inflight.Add(1)
 	rt.mu.RUnlock()
 	defer rt.inflight.Done()
-	rt.m.inflight.Add(1)
-	defer rt.m.inflight.Add(-1)
 	rt.mux.ServeHTTP(w, r)
 }
 
@@ -299,23 +308,6 @@ var (
 	attrReplicaIdx  = trace.NewKey("replica_idx")
 	attrAttempt     = trace.NewKey("attempt")
 )
-
-// route wraps a handler with the router's request middleware: the tracer's
-// root span (continuing an inbound W3C traceparent), per-endpoint
-// accounting, and — for serving endpoints — the end-to-end request
-// deadline.
-func (rt *Router) route(endpoint string, deadline bool, h http.HandlerFunc) http.HandlerFunc {
-	requests := rt.m.requests[endpoint]
-	return rt.tracer.Middleware("router_"+endpoint, func(w http.ResponseWriter, r *http.Request) {
-		requests.Inc()
-		if deadline {
-			ctx, cancel := context.WithTimeout(r.Context(), rt.cfg.RequestTimeout)
-			defer cancel()
-			r = r.WithContext(ctx)
-		}
-		h(w, r)
-	})
-}
 
 func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -826,14 +818,14 @@ func (rt *Router) attempt(ctx context.Context, rep *replica, method, path string
 		req.Header.Set(trace.TraceparentHeader, tp)
 	}
 	// Propagate the deadline: hand the shard strictly less than our
-	// remaining budget, so its deadline middleware always fires before
-	// ours and the failure is attributed at the right layer.
+	// remaining budget, so its route deadline always fires before ours
+	// and the failure is attributed at the right layer.
 	if d, ok := actx.Deadline(); ok {
 		ms := time.Until(d).Milliseconds() * 9 / 10
 		if ms < 1 {
 			ms = 1
 		}
-		req.Header.Set(server.BudgetHeader, strconv.FormatInt(ms, 10))
+		req.Header.Set(httpedge.BudgetHeader, strconv.FormatInt(ms, 10))
 	}
 
 	start := time.Now()
@@ -1031,18 +1023,6 @@ func (rt *Router) writeJSON(ctx context.Context, w http.ResponseWriter, status i
 	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(status)
 	_, _ = w.Write(buf.Bytes())
-}
-
-// writeJSONTo is writeJSON without router state, for the drain-shed path.
-func writeJSONTo(w http.ResponseWriter, status int, v any) {
-	buf, err := json.Marshal(v)
-	if err != nil {
-		http.Error(w, `{"error":"internal encoding failure"}`, http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_, _ = w.Write(buf)
 }
 
 // latencyTrack keeps a small ring of recent attempt latencies and a cached

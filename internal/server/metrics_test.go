@@ -48,13 +48,13 @@ func TestErrorPathsIncrementCounters(t *testing.T) {
 
 	// Unknown user: 404, one recommend error.
 	get(t, ts.URL+"/recommend?user=nobody", http.StatusNotFound)
-	if got := s.metrics.errors[epRecommend].Value(); got != 1 {
+	if got := counter(t, s, "http_errors_total", "recommend"); got != 1 {
 		t.Errorf("after unknown user: recommend errors = %d, want 1", got)
 	}
 
 	// n > MaxN: 400, second recommend error.
 	get(t, ts.URL+"/recommend?user=alice&n=50", http.StatusBadRequest)
-	if got := s.metrics.errors[epRecommend].Value(); got != 2 {
+	if got := counter(t, s, "http_errors_total", "recommend"); got != 2 {
 		t.Errorf("after n > MaxN: recommend errors = %d, want 2", got)
 	}
 
@@ -68,33 +68,33 @@ func TestErrorPathsIncrementCounters(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed batch: status %d, want 400", resp.StatusCode)
 	}
-	if got := s.metrics.errors[epBatch].Value(); got != 1 {
+	if got := counter(t, s, "http_errors_total", "batch"); got != 1 {
 		t.Errorf("after malformed batch: batch errors = %d, want 1", got)
 	}
 
 	// Engine failure: 500, third recommend error and a 5xx response.
 	get(t, ts.URL+"/recommend?user=evil", http.StatusInternalServerError)
-	if got := s.metrics.errors[epRecommend].Value(); got != 3 {
+	if got := counter(t, s, "http_errors_total", "recommend"); got != 3 {
 		t.Errorf("after engine failure: recommend errors = %d, want 3", got)
 	}
 
 	// Status classes: three 4xx (404 + two 400s) and one 5xx.
-	if got := s.metrics.responses["status_4xx"].Value(); got != 3 {
+	if got := counter(t, s, "http_responses_total", "status_4xx"); got != 3 {
 		t.Errorf("status_4xx = %d, want 3", got)
 	}
-	if got := s.metrics.responses["status_5xx"].Value(); got != 1 {
+	if got := counter(t, s, "http_responses_total", "status_5xx"); got != 1 {
 		t.Errorf("status_5xx = %d, want 1", got)
 	}
 
 	// A success increments requests and the 2xx class but not errors.
 	get(t, ts.URL+"/recommend?user=alice&n=2", http.StatusOK)
-	if got := s.metrics.errors[epRecommend].Value(); got != 3 {
+	if got := counter(t, s, "http_errors_total", "recommend"); got != 3 {
 		t.Errorf("success incremented errors: %d", got)
 	}
-	if got := s.metrics.responses["status_2xx"].Value(); got != 1 {
+	if got := counter(t, s, "http_responses_total", "status_2xx"); got != 1 {
 		t.Errorf("status_2xx = %d, want 1", got)
 	}
-	if got := s.metrics.requests[epRecommend].Value(); got != 4 {
+	if got := counter(t, s, "http_requests_total", "recommend"); got != 4 {
 		t.Errorf("recommend requests = %d, want 4", got)
 	}
 }
@@ -103,21 +103,51 @@ func TestLatencyHistogramObserved(t *testing.T) {
 	s, ts := newMeteredServer(t)
 	get(t, ts.URL+"/healthz", http.StatusOK)
 	get(t, ts.URL+"/healthz", http.StatusOK)
-	h := s.metrics.latency[epHealthz]
-	if h.Count() != 2 {
-		t.Errorf("healthz latency count = %d, want 2", h.Count())
+	var h *telemetry.HistogramSnapshot
+	for _, hs := range s.cfg.Metrics.Snapshot().Histograms {
+		if hs.Name == "http_request_seconds" && hs.LabelValue == "healthz" {
+			h = &hs
+		}
 	}
-	if h.Sum() <= 0 {
-		t.Errorf("healthz latency sum = %v, want > 0", h.Sum())
+	if h == nil {
+		t.Fatal("no http_request_seconds{endpoint=healthz} histogram")
+	}
+	if h.Count != 2 {
+		t.Errorf("healthz latency count = %d, want 2", h.Count)
+	}
+	if h.Sum <= 0 {
+		t.Errorf("healthz latency sum = %v, want > 0", h.Sum)
 	}
 }
 
 func TestInFlightGaugeReturnsToZero(t *testing.T) {
 	s, ts := newMeteredServer(t)
 	get(t, ts.URL+"/stats", http.StatusOK)
-	if got := s.metrics.inFlight.Value(); got != 0 {
-		t.Errorf("in-flight after request = %d, want 0", got)
+	var seen bool
+	for _, g := range s.cfg.Metrics.Snapshot().Gauges {
+		if g.Name == "http_in_flight" {
+			seen = true
+			if g.Value != 0 {
+				t.Errorf("in-flight after request = %v, want 0", g.Value)
+			}
+		}
 	}
+	if !seen {
+		t.Error("no http_in_flight gauge")
+	}
+}
+
+// counter reads a counter from s's registry: the child of family name
+// whose label value is label, or the unlabeled counter when label is "".
+func counter(t *testing.T, s *Server, name, label string) uint64 {
+	t.Helper()
+	for _, m := range s.cfg.Metrics.Snapshot().Counters {
+		if m.Name == name && m.LabelValue == label {
+			return uint64(m.Value)
+		}
+	}
+	t.Fatalf("no counter %s{%s}", name, label)
+	return 0
 }
 
 // TestEncodeFailureCounted exercises satellite 6: an unencodable body must

@@ -74,7 +74,7 @@ func TestPanicRecovery(t *testing.T) {
 	if body["error"] != "internal error" {
 		t.Errorf("panic response = %v", body)
 	}
-	if got := s.metrics.panics.Value(); got != 1 {
+	if got := counter(t, s, "http_panics_recovered_total", ""); got != 1 {
 		t.Errorf("http_panics_recovered_total = %d, want 1", got)
 	}
 	// The process survived: the very next request serves normally.
@@ -82,7 +82,7 @@ func TestPanicRecovery(t *testing.T) {
 	if body["user"] != "alice" {
 		t.Errorf("post-panic request = %v", body)
 	}
-	if got := s.metrics.panics.Value(); got != 1 {
+	if got := counter(t, s, "http_panics_recovered_total", ""); got != 1 {
 		t.Errorf("panics counter moved without a panic: %d", got)
 	}
 }
@@ -188,8 +188,45 @@ func TestDeadlineExpiryMidBatch(t *testing.T) {
 	if msg, _ := body["error"].(string); !strings.Contains(msg, "deadline") {
 		t.Errorf("expired batch body = %v", body)
 	}
-	if got := s.metrics.timeouts.Value(); got != 1 {
+	if got := counter(t, s, "http_request_timeouts_total", ""); got != 1 {
 		t.Errorf("http_request_timeouts_total = %d, want 1", got)
+	}
+}
+
+// ctxEngine parks every recommend call until its context ends, then
+// closes returned.
+type ctxEngine struct {
+	fakeEngine
+	returned chan struct{}
+}
+
+func (e *ctxEngine) RecommendContext(ctx context.Context, _, _ int) ([]core.Recommendation, error) {
+	<-ctx.Done()
+	close(e.returned)
+	return nil, ctx.Err()
+}
+
+// TestDeadlineIgnoresClientCancel: a client that gives up long before the
+// request deadline cancels the request's context, but that is not the
+// server's deadline expiring, so http_request_timeouts_total stays 0.
+func TestDeadlineIgnoresClientCancel(t *testing.T) {
+	eng := &ctxEngine{fakeEngine: fakeEngine{users: 5, failOn: -1}, returned: make(chan struct{})}
+	s, ts := hardenedServer(t, func(cfg *Config) {
+		cfg.Engine = eng
+		cfg.RequestTimeout = 10 * time.Second
+	})
+	client := &http.Client{Timeout: 50 * time.Millisecond}
+	if resp, err := client.Get(ts.URL + "/recommend?user=alice&n=2"); err == nil {
+		resp.Body.Close()
+		t.Fatalf("the engine blocks until canceled, yet the client got %d", resp.StatusCode)
+	}
+	<-eng.returned
+	ts.Close() // waits for the handler, and the edge's accounting, to finish
+	if got := counter(t, s, "http_requests_total", "recommend"); got != 1 {
+		t.Fatalf("http_requests_total{recommend} = %d, want 1", got)
+	}
+	if got := counter(t, s, "http_request_timeouts_total", ""); got != 0 {
+		t.Errorf("http_request_timeouts_total = %d after a client cancel, want 0", got)
 	}
 }
 

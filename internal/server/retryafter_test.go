@@ -1,6 +1,7 @@
 package server
 
 import (
+	"net/http"
 	"testing"
 	"time"
 )
@@ -59,6 +60,50 @@ func TestObserveLatencyEWMA(t *testing.T) {
 	}
 	if got := s.recentLatency(); got < 1900*time.Millisecond || got > 2*time.Second {
 		t.Fatalf("after sustained 2s observations = %v, want near 2s", got)
+	}
+}
+
+// TestShedKeepsAdaptiveHint: only requests the limiter admitted feed the
+// latency EWMA. Shed answers and health probes take microseconds; timing
+// them would talk a 4 s hint down to 1 s exactly while the server is
+// saturated.
+func TestShedKeepsAdaptiveHint(t *testing.T) {
+	eng := &blockingEngine{
+		fakeEngine: fakeEngine{users: 5, failOn: -1},
+		entered:    make(chan struct{}, 1),
+		release:    make(chan struct{}),
+	}
+	s, ts := hardenedServer(t, func(cfg *Config) {
+		cfg.Engine = eng
+		cfg.MaxInFlight = 1
+	})
+	s.observeLatency(4 * time.Second)
+	done := make(chan error, 1)
+	go func() {
+		resp, err := http.Get(ts.URL + "/recommend?user=alice&n=2")
+		if err == nil {
+			resp.Body.Close()
+		}
+		done <- err
+	}()
+	<-eng.entered
+	for i := 0; i < 20; i++ {
+		get(t, ts.URL+"/healthz", http.StatusOK)
+		resp, err := http.Get(ts.URL + "/recommend?user=bob&n=2")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("shed %d: status %d, want 503", i, resp.StatusCode)
+		}
+		if got := resp.Header.Get("Retry-After"); got != "4" {
+			t.Fatalf("shed %d: Retry-After = %q, want %q", i, got, "4")
+		}
+	}
+	close(eng.release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -6,12 +6,13 @@
 // construction; every request handled here is post-processing over that
 // sanitized state, so request volume never erodes the privacy guarantee.
 //
-// The request path is hardened for production faults (see middleware.go):
-// panics become 500s without killing the process, a concurrency limiter
-// sheds overload with 503 + Retry-After, every request carries a deadline,
-// and an optional fault-injection registry (Config.Faults) drives chaos
-// testing. Hot reload swaps releases through an atomic pointer (Hot) so a
-// failed reload degrades to "stale but serving" instead of an outage.
+// The request path is hardened for production faults: internal/httpedge
+// turns panics into 500s without killing the process and gives every
+// serving request a deadline; a concurrency limiter sheds overload with
+// 503 + Retry-After, and an optional fault-injection registry
+// (Config.Faults) drives chaos testing (see middleware.go). Hot reload
+// swaps releases through an atomic pointer (Hot) so a failed reload
+// degrades to "stale but serving" instead of an outage.
 package server
 
 import (
@@ -31,6 +32,7 @@ import (
 	"socialrec/internal/core"
 	"socialrec/internal/dataset"
 	"socialrec/internal/faults"
+	"socialrec/internal/httpedge"
 	"socialrec/internal/telemetry"
 	"socialrec/internal/trace"
 )
@@ -157,7 +159,7 @@ type Config struct {
 	// (e.g. tests) may share one registry.
 	Metrics *telemetry.Registry
 	// RequestTimeout bounds each serving request's context; 0 selects
-	// 10 s, negative disables the deadline middleware.
+	// 10 s, negative disables the deadline.
 	RequestTimeout time.Duration
 	// MaxInFlight caps concurrently handled serving requests; excess
 	// requests are shed with 503 + Retry-After. 0 selects 1024, negative
@@ -173,8 +175,8 @@ type Config struct {
 	// triggering request's, so a store-backed reload's spans and budget
 	// events attach to the request's trace.
 	Reload func(ctx context.Context) error
-	// Faults, when non-nil, arms the chaos middleware: every hardened
-	// request consults faults.PointHandler. Production servers leave it
+	// Faults, when non-nil, arms chaos injection: every serving request
+	// consults faults.PointHandler. Production servers leave it
 	// nil; cmd/recserve -chaos and fault-injection tests set it.
 	Faults *faults.Registry
 	// Tracer retains request traces (see internal/trace); nil selects
@@ -225,26 +227,37 @@ func New(cfg Config) (*Server, error) {
 	if tracer == nil {
 		tracer = trace.Default()
 	}
-	s := &Server{cfg: cfg, mux: http.NewServeMux(), metrics: newMetrics(cfg.Metrics),
-		logger: logger}
+	if cfg.Metrics == nil {
+		cfg.Metrics = telemetry.Default()
+	}
+	s := &Server{cfg: cfg, metrics: newMetrics(cfg.Metrics), logger: logger}
 	if cfg.MaxInFlight > 0 {
 		s.sem = make(chan struct{}, cfg.MaxInFlight)
 	}
-	// Health and admin endpoints bypass the limiter and deadline: probes
-	// must answer while the serving path is saturated, and a reload is
-	// exactly what an operator reaches for under duress. Every route is
-	// traced — root spans are cheap, and a reload trace is the one an
-	// operator most wants to find afterwards.
-	route := func(pattern, endpoint string, h http.HandlerFunc) {
-		s.mux.HandleFunc(pattern, tracer.Middleware("http_"+endpoint, h))
-	}
-	route("GET /healthz", epHealthz, s.instrument(epHealthz, s.recovery(s.handleHealthz)))
-	route("GET /readyz", epReadyz, s.instrument(epReadyz, s.recovery(s.handleReadyz)))
-	route("POST /admin/reload", epReload, s.instrument(epReload, s.recovery(s.handleReload)))
-	route("GET /stats", epStats, s.harden(epStats, s.handleStats))
-	route("GET /recommend", epRecommend, s.harden(epRecommend, s.handleRecommend))
-	route("POST /recommend/batch", epBatch, s.harden(epBatch, s.handleBatch))
-	route("GET /users", epUsers, s.harden(epUsers, s.handleUsers))
+	// Health and admin endpoints bypass the limiter, chaos and the
+	// deadline: probes must answer while the serving path is saturated, or
+	// an overloaded-but-healthy process gets restarted into a thundering
+	// herd, and a reload is exactly what an operator reaches for under
+	// duress. Every route is traced — root spans are cheap, and a reload
+	// trace is the one an operator most wants to find afterwards.
+	timeout := max(cfg.RequestTimeout, 0)
+	serving := func(h http.HandlerFunc) http.HandlerFunc { return s.limit(s.chaos(h)) }
+	s.mux = httpedge.New(httpedge.Config{
+		SpanPrefix:   "http",
+		MetricPrefix: "http",
+		Routes: []httpedge.Route{
+			{Pattern: "GET /healthz", Endpoint: "healthz", Handler: s.handleHealthz},
+			{Pattern: "GET /readyz", Endpoint: "readyz", Handler: s.handleReadyz},
+			{Pattern: "POST /admin/reload", Endpoint: "reload", Handler: s.handleReload},
+			{Pattern: "GET /stats", Endpoint: "stats", Timeout: timeout, Handler: serving(s.handleStats)},
+			{Pattern: "GET /recommend", Endpoint: "recommend", Timeout: timeout, Handler: serving(s.handleRecommend)},
+			{Pattern: "POST /recommend/batch", Endpoint: "batch", Timeout: timeout, Handler: serving(s.handleBatch)},
+			{Pattern: "GET /users", Endpoint: "users", Timeout: timeout, Handler: serving(s.handleUsers)},
+		},
+		Metrics: cfg.Metrics,
+		Tracer:  tracer,
+		Logger:  logger,
+	})
 	return s, nil
 }
 

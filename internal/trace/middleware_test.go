@@ -1,24 +1,37 @@
-package trace
+package trace_test
 
 import (
+	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"testing"
+
+	"socialrec/internal/httpedge"
+	"socialrec/internal/telemetry"
+	"socialrec/internal/trace"
 )
 
-// serveOnce runs one request through t.Middleware and returns the response
-// recorder and the retained trace it produced.
-func serveOnce(t *testing.T, tr *Tracer, inbound string, h http.HandlerFunc) (*httptest.ResponseRecorder, *TraceData) {
+// serveOnce runs one request through the HTTP edge's root span on tr and
+// returns the response recorder and the retained trace it produced.
+func serveOnce(t *testing.T, tr *trace.Tracer, inbound string, h http.HandlerFunc) (*httptest.ResponseRecorder, *trace.TraceData) {
 	t.Helper()
 	req := httptest.NewRequest(http.MethodGet, "/x", nil)
 	if inbound != "" {
-		req.Header.Set(TraceparentHeader, inbound)
+		req.Header.Set(trace.TraceparentHeader, inbound)
 	}
 	rec := httptest.NewRecorder()
-	tr.Middleware("http_test", h).ServeHTTP(rec, req)
-	tp, err := ParseTraceparent(rec.Header().Get(TraceparentHeader))
+	httpedge.New(httpedge.Config{
+		SpanPrefix:   "http",
+		MetricPrefix: "http",
+		Routes:       []httpedge.Route{{Pattern: "/x", Endpoint: "test", Handler: h}},
+		Metrics:      telemetry.NewRegistry(),
+		Tracer:       tr,
+		Logger:       slog.New(slog.NewTextHandler(io.Discard, nil)),
+	}).ServeHTTP(rec, req)
+	tp, err := trace.ParseTraceparent(rec.Header().Get(trace.TraceparentHeader))
 	if err != nil {
-		t.Fatalf("response traceparent %q: %v", rec.Header().Get(TraceparentHeader), err)
+		t.Fatalf("response traceparent %q: %v", rec.Header().Get(trace.TraceparentHeader), err)
 	}
 	td := tr.Lookup(tp.TraceID)
 	if td == nil {
@@ -32,9 +45,9 @@ func serveOnce(t *testing.T, tr *Tracer, inbound string, h http.HandlerFunc) (*h
 
 func TestMiddleware(t *testing.T) {
 	const inbound = "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
-	tr := New(Config{Seed: 11, Capacity: 16})
+	tr := trace.New(trace.Config{Seed: 11, Capacity: 16})
 	ok := func(w http.ResponseWriter, r *http.Request) {
-		if FromContext(r.Context()).TraceID().IsZero() {
+		if trace.FromContext(r.Context()).TraceID().IsZero() {
 			t.Error("handler context carries no span")
 		}
 		_, _ = w.Write([]byte("ok"))

@@ -9,6 +9,9 @@
 //     serving path regresses one alloc at a time — a percentage gate
 //     would wave every one of them through.
 //
+// A baseline benchmark missing from the new run fails too; one new in the
+// run is only listed.
+//
 // It exists so `make bench` can record a checked-in baseline
 // (BENCH_PR7.json) and CI or a reviewer can ask "did this change make
 // serving slower or allocate more?" with one command, no external tooling.
@@ -196,14 +199,17 @@ func runDiff(oldPath, newPath string, threshold float64) (regressed bool, err er
 	}
 	sort.Strings(names)
 
-	nsFail, allocFail := false, false
+	nsFail, allocFail, goneFail := false, false, false
 	fmt.Printf("%-55s %11s %11s %8s %10s %10s\n",
 		"benchmark", "old ns/op", "new ns/op", "delta", "old allocs", "new allocs")
 	for _, name := range names {
 		o := oldB.Benchmarks[name]
 		n, ok := newB.Benchmarks[name]
 		if !ok {
-			fmt.Printf("%-55s %11.0f %11s %8s\n", name, o.NsPerOp, "-", "gone")
+			// A moved or renamed benchmark would otherwise drop out of the
+			// gate without anyone deciding so.
+			fmt.Printf("%-55s %11.0f %11s %8s  MISSING\n", name, o.NsPerOp, "-", "gone")
+			goneFail = true
 			continue
 		}
 		if o.NsPerOp <= 0 {
@@ -235,7 +241,10 @@ func runDiff(oldPath, newPath string, threshold float64) (regressed bool, err er
 	if allocFail {
 		fmt.Printf("FAIL: at least one benchmark grew allocs/op over its baseline ceiling\n")
 	}
-	return nsFail || allocFail, nil
+	if goneFail {
+		fmt.Printf("FAIL: at least one baseline benchmark is missing from the new run\n")
+	}
+	return nsFail || allocFail || goneFail, nil
 }
 
 func fatalf(format string, args ...any) {

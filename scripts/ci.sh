@@ -48,10 +48,28 @@ step "fault injection (crash safety, reload degradation, panic containment, shed
 # The full ./... -race run above already includes these; re-running the
 # failure-path suites by name keeps them un-skippable and makes this gate's
 # coverage explicit even if package lists change.
+#
+# run_named <pattern> <pkg> runs the named tests under -race. `go test -run`
+# passes with "[no tests to run]" when a pattern matches nothing, so a
+# renamed or moved test would silently leave the gate: every |-alternative
+# must first match a test that `go test -list` reports for the package.
+run_named() {
+    local pattern=$1 pkg=$2 listed alt
+    listed=$(go test -list '.' "$pkg" | grep -E '^(Test|Fuzz|Example)' || true)
+    IFS='|' read -ra alts <<< "$pattern"
+    for alt in "${alts[@]}"; do
+        if ! grep -Eq -- "$alt" <<< "$listed"; then
+            echo "ci: -run alternative '$alt' matches no test in $pkg" >&2
+            exit 1
+        fi
+    done
+    go test -race -run "$pattern" "$pkg"
+}
 go test -race ./internal/faults
-go test -race -run 'TestStore|TestReadCorruptCorpus|TestDecodersBoundedAllocation' ./internal/release
-go test -race -run 'TestHot|TestFailedReload|TestReload|TestPanicRecovery|TestChaos|TestLimiterSheds|TestDeadline' ./internal/server
-go test -race -run 'TestUpdaterCrashRecompute|TestUpdaterPublishFaultSweep|TestUpdaterBudgetExhaustion|TestUpdaterRefusesCorruptIntent' ./internal/dynamic
+run_named 'TestStore|TestReadCorruptCorpus|TestDecodersBoundedAllocation' ./internal/release
+run_named 'TestHot|TestFailedReload|TestReload|TestPanicRecovery|TestChaos|TestLimiterSheds|TestDeadline' ./internal/server
+run_named 'TestPanicRecovery|TestDeadlineBudget|TestStatusCapture' ./internal/httpedge
+run_named 'TestUpdaterCrashRecompute|TestUpdaterPublishFaultSweep|TestUpdaterBudgetExhaustion|TestUpdaterRefusesCorruptIntent' ./internal/dynamic
 
 step "crash/resume matrix (checkpointed pipeline, updater intent journal)"
 ./scripts/resume_chaos.sh
