@@ -47,6 +47,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzRead$$' -fuzztime=10s ./internal/release
 	$(GO) test -run='^$$' -fuzz='^FuzzReadArtifacts$$' -fuzztime=10s ./internal/release
 	$(GO) test -run='^$$' -fuzz='^FuzzParseTraceparent$$' -fuzztime=10s ./internal/trace
+	$(GO) test -run='^$$' -fuzz='^FuzzClusterTopN$$' -fuzztime=10s ./internal/mechanism
 
 # chaos drives the hardened server benchmark under -race with mixed
 # error/panic/latency fault injection; it fails on any escaped panic,

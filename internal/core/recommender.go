@@ -32,15 +32,33 @@ var (
 )
 
 // scratch is the pooled per-call working set of RecommendContext: the flat
-// utility arena the batch rows slice into, the row headers, and the
-// similarity-vector buffer used on the SimilaritySource path. Pooling it
-// (capacity is kept across calls, grown only when a larger batch arrives)
-// makes the steady-state serving path allocation-free up to the returned
-// recommendation lists themselves.
+// utility arena the dense rows slice into, the row headers, the batch
+// positions answered densely, and the similarity-vector buffer used on the
+// SimilaritySource path. Pooling it (capacity is kept across calls, grown
+// only when a larger batch arrives) makes the steady-state serving path
+// allocation-free up to the returned recommendation lists themselves.
 type scratch struct {
-	flat []float64
-	rows [][]float64
-	sims []similarity.Scores
+	flat  []float64
+	rows  [][]float64
+	dense []int
+	sims  []similarity.Scores
+}
+
+// denseRows returns k zeroed utility rows of width items, windows into the
+// flat arena, which grows only when a larger call arrives.
+func (sc *scratch) denseRows(k, items int) [][]float64 {
+	if need := k * items; cap(sc.flat) < need {
+		sc.flat = make([]float64, need)
+	}
+	if cap(sc.rows) < k {
+		sc.rows = make([][]float64, k)
+	}
+	rows := sc.rows[:k]
+	for i := range rows {
+		rows[i] = sc.flat[i*items : (i+1)*items : (i+1)*items]
+		clear(rows[i])
+	}
+	return rows
 }
 
 var (
@@ -94,6 +112,21 @@ type Estimator interface {
 	Utilities(users []int32, sims []similarity.Scores, out [][]float64)
 }
 
+// TopNEstimator is an optional Estimator capability: selecting a user's
+// top-n list straight from the released state, without writing a dense
+// utility row. NewRecommender detects it once; RecommendContext then asks
+// it first for every user and falls back to Utilities + TopN whenever it
+// declines.
+type TopNEstimator interface {
+	// TopN returns, for the user with similarity vector sim, exactly the
+	// items and bit-identical utilities that TopN(row, n, math.Inf(-1))
+	// returns over the row Utilities writes for sim, as a TopHeap in heap
+	// order (TopHeap.Sort ranks it). ok=false declines the query — the
+	// estimator could not settle the list exactly and cheaply — and the
+	// caller ignores list.
+	TopN(sim similarity.Scores, n int) (list []Recommendation, ok bool)
+}
+
 // TopN selects the n highest-utility items from a dense utility vector and
 // returns them sorted by descending utility. Ties are broken toward the
 // lower item id so output is deterministic. Items with utility ≤ minUtility
@@ -108,10 +141,11 @@ func TopN(utilities []float64, n int, minUtility float64) []Recommendation {
 		return nil
 	}
 	// Bounded selection: maintain the current worst of the best n at
-	// h[0] (a min-heap ordered by (utility, inverted item id)). The heap
-	// operations are methods, not closures, so the only allocation per
-	// call is the result slice itself.
-	h := make(topHeap, 0, n)
+	// h[0]. The heap operations are methods, not closures, so the only
+	// allocation per call is the result slice itself. The loop spells out
+	// Offer's body: Offer is over the inlining budget, and this loop runs
+	// once per item.
+	h := make(TopHeap, 0, n)
 	for item, u := range utilities {
 		if u <= minUtility {
 			continue
@@ -124,11 +158,32 @@ func TopN(utilities []float64, n int, minUtility float64) []Recommendation {
 			h.replaceMin(r)
 		}
 	}
-	// In-place heapsort: repeatedly swap the current minimum to the end and
-	// re-sift. Extracting minima back-to-front leaves the array in
-	// descending order — the output order — without the sort.Interface
-	// boxing a sort.Sort call would allocate. worse() is a strict total
-	// order (item id breaks utility ties), so the result is deterministic.
+	return h.Sort()
+}
+
+// TopHeap is TopN's bounded selection heap: a min-heap under TopN's
+// ranking (higher utility first, lower item id on ties), so h[0] is the
+// worst entry kept. Exact top-n estimators select with it too, which keeps
+// their tie-breaking identical to TopN's by construction.
+type TopHeap []Recommendation
+
+// Offer keeps r if fewer than n entries are kept or r ranks above h[0],
+// evicting h[0] in the latter case.
+func (h *TopHeap) Offer(r Recommendation, n int) {
+	switch {
+	case len(*h) < n:
+		h.push(r)
+	case h.worse((*h)[0], r):
+		h.replaceMin(r)
+	}
+}
+
+// Sort ranks the kept entries in place — descending utility, lower item id
+// first on ties — and returns them. It is a heapsort: repeatedly swap the
+// current minimum to the end and re-sift, which leaves the array in output
+// order without the sort.Interface boxing a sort.Sort call would allocate.
+// worse() is a strict total order, so the result is deterministic.
+func (h TopHeap) Sort() []Recommendation {
 	for m := len(h) - 1; m > 0; m-- {
 		h[0], h[m] = h[m], h[0]
 		h[:m].replaceMin(h[0])
@@ -136,13 +191,9 @@ func TopN(utilities []float64, n int, minUtility float64) []Recommendation {
 	return []Recommendation(h)
 }
 
-// topHeap is TopN's bounded min-heap, sorted in place by heapsort into the
-// final output order (descending utility, lower item id first on ties).
-type topHeap []Recommendation
-
 // worse reports whether a ranks strictly below b: lower utility, or a
 // higher item id on equal utility (ties break toward the lower id).
-func (topHeap) worse(a, b Recommendation) bool {
+func (TopHeap) worse(a, b Recommendation) bool {
 	if a.Utility < b.Utility {
 		return true
 	}
@@ -153,7 +204,7 @@ func (topHeap) worse(a, b Recommendation) bool {
 }
 
 // push sifts r up from the end of the heap.
-func (h *topHeap) push(r Recommendation) {
+func (h *TopHeap) push(r Recommendation) {
 	s := append(*h, r)
 	for i := len(s) - 1; i > 0; {
 		p := (i - 1) / 2
@@ -167,7 +218,7 @@ func (h *topHeap) push(r Recommendation) {
 }
 
 // replaceMin overwrites the heap minimum with r and sifts it down.
-func (h topHeap) replaceMin(r Recommendation) {
+func (h TopHeap) replaceMin(r Recommendation) {
 	h[0] = r
 	for i := 0; ; {
 		l, rgt := 2*i+1, 2*i+2
@@ -193,6 +244,8 @@ type Recommender struct {
 	items   int
 	measure similarity.Measure
 	est     Estimator
+	// topN is est's exact top-n capability, nil when est lacks it.
+	topN TopNEstimator
 
 	// BatchSize bounds how many dense utility vectors are held in memory
 	// at once; 0 means a default of 256.
@@ -210,7 +263,8 @@ type Recommender struct {
 // NewRecommender wires a recommender from its parts. numItems is |I| of the
 // preference graph the estimator was built from.
 func NewRecommender(social *graph.Social, numItems int, m similarity.Measure, est Estimator) *Recommender {
-	return &Recommender{social: social, items: numItems, measure: m, est: est}
+	topN, _ := est.(TopNEstimator)
+	return &Recommender{social: social, items: numItems, measure: m, est: est, topN: topN}
 }
 
 func (r *Recommender) batchSize() int {
@@ -235,6 +289,11 @@ func (r *Recommender) Recommend(users []int32, n int) ([][]Recommendation, error
 // similarity_batch, cluster_average and top_n row as each ends. An
 // untraced call records nothing.
 //
+// With a TopNEstimator, cluster_average times its selection scan and top_n
+// the ranking of the n survivors; users it declines take the dense path
+// (Utilities into a pooled row, then TopN), which is the only code that
+// touches the dense arena.
+//
 //sociolint:hotpath
 func (r *Recommender) RecommendContext(ctx context.Context, users []int32, n int) ([][]Recommendation, error) {
 	if n <= 0 {
@@ -252,19 +311,10 @@ func (r *Recommender) RecommendContext(ctx context.Context, users []int32, n int
 	if bs > len(users) {
 		bs = len(users)
 	}
-	// Pooled scratch: rows are windows into one flat arena, so one grow
-	// covers the whole batch and steady-state calls reuse the capacity.
 	sc := getScratch()
 	defer putScratch(sc)
-	if need := bs * r.items; cap(sc.flat) < need {
-		sc.flat = make([]float64, need)
-	}
-	if cap(sc.rows) < bs {
-		sc.rows = make([][]float64, bs)
-	}
-	rows := sc.rows[:bs]
-	for i := range rows {
-		rows[i] = sc.flat[i*r.items : (i+1)*r.items : (i+1)*r.items]
+	if cap(sc.dense) < bs {
+		sc.dense = make([]int, 0, bs)
 	}
 	for start := 0; start < len(users); start += bs {
 		end := start + bs
@@ -286,16 +336,35 @@ func (r *Recommender) RecommendContext(ctx context.Context, users []int32, n int
 			sims = similarity.ComputeAll(r.social, r.measure, batch, r.Workers)
 		}
 		simTrace.End()
-		buf := rows[:len(batch)]
-		for i := range buf {
-			clear(buf[i])
-		}
 		avgTrace := trace.StartLeaf(ctx, "cluster_average", attrUsers.Int(int64(len(batch))))
-		r.est.Utilities(batch, sims, buf)
+		// dense lists the batch positions the exact path did not answer.
+		dense := sc.dense[:0]
+		for i := range batch {
+			if r.topN != nil {
+				if list, ok := r.topN.TopN(sims[i], n); ok {
+					out[start+i] = list
+					continue
+				}
+			}
+			dense = append(dense, i)
+		}
+		rows := sc.denseRows(len(dense), r.items)
+		if len(dense) == len(batch) {
+			r.est.Utilities(batch, sims, rows)
+		} else {
+			for k, i := range dense {
+				r.est.Utilities(batch[i:i+1], sims[i:i+1], rows[k:k+1])
+			}
+		}
 		avgTrace.End()
 		topTrace := trace.StartLeaf(ctx, "top_n", attrTopN.Int(int64(n)))
-		for i := range batch {
-			out[start+i] = TopN(buf[i], n, math.Inf(-1))
+		for i, k := 0, 0; i < len(batch); i++ {
+			if k < len(dense) && dense[k] == i {
+				out[start+i] = TopN(rows[k], n, math.Inf(-1))
+				k++
+			} else {
+				TopHeap(out[start+i]).Sort()
+			}
 		}
 		topTrace.End()
 	}

@@ -209,3 +209,75 @@ func (o *onceEstimator) Utilities(users []int32, _ []similarity.Scores, out [][]
 		}
 	}
 }
+
+// splitEstimator scores item i, for a user whose similarity vector starts
+// with v, from v and i alone, and answers TopN exactly for even v only,
+// declining odd v, so one batch mixes the exact and the dense path.
+type splitEstimator struct{ items int }
+
+func (splitEstimator) util(v int32, i int) float64 { return float64((int(v)+1)*(i+3)%13) - 6 }
+
+func (splitEstimator) Name() string { return "split" }
+
+func (e splitEstimator) Utilities(_ []int32, sims []similarity.Scores, out [][]float64) {
+	for k := range out {
+		for i := range out[k] {
+			out[k][i] += e.util(sims[k].Users[0], i)
+		}
+	}
+}
+
+func (e splitEstimator) TopN(sim similarity.Scores, n int) ([]Recommendation, bool) {
+	v := sim.Users[0]
+	if v%2 != 0 {
+		return nil, false
+	}
+	h := make(TopHeap, 0, n)
+	for i := 0; i < e.items; i++ {
+		h.Offer(Recommendation{Item: int32(i), Utility: e.util(v, i)}, n)
+	}
+	return h, true
+}
+
+// denseOnly hides an estimator's TopN capability.
+type denseOnly struct{ Estimator }
+
+// TestRecommendContextExactPathMatchesDense checks the orchestration of
+// the exact path: batches mixing answered and declined users, at several
+// batch sizes, return the same lists as the dense path alone.
+func TestRecommendContextExactPathMatchesDense(t *testing.T) {
+	const users, items = 20, 17
+	g := lineGraph(t, users)
+	all := make([]int32, users)
+	for i := range all {
+		all[i] = int32(i)
+	}
+	self := func(u int32) similarity.Scores { return similarity.Scores{Users: []int32{u}, Vals: []float64{1}} }
+	for _, bs := range []int{1, 3, 0} {
+		exact := NewRecommender(g, items, similarity.CommonNeighbors{}, splitEstimator{items: items})
+		dense := NewRecommender(g, items, similarity.CommonNeighbors{}, denseOnly{splitEstimator{items: items}})
+		for _, r := range []*Recommender{exact, dense} {
+			r.BatchSize, r.SimilaritySource = bs, self
+		}
+		for _, n := range []int{1, 5, items} {
+			got, err := exact.Recommend(all, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := dense.Recommend(all, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for u := range want {
+				if len(got[u]) != len(want[u]) {
+					t.Fatalf("batch %d n=%d user %d: exact %v, dense %v", bs, n, u, got[u], want[u])
+				}
+				for i := range want[u] {
+					if got[u][i] != want[u][i] {
+						t.Fatalf("batch %d n=%d user %d: exact %v, dense %v", bs, n, u, got[u], want[u])
+					}
+				}
+			}
+		}
+	}
+}

@@ -1,10 +1,13 @@
 package mechanism
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
 	"socialrec/internal/community"
+	"socialrec/internal/core"
 	"socialrec/internal/dp"
 	"socialrec/internal/graph"
 	"socialrec/internal/similarity"
@@ -61,6 +64,46 @@ func BenchmarkClusterUtilities(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cl.Utilities(users, sims, out)
+	}
+}
+
+// BenchmarkClusterTopN times one user's top-n list the way the serving
+// path selects it — TopN, falling back to Utilities + core.TopN when TopN
+// declines — against the dense path alone, at list lengths on both sides of
+// maxExactN.
+func BenchmarkClusterTopN(b *testing.B) {
+	social, prefs, clusters := benchSetup(b)
+	cl, err := NewCluster(clusters, prefs, dp.Epsilon(0.1), dp.NewLaplaceSource(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	users := []int32{0, 100, 200, 300}
+	sims := similarity.ComputeAll(social, similarity.CommonNeighbors{}, users, 0)
+	row := make([]float64, prefs.NumItems())
+	out := [][]float64{row}
+	dense := func(k, n int) []core.Recommendation {
+		clear(row)
+		cl.Utilities(users[k:k+1], sims[k:k+1], out)
+		return core.TopN(row, n, math.Inf(-1))
+	}
+	for _, n := range []int{10, 50, 100} {
+		b.Run(fmt.Sprintf("n=%d/exact", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				k := i % len(users)
+				if list, ok := cl.TopN(sims[k], n); ok {
+					core.TopHeap(list).Sort()
+				} else {
+					dense(k, n)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("n=%d/dense", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				dense(i%len(users), n)
+			}
+		})
 	}
 }
 

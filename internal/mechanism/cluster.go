@@ -7,7 +7,6 @@ import (
 	"socialrec/internal/community"
 	"socialrec/internal/dp"
 	"socialrec/internal/graph"
-	"socialrec/internal/similarity"
 	"socialrec/internal/telemetry"
 	"socialrec/internal/trace"
 )
@@ -26,10 +25,7 @@ import (
 // utility estimates via Eq. 4 and ranking items — is post-processing on the
 // sanitized averages.
 type Cluster struct {
-	clusters *community.Clustering
-	numItems int
-	// avg[c*numItems + i] = ŵ_c^i, the sanitized per-cluster averages.
-	avg []float64
+	table
 }
 
 // NewCluster runs module A_w of Algorithm 1: it computes the noisy
@@ -57,11 +53,7 @@ func NewClusterCtx(ctx context.Context, clusters *community.Clustering, prefs *g
 	}
 	nc := clusters.NumClusters()
 	ni := prefs.NumItems()
-	c := &Cluster{
-		clusters: clusters,
-		numItems: ni,
-		avg:      make([]float64, nc*ni),
-	}
+	c := &Cluster{newTable(clusters, ni, make([]float64, nc*ni))}
 	// Accumulate raw per-cluster edge counts item-major: one pass over the
 	// preference edges (lines 2–6 of Algorithm 1).
 	for u := 0; u < prefs.NumUsers(); u++ {
@@ -126,61 +118,8 @@ func NewClusterFromRelease(clusters *community.Clustering, numItems int, avg []f
 	if want := clusters.NumClusters() * numItems; len(avg) != want {
 		return nil, fmt.Errorf("mechanism: %d averages, want %d", len(avg), want)
 	}
-	c := &Cluster{
-		clusters: clusters,
-		numItems: numItems,
-		avg:      make([]float64, len(avg)),
-	}
-	copy(c.avg, avg)
-	return c, nil
+	return &Cluster{newTable(clusters, numItems, append([]float64(nil), avg...))}, nil
 }
 
 // NumClusters reports the number of clusters backing the release.
 func (c *Cluster) NumClusters() int { return c.clusters.NumClusters() }
-
-// Average returns the released noisy average ŵ_c^i.
-func (c *Cluster) Average(cluster, item int) float64 {
-	return c.avg[cluster*c.numItems+item]
-}
-
-// Utilities reconstructs utility estimates via Eq. 4:
-//
-//	μ̂_u^i = Σ_{c ∈ Φ} ( Σ_{v ∈ sim(u) ∩ c} sim(u,v) ) · ŵ_c^i
-//
-// For each user it first folds the similarity vector into per-cluster
-// similarity mass, then takes a dense linear combination of the sanitized
-// per-cluster average rows (lines 8–17 of Algorithm 1).
-func (c *Cluster) Utilities(users []int32, sims []similarity.Scores, out [][]float64) {
-	mass := make([]float64, c.clusters.NumClusters())
-	touched := make([]int32, 0, len(mass))
-	for k := range users {
-		s := sims[k]
-		for j, v := range s.Users {
-			cl := int32(c.clusters.Cluster(int(v)))
-			if mass[cl] == 0 {
-				touched = append(touched, cl)
-			}
-			mass[cl] += s.Vals[j]
-		}
-		row := out[k]
-		for _, cl := range touched {
-			m := mass[cl]
-			mass[cl] = 0
-			base := int(cl) * c.numItems
-			axpy(m, c.avg[base:base+c.numItems], row)
-		}
-		touched = touched[:0]
-	}
-}
-
-// axpy computes y += a*x over equal-length slices. The bounds hint lets the
-// compiler eliminate per-element checks in this hot loop.
-func axpy(a float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic("mechanism: axpy length mismatch")
-	}
-	y = y[:len(x)]
-	for i := range x {
-		y[i] += a * x[i]
-	}
-}

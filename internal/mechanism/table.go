@@ -1,0 +1,296 @@
+package mechanism
+
+import (
+	"math"
+	"sync"
+	"sync/atomic"
+
+	"socialrec/internal/community"
+	"socialrec/internal/core"
+	"socialrec/internal/similarity"
+	"socialrec/internal/telemetry"
+)
+
+// The exact top-n scan reads each touched cluster's sorted prefix one rank
+// at a time, and the depth it needs grows with n: over 400 users of the
+// LastFM-like and Flixster-like presets (seed 1, CN, ε=1) the depth p50/p99
+// was 19/37 and 15/22 at n=10, and 99/226 and 62/77 at n=48, about 2–5×n.
+// A 256-id prefix (1 KiB per cluster) settled all but 3 of those 800
+// queries at n=48. Past that the scan stops paying for itself: at n=56 its
+// p90 on the LastFM-like preset exceeded the dense pass (498 vs 401 µs),
+// and at n=64 11% of queries ran out of prefix and paid for both. So the
+// scan is tried only for n ≤ maxExactN; larger n take the dense path.
+const (
+	prefixLen = 256
+	maxExactN = 48
+)
+
+// table is a released per-(cluster, item) averages table and everything
+// served from it: Eq. 4's dense reconstruction (Utilities), the exact top-n
+// selection (TopN) and the sorted prefixes TopN scans. Cluster and
+// WeightedCluster differ only in how they release the averages.
+type table struct {
+	clusters *community.Clustering
+	numItems int
+	// avg[c*numItems + i] = ŵ_c^i, the sanitized per-cluster averages.
+	avg []float64
+	// prefix[c] indexes cluster c's row; it is built on the first TopN
+	// that touches c, so engines and clusters no query reaches never pay
+	// for the sort.
+	prefix []sortedPrefix
+}
+
+// newTable wraps avg, a cluster-major numItems-column averages table, in
+// place.
+func newTable(clusters *community.Clustering, numItems int, avg []float64) table {
+	t := table{clusters: clusters, numItems: numItems, avg: avg,
+		prefix: make([]sortedPrefix, clusters.NumClusters())}
+	for c := range t.prefix {
+		t.prefix[c].row = avg[c*numItems : (c+1)*numItems]
+	}
+	return t
+}
+
+// sortedPrefix is one cluster's index: the ids of the row's prefixLen best
+// items in (average desc, id asc) order — the order TopN ranks by. It keeps
+// its row so that once.Do can take build as a method value: hotalloc
+// rejects a function literal on TopN's hot path.
+type sortedPrefix struct {
+	once sync.Once
+	row  []float64
+	ids  []int32
+}
+
+// build fills ids. A row holding a non-finite average gets an empty
+// prefix, so TopN declines every query that touches it.
+func (p *sortedPrefix) build() {
+	for _, x := range p.row {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return
+		}
+	}
+	best := core.TopN(p.row, prefixLen, math.Inf(-1))
+	p.ids = make([]int32, len(best))
+	for k, r := range best {
+		p.ids[k] = r.Item
+	}
+}
+
+// sortedIDs returns cluster cl's prefix, building it on first use.
+func (t *table) sortedIDs(cl int32) []int32 {
+	p := &t.prefix[cl]
+	p.once.Do(p.build)
+	return p.ids
+}
+
+// Average returns the released noisy average ŵ_c^i.
+func (t *table) Average(cluster, item int) float64 {
+	return t.avg[cluster*t.numItems+item]
+}
+
+// lane is one cluster a similarity vector touches: its similarity mass,
+// its averages row and, during a TopN scan, its sorted prefix.
+type lane struct {
+	m   float64
+	row []float64
+	ids []int32
+}
+
+// scanScratch is the pooled working set of Utilities and TopN: the
+// per-cluster mass accumulator (all zero between uses), the folded lanes,
+// the set of items a scan has scored and the scan's selection heap.
+type scanScratch struct {
+	mass    []float64
+	touched []int32
+	lanes   []lane
+	seen    []uint64
+	heap    core.TopHeap
+}
+
+var (
+	scanPool     = sync.Pool{New: func() any { scanPoolNews.Add(1); return new(scanScratch) }}
+	scanPoolGets atomic.Uint64
+	scanPoolNews atomic.Uint64
+)
+
+func init() {
+	telemetry.RegisterPoolStats("mechanism_scan", func() telemetry.PoolStats {
+		return telemetry.PoolStats{Gets: scanPoolGets.Load(), Misses: scanPoolNews.Load()}
+	})
+}
+
+//sociolint:hotpath
+func getScanScratch() *scanScratch {
+	scanPoolGets.Add(1)
+	return scanPool.Get().(*scanScratch)
+}
+
+// putScanScratch returns sc to the pool. Callers do not defer it: a call
+// that panics mid-fold leaves sc.mass dirty, and its scratch must be
+// dropped, not reused.
+//
+//sociolint:hotpath
+func putScanScratch(sc *scanScratch) {
+	// Drop the row and prefix references so a pooled scratch never pins
+	// another engine's release.
+	clear(sc.lanes)
+	scanPool.Put(sc)
+}
+
+// fold sums s's similarity values per cluster (the inner sum of Eq. 4) and
+// leaves one lane per touched cluster in sc.lanes, in first-touch order.
+// Utilities and TopN both start here, so both combine the same masses in
+// the same order.
+func (t *table) fold(sc *scanScratch, s similarity.Scores) {
+	if nc := t.clusters.NumClusters(); len(sc.mass) < nc {
+		sc.mass = make([]float64, nc)
+	}
+	mass := sc.mass
+	touched := sc.touched[:0]
+	for j, v := range s.Users {
+		cl := int32(t.clusters.Cluster(int(v)))
+		if mass[cl] == 0 {
+			touched = append(touched, cl)
+		}
+		mass[cl] += s.Vals[j]
+	}
+	lanes := sc.lanes[:0]
+	for _, cl := range touched {
+		base := int(cl) * t.numItems
+		lanes = append(lanes, lane{m: mass[cl], row: t.avg[base : base+t.numItems]})
+		mass[cl] = 0
+	}
+	sc.touched, sc.lanes = touched, lanes
+}
+
+// Utilities reconstructs utility estimates via Eq. 4:
+//
+//	μ̂_u^i = Σ_{c ∈ Φ} ( Σ_{v ∈ sim(u) ∩ c} sim(u,v) ) · ŵ_c^i
+//
+// For each user it first folds the similarity vector into per-cluster
+// similarity mass, then takes a dense linear combination of the sanitized
+// per-cluster average rows (lines 8–17 of Algorithm 1). Eq. 4 is agnostic
+// to how the averages were formed, so weighted releases reconstruct the
+// same way.
+func (t *table) Utilities(users []int32, sims []similarity.Scores, out [][]float64) {
+	sc := getScanScratch()
+	for k := range users {
+		t.fold(sc, sims[k])
+		for _, l := range sc.lanes {
+			axpy(l.m, l.row, out[k])
+		}
+	}
+	putScanScratch(sc)
+}
+
+// axpy computes y += a*x over equal-length slices. The bounds hint lets the
+// compiler eliminate per-element checks in this hot loop.
+func axpy(a float64, x, y []float64) {
+	if len(x) != len(y) {
+		panic("mechanism: axpy length mismatch")
+	}
+	y = y[:len(x)]
+	for i := range x {
+		y[i] += a * x[i]
+	}
+}
+
+// TopN implements core.TopNEstimator with Fagin, Lotem and Naor's
+// threshold algorithm. A user's estimate is a combination, with positive
+// weights, of the touched clusters' rows, so reading every touched row's
+// sorted prefix one rank at a time bounds every item not yet read by the
+// threshold Σ_c m_c·(row_c at the current rank). Each item read is scored
+// exactly; the scan stops once the n-th best score is strictly above the
+// threshold. Four rules make the list bit-identical to Utilities + TopN:
+//
+//   - scores and the threshold are summed in Utilities' lane order, in the
+//     same acc += m*x form as axpy, and rounding is monotone, so the
+//     threshold is a true bound even in floating point (a target that
+//     fuses the multiply-add fuses both alike);
+//   - ties break toward the lower id (core.TopHeap's rule);
+//   - the stop test is strict, because an unread item equal to the
+//     threshold could still win a tie;
+//   - an empty similarity set yields ids 0..n-1 at utility 0.
+//
+// It declines (ok=false) when n is outside [1, maxExactN] or n ≥ |I|, when
+// a fold mass is not finite and positive, when a score is NaN, and when a
+// prefix runs out before the stop test passes.
+//
+//sociolint:hotpath
+func (t *table) TopN(sim similarity.Scores, n int) ([]core.Recommendation, bool) {
+	if n < 1 || n > maxExactN || n >= t.numItems {
+		return nil, false
+	}
+	sc := getScanScratch()
+	t.fold(sc, sim)
+	var list []core.Recommendation
+	ok := t.scan(sc, n)
+	if ok {
+		list = make([]core.Recommendation, len(sc.heap))
+		copy(list, sc.heap)
+	}
+	putScanScratch(sc)
+	return list, ok
+}
+
+// scan runs the threshold algorithm over sc.lanes, leaving the n best items
+// in sc.heap; false means it could not settle them.
+func (t *table) scan(sc *scanScratch, n int) bool {
+	sc.heap = sc.heap[:0]
+	if len(sc.lanes) == 0 {
+		// The dense row is all zero, and TopN keeps the lowest ids.
+		for i := 0; i < n; i++ {
+			sc.heap.Offer(core.Recommendation{Item: int32(i)}, n)
+		}
+		return true
+	}
+	depth := t.numItems
+	for k := range sc.lanes {
+		l := &sc.lanes[k]
+		if !(l.m > 0 && l.m <= math.MaxFloat64) {
+			return false
+		}
+		l.ids = t.sortedIDs(sc.touched[k])
+		depth = min(depth, len(l.ids))
+	}
+	if words := (t.numItems + 63) / 64; cap(sc.seen) < words {
+		sc.seen = make([]uint64, words)
+	} else {
+		sc.seen = sc.seen[:words]
+		clear(sc.seen)
+	}
+	seen := sc.seen
+	lanes := sc.lanes
+	for d := 0; d < depth; d++ {
+		// Every item not yet read sits at rank d or below in every lane.
+		if len(sc.heap) == n {
+			var thr float64
+			for _, o := range lanes {
+				thr += o.m * o.row[o.ids[d]]
+			}
+			if sc.heap[0].Utility > thr {
+				return true
+			}
+		}
+		for _, l := range lanes {
+			i := l.ids[d]
+			if seen[i>>6]&(1<<(i&63)) != 0 {
+				continue
+			}
+			seen[i>>6] |= 1 << (i & 63)
+			var s float64
+			for _, o := range lanes {
+				s += o.m * o.row[i]
+			}
+			if math.IsNaN(s) {
+				return false
+			}
+			// TopN drops -Inf utilities (its floor), so the scan does too.
+			if s > math.Inf(-1) {
+				sc.heap.Offer(core.Recommendation{Item: i, Utility: s}, n)
+			}
+		}
+	}
+	// A prefix that holds the whole row has scored every item.
+	return depth == t.numItems
+}

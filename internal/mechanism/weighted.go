@@ -52,9 +52,7 @@ func (e *WeightedExact) Utilities(users []int32, sims []similarity.Scores, out [
 // normalized weights (W_max = 1, see graph.WeightedPreference.Normalized)
 // the noise is identical to the unweighted framework's.
 type WeightedCluster struct {
-	clusters *community.Clustering
-	numItems int
-	avg      []float64
+	table
 }
 
 // NewWeightedCluster performs the private release over a weighted
@@ -79,11 +77,7 @@ func NewWeightedCluster(clusters *community.Clustering, prefs *graph.WeightedPre
 	}
 	nc := clusters.NumClusters()
 	ni := prefs.NumItems()
-	c := &WeightedCluster{
-		clusters: clusters,
-		numItems: ni,
-		avg:      make([]float64, nc*ni),
-	}
+	c := &WeightedCluster{newTable(clusters, ni, make([]float64, nc*ni))}
 	for u := 0; u < prefs.NumUsers(); u++ {
 		cu := clusters.Cluster(u)
 		base := cu * ni
@@ -117,34 +111,3 @@ func NewWeightedCluster(clusters *community.Clustering, prefs *graph.WeightedPre
 
 // Name returns "cluster-weighted".
 func (*WeightedCluster) Name() string { return "cluster-weighted" }
-
-// Average returns the released noisy average ŵ_c^i.
-func (c *WeightedCluster) Average(cluster, item int) float64 {
-	return c.avg[cluster*c.numItems+item]
-}
-
-// Utilities reconstructs utility estimates from the sanitized averages,
-// exactly as the unweighted Cluster does (Eq. 4 is agnostic to how the
-// averages were formed).
-func (c *WeightedCluster) Utilities(users []int32, sims []similarity.Scores, out [][]float64) {
-	mass := make([]float64, c.clusters.NumClusters())
-	touched := make([]int32, 0, len(mass))
-	for k := range users {
-		s := sims[k]
-		for j, v := range s.Users {
-			cl := int32(c.clusters.Cluster(int(v)))
-			if mass[cl] == 0 {
-				touched = append(touched, cl)
-			}
-			mass[cl] += s.Vals[j]
-		}
-		row := out[k]
-		for _, cl := range touched {
-			m := mass[cl]
-			mass[cl] = 0
-			base := int(cl) * c.numItems
-			axpy(m, c.avg[base:base+c.numItems], row)
-		}
-		touched = touched[:0]
-	}
-}

@@ -349,6 +349,9 @@ func (e *Engine) Recommend(user, n int) ([]Recommendation, error) {
 // carrying an active trace span (a served HTTP request) gets child spans
 // for the similarity/reconstruction/top-n phases; see internal/trace.
 func (e *Engine) RecommendContext(ctx context.Context, user, n int) ([]Recommendation, error) {
+	if err := e.checkUser(user); err != nil {
+		return nil, err
+	}
 	lists, err := e.rec.RecommendContext(ctx, []int32{int32(user)}, n)
 	if err != nil {
 		return nil, err
@@ -366,9 +369,22 @@ func (e *Engine) RecommendBatch(users []int, n int) ([][]Recommendation, error) 
 func (e *Engine) RecommendBatchContext(ctx context.Context, users []int, n int) ([][]Recommendation, error) {
 	us := make([]int32, len(users))
 	for i, u := range users {
+		if err := e.checkUser(u); err != nil {
+			return nil, err
+		}
 		us[i] = int32(u)
 	}
 	return e.rec.RecommendContext(ctx, us, n)
+}
+
+// checkUser rejects a user id outside the engine's population. It runs on
+// the int, before the id is narrowed to int32: narrowing first would wrap
+// 1<<32+u onto user u.
+func (e *Engine) checkUser(user int) error {
+	if user < 0 || user >= e.social.NumUsers() {
+		return fmt.Errorf("socialrec: user %d out of range [0, %d)", user, e.social.NumUsers())
+	}
+	return nil
 }
 
 // Epsilon reports the privacy budget the engine's release consumed.
@@ -390,11 +406,11 @@ func (e *Engine) NumClusters() int {
 }
 
 // ClusterOf reports which cluster a user belongs to (cluster ids are dense
-// in [0, NumClusters)), or -1 for an exact (non-clustered) engine. Cluster
-// membership is derived from the public social graph only and is safe to
-// expose.
+// in [0, NumClusters)), or -1 for an exact (non-clustered) engine or a user
+// outside the population. Cluster membership is derived from the public
+// social graph only and is safe to expose.
 func (e *Engine) ClusterOf(user int) int {
-	if e.clusters == nil {
+	if e.clusters == nil || user < 0 || user >= e.social.NumUsers() {
 		return -1
 	}
 	return e.clusters.Cluster(user)

@@ -268,3 +268,25 @@ func TestEngineDimensions(t *testing.T) {
 		t.Errorf("dims = (%d, %d), want (8, 6)", e.NumUsers(), e.NumItems())
 	}
 }
+
+// TestEngineRejectsOutOfRangeUsers: a user id outside the population is an
+// error on every recommend entry point, including ids that would wrap onto
+// a valid user if narrowed to int32 first, and ClusterOf answers -1 for it
+// instead of indexing out of range.
+func TestEngineRejectsOutOfRangeUsers(t *testing.T) {
+	e, err := NewEngine(buildSmall(), Config{Epsilon: 1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range []int{-1, 8, 1 << 31, 1 << 32, 1<<32 + 3, -1 << 32, math.MaxInt} {
+		if recs, err := e.Recommend(u, 2); err == nil {
+			t.Errorf("Recommend(%d) = %v, want an error", u, recs)
+		}
+		if lists, err := e.RecommendBatch([]int{0, u}, 2); err == nil {
+			t.Errorf("RecommendBatch([0 %d]) = %v, want an error", u, lists)
+		}
+		if c := e.ClusterOf(u); c != -1 {
+			t.Errorf("ClusterOf(%d) = %d, want -1", u, c)
+		}
+	}
+}
