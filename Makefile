@@ -48,6 +48,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzReadArtifacts$$' -fuzztime=10s ./internal/release
 	$(GO) test -run='^$$' -fuzz='^FuzzParseTraceparent$$' -fuzztime=10s ./internal/trace
 	$(GO) test -run='^$$' -fuzz='^FuzzClusterTopN$$' -fuzztime=10s ./internal/mechanism
+	$(GO) test -run='^$$' -fuzz='^FuzzLouvainSameSeed$$' -fuzztime=10s ./internal/community
 
 # chaos drives the hardened server benchmark under -race with mixed
 # error/panic/latency fault injection; it fails on any escaped panic,

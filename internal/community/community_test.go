@@ -395,3 +395,62 @@ func TestLouvainNeverWorseThanSingletonsProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// sameSeedRepeats runs Louvain on g with seed `repeats` more times and
+// reports the first run whose assignment differs from the first, or -1.
+func sameSeedRepeats(g *graph.Social, seed int64, repeats int) int {
+	want := Louvain(g, Options{Seed: seed}).Assignment()
+	for r := 1; r <= repeats; r++ {
+		if !slices.Equal(Louvain(g, Options{Seed: seed}).Assignment(), want) {
+			return r
+		}
+	}
+	return -1
+}
+
+// randomSocial draws a graph on n nodes from m uniformly random node pairs
+// (self-pairs and repeats are dropped by the builder).
+func randomSocial(rng *rand.Rand, n, m int) *graph.Social {
+	b := graph.NewSocialBuilder(n)
+	for k := 0; k < m; k++ {
+		_ = b.AddEdge(rng.Intn(n), rng.Intn(n))
+	}
+	return b.Build()
+}
+
+// TestBestOfSameSeedRepeatsAgree pins the contract the byte-identical
+// release checks rest on: one seed gives one clustering. On small graphs
+// equal modularity gains are common, so any run-to-run freedom in the
+// coarse graph's neighbour order (a map walk, say) shows up as a different
+// tie-break and a different assignment.
+func TestBestOfSameSeedRepeatsAgree(t *testing.T) {
+	for gi := 0; gi < 300; gi++ {
+		rng := rand.New(rand.NewSource(int64(gi)))
+		n := 8 + rng.Intn(40)
+		g := randomSocial(rng, n, n+rng.Intn(3*n))
+		want, _ := BestOf(g, 10, 1, Options{})
+		for r := 0; r < 10; r++ {
+			if got, _ := BestOf(g, 10, 1, Options{}); !slices.Equal(got.Assignment(), want.Assignment()) {
+				t.Fatalf("graph %d (%d nodes): repeat %d of BestOf(g, 10, 1) gave %v, first run %v",
+					gi, n, r+1, got.Assignment(), want.Assignment())
+			}
+		}
+	}
+}
+
+// FuzzLouvainSameSeed runs Louvain repeatedly on fuzzer-chosen graphs and
+// seeds and requires every repeat to reproduce the first assignment.
+func FuzzLouvainSameSeed(f *testing.F) {
+	f.Add(uint8(12), int64(1), []byte{0, 1, 1, 2, 2, 0, 3, 4, 4, 5, 5, 3, 2, 3})
+	f.Add(uint8(40), int64(7), []byte{9, 3, 17, 22, 5, 5, 30, 1, 8, 13, 21, 34, 2, 39, 11, 12})
+	f.Fuzz(func(t *testing.T, nodes uint8, seed int64, edges []byte) {
+		n := 2 + int(nodes)%62
+		b := graph.NewSocialBuilder(n)
+		for k := 0; k+1 < len(edges); k += 2 {
+			_ = b.AddEdge(int(edges[k])%n, int(edges[k+1])%n)
+		}
+		if r := sameSeedRepeats(b.Build(), seed, 8); r >= 0 {
+			t.Fatalf("repeat %d with seed %d gave a different assignment", r, seed)
+		}
+	})
+}

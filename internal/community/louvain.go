@@ -3,6 +3,7 @@ package community
 import (
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -278,32 +279,66 @@ func compact(assign []int32) int {
 
 // aggregate contracts each community of g into a super-node. Inter-community
 // edge weights are summed; intra-community weight (including existing
-// self-loops) becomes the super-node's self-loop.
+// self-loops) becomes the super-node's self-loop. Every super-node lists
+// its neighbours in ascending id order, so the coarse graph, and with it
+// localMove's first-of-equal-gains tie-break, depends only on g and assign.
 func aggregate(g *wgraph, assign []int32, comms int) *wgraph {
-	type key struct{ a, b int32 }
-	edges := make(map[key]float64)
+	// Bucket the nodes by community, each bucket in id order.
+	start := make([]int32, comms+1)
+	for _, c := range assign {
+		start[c+1]++
+	}
+	for c := 0; c < comms; c++ {
+		start[c+1] += start[c]
+	}
+	members := make([]int32, g.n)
+	next := make([]int32, comms)
+	copy(next, start[:comms])
+	for u, c := range assign {
+		members[next[c]] = int32(u)
+		next[c]++
+	}
+
+	// Sum each community's weight to every higher-numbered community into a
+	// dense scratch, node by node in id order, and record the pairs in
+	// (lower, higher) order.
+	type pair struct {
+		a, b int32
+		w    float64
+	}
+	var pairs []pair
+	var touched []int32
 	self := make([]float64, comms)
-	for u := int32(0); int(u) < g.n; u++ {
-		cu := assign[u]
-		self[cu] += g.self[u]
-		for e := g.off[u]; e < g.off[u+1]; e++ {
-			v := g.to[e]
-			cv := assign[v]
-			switch {
-			case cu == cv:
-				if u < v {
-					self[cu] += g.w[e]
+	deg := make([]int32, comms)
+	acc := make([]float64, comms)
+	for a := int32(0); int(a) < comms; a++ {
+		touched = touched[:0]
+		for _, u := range members[start[a]:start[a+1]] {
+			self[a] += g.self[u]
+			for e := g.off[u]; e < g.off[u+1]; e++ {
+				v := g.to[e]
+				switch b := assign[v]; {
+				case b == a:
+					if u < v {
+						self[a] += g.w[e]
+					}
+				case b > a:
+					if acc[b] == 0 {
+						touched = append(touched, b)
+					}
+					acc[b] += g.w[e]
 				}
-			case cu < cv:
-				edges[key{cu, cv}] += g.w[e]
 			}
 		}
+		slices.Sort(touched)
+		for _, b := range touched {
+			pairs = append(pairs, pair{a, b, acc[b]})
+			acc[b] = 0
+			deg[a]++
+			deg[b]++
+		}
 	}
-	deg := make([]int32, comms)
-	for k := range edges {
-		deg[k.a]++
-		deg[k.b]++
-	}
+
 	out := &wgraph{
 		n:    comms,
 		off:  make([]int32, comms+1),
@@ -315,15 +350,16 @@ func aggregate(g *wgraph, assign []int32, comms int) *wgraph {
 	}
 	out.to = make([]int32, out.off[comms])
 	out.w = make([]float64, out.off[comms])
-	next := make([]int32, comms)
 	copy(next, out.off[:comms])
-	for k, w := range edges {
-		out.to[next[k.a]] = k.b
-		out.w[next[k.a]] = w
-		next[k.a]++
-		out.to[next[k.b]] = k.a
-		out.w[next[k.b]] = w
-		next[k.b]++
+	// Pairs come in (lower, higher) order, so each row fills with its lower
+	// neighbours ascending, then its higher ones ascending.
+	for _, p := range pairs {
+		out.to[next[p.a]] = p.b
+		out.w[next[p.a]] = p.w
+		next[p.a]++
+		out.to[next[p.b]] = p.a
+		out.w[next[p.b]] = p.w
+		next[p.b]++
 	}
 	for c := 0; c < comms; c++ {
 		out.wdeg[c] = 2 * out.self[c]

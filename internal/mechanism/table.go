@@ -14,12 +14,16 @@ import (
 // The exact top-n scan reads each touched cluster's sorted prefix one rank
 // at a time, and the depth it needs grows with n: over 400 users of the
 // LastFM-like and Flixster-like presets (seed 1, CN, ε=1) the depth p50/p99
-// was 19/37 and 15/22 at n=10, and 99/226 and 62/77 at n=48, about 2–5×n.
-// A 256-id prefix (1 KiB per cluster) settled all but 3 of those 800
-// queries at n=48. Past that the scan stops paying for itself: at n=56 its
-// p90 on the LastFM-like preset exceeded the dense pass (498 vs 401 µs),
-// and at n=64 11% of queries ran out of prefix and paid for both. So the
-// scan is tried only for n ≤ maxExactN; larger n take the dense path.
+// was 18/36 and 16/23 at n=10, and 102/224 and 63/76 at n=48, about 2–5×n.
+// A 256-id prefix settled all but 2 of those 800 queries at n=48. Scoring
+// from the prefixes' item-major columns, the scan's p90 on the LastFM-like
+// preset stays below the dense pass's through n=64 (351 vs 376 µs, 10% of
+// queries running out of prefix and paying for both) and exceeds it at
+// n=80 (560 vs 380 µs, 38% running out); on the Flixster-like preset no
+// query runs out through n=128 and the scan stays ahead. The cutoff is
+// still the one set when the scan read the cluster-major rows and crossed
+// the dense pass at n=56 (p90 498 vs 401 µs): the scan is tried only for
+// n ≤ maxExactN, and larger n take the dense path.
 const (
 	prefixLen = 256
 	maxExactN = 48
@@ -46,23 +50,30 @@ func newTable(clusters *community.Clustering, numItems int, avg []float64) table
 	t := table{clusters: clusters, numItems: numItems, avg: avg,
 		prefix: make([]sortedPrefix, clusters.NumClusters())}
 	for c := range t.prefix {
+		t.prefix[c].avg = avg
 		t.prefix[c].row = avg[c*numItems : (c+1)*numItems]
 	}
 	return t
 }
 
 // sortedPrefix is one cluster's index: the ids of the row's prefixLen best
-// items in (average desc, id asc) order — the order TopN ranks by. It keeps
-// its row so that once.Do can take build as a method value: hotalloc
-// rejects a function literal on TopN's hot path.
+// items in (average desc, id asc) order — the order TopN ranks by — and
+// those items' columns, item-major: cols[d*nc + c] is cluster c's average
+// for ids[d]. The columns are bit copies of the table, so TopN scores a
+// candidate from one contiguous run of nc averages instead of one average
+// from each touched row. It keeps the table and its own row so that
+// once.Do can take build as a method value: hotalloc rejects a function
+// literal on TopN's hot path.
 type sortedPrefix struct {
 	once sync.Once
+	avg  []float64
 	row  []float64
 	ids  []int32
+	cols []float64
 }
 
-// build fills ids. A row holding a non-finite average gets an empty
-// prefix, so TopN declines every query that touches it.
+// build fills ids and cols. A row holding a non-finite average gets an
+// empty prefix, so TopN declines every query that touches it.
 func (p *sortedPrefix) build() {
 	for _, x := range p.row {
 		if math.IsNaN(x) || math.IsInf(x, 0) {
@@ -74,13 +85,24 @@ func (p *sortedPrefix) build() {
 	for k, r := range best {
 		p.ids[k] = r.Item
 	}
+	// Gather one row at a time: each pass reads a single row at the
+	// prefix's ids, where item by item would stride across every row.
+	ni := len(p.row)
+	nc := len(p.avg) / ni
+	p.cols = make([]float64, len(p.ids)*nc)
+	for c := 0; c < nc; c++ {
+		row := p.avg[c*ni : (c+1)*ni]
+		for d, i := range p.ids {
+			p.cols[d*nc+c] = row[i]
+		}
+	}
 }
 
-// sortedIDs returns cluster cl's prefix, building it on first use.
-func (t *table) sortedIDs(cl int32) []int32 {
+// sortedPrefix returns cluster cl's prefix, building it on first use.
+func (t *table) sortedPrefix(cl int32) *sortedPrefix {
 	p := &t.prefix[cl]
 	p.once.Do(p.build)
-	return p.ids
+	return p
 }
 
 // Average returns the released noisy average ŵ_c^i.
@@ -88,21 +110,15 @@ func (t *table) Average(cluster, item int) float64 {
 	return t.avg[cluster*t.numItems+item]
 }
 
-// lane is one cluster a similarity vector touches: its similarity mass,
-// its averages row and, during a TopN scan, its sorted prefix.
-type lane struct {
-	m   float64
-	row []float64
-	ids []int32
-}
-
 // scanScratch is the pooled working set of Utilities and TopN: the
-// per-cluster mass accumulator (all zero between uses), the folded lanes,
+// per-cluster mass accumulator (all zero between uses), the fold's touched
+// clusters and their masses, a scan's prefixes (prefix[k] is touched[k]'s),
 // the set of items a scan has scored and the scan's selection heap.
 type scanScratch struct {
 	mass    []float64
 	touched []int32
-	lanes   []lane
+	masses  []float64
+	prefix  []*sortedPrefix
 	seen    []uint64
 	heap    core.TopHeap
 }
@@ -131,16 +147,16 @@ func getScanScratch() *scanScratch {
 //
 //sociolint:hotpath
 func putScanScratch(sc *scanScratch) {
-	// Drop the row and prefix references so a pooled scratch never pins
-	// another engine's release.
-	clear(sc.lanes)
+	// Drop the prefix references, stale ones past len included, so a
+	// pooled scratch never pins another engine's release.
+	clear(sc.prefix[:cap(sc.prefix)])
 	scanPool.Put(sc)
 }
 
 // fold sums s's similarity values per cluster (the inner sum of Eq. 4) and
-// leaves one lane per touched cluster in sc.lanes, in first-touch order.
-// Utilities and TopN both start here, so both combine the same masses in
-// the same order.
+// leaves the touched clusters in sc.touched, in first-touch order, with
+// their masses in sc.masses. Utilities and TopN both start here, so both
+// combine the same masses in the same order.
 func (t *table) fold(sc *scanScratch, s similarity.Scores) {
 	if nc := t.clusters.NumClusters(); len(sc.mass) < nc {
 		sc.mass = make([]float64, nc)
@@ -154,13 +170,12 @@ func (t *table) fold(sc *scanScratch, s similarity.Scores) {
 		}
 		mass[cl] += s.Vals[j]
 	}
-	lanes := sc.lanes[:0]
+	masses := sc.masses[:0]
 	for _, cl := range touched {
-		base := int(cl) * t.numItems
-		lanes = append(lanes, lane{m: mass[cl], row: t.avg[base : base+t.numItems]})
+		masses = append(masses, mass[cl])
 		mass[cl] = 0
 	}
-	sc.touched, sc.lanes = touched, lanes
+	sc.touched, sc.masses = touched, masses
 }
 
 // Utilities reconstructs utility estimates via Eq. 4:
@@ -176,8 +191,9 @@ func (t *table) Utilities(users []int32, sims []similarity.Scores, out [][]float
 	sc := getScanScratch()
 	for k := range users {
 		t.fold(sc, sims[k])
-		for _, l := range sc.lanes {
-			axpy(l.m, l.row, out[k])
+		for j, cl := range sc.touched {
+			base := int(cl) * t.numItems
+			axpy(sc.masses[j], t.avg[base:base+t.numItems], out[k])
 		}
 	}
 	putScanScratch(sc)
@@ -203,10 +219,11 @@ func axpy(a float64, x, y []float64) {
 // exactly; the scan stops once the n-th best score is strictly above the
 // threshold. Four rules make the list bit-identical to Utilities + TopN:
 //
-//   - scores and the threshold are summed in Utilities' lane order, in the
-//     same acc += m*x form as axpy, and rounding is monotone, so the
-//     threshold is a true bound even in floating point (a target that
-//     fuses the multiply-add fuses both alike);
+//   - scores and the threshold are summed in Utilities' cluster order (the
+//     fold's first-touch order), in the same acc += m*x form as axpy, and
+//     rounding is monotone, so the threshold is a true bound even in
+//     floating point (a target that fuses the multiply-add fuses both
+//     alike);
 //   - ties break toward the lower id (core.TopHeap's rule);
 //   - the stop test is strict, because an unread item equal to the
 //     threshold could still win a tie;
@@ -233,26 +250,36 @@ func (t *table) TopN(sim similarity.Scores, n int) ([]core.Recommendation, bool)
 	return list, ok
 }
 
-// scan runs the threshold algorithm over sc.lanes, leaving the n best items
-// in sc.heap; false means it could not settle them.
+// scan runs the threshold algorithm over the folded clusters (its lanes),
+// leaving the n best items in sc.heap; false means it could not settle
+// them. Every lane's prefix is read in rank order: a candidate met at rank
+// d of a lane is scored from that lane's column d, and the threshold takes
+// each lane's term from its own column d, so no step reads a row of the
+// table itself.
 func (t *table) scan(sc *scanScratch, n int) bool {
 	sc.heap = sc.heap[:0]
-	if len(sc.lanes) == 0 {
+	if len(sc.touched) == 0 {
 		// The dense row is all zero, and TopN keeps the lowest ids.
 		for i := 0; i < n; i++ {
 			sc.heap.Offer(core.Recommendation{Item: int32(i)}, n)
 		}
 		return true
 	}
-	depth := t.numItems
-	for k := range sc.lanes {
-		l := &sc.lanes[k]
-		if !(l.m > 0 && l.m <= math.MaxFloat64) {
+	masses := sc.masses
+	touched := sc.touched[:len(masses)]
+	for _, m := range masses {
+		if !(m > 0 && m <= math.MaxFloat64) {
 			return false
 		}
-		l.ids = t.sortedIDs(sc.touched[k])
-		depth = min(depth, len(l.ids))
 	}
+	depth := t.numItems
+	prefix := sc.prefix[:0]
+	for _, cl := range touched {
+		p := t.sortedPrefix(cl)
+		prefix = append(prefix, p)
+		depth = min(depth, len(p.ids))
+	}
+	sc.prefix = prefix
 	if words := (t.numItems + 63) / 64; cap(sc.seen) < words {
 		sc.seen = make([]uint64, words)
 	} else {
@@ -260,27 +287,29 @@ func (t *table) scan(sc *scanScratch, n int) bool {
 		clear(sc.seen)
 	}
 	seen := sc.seen
-	lanes := sc.lanes
+	nc := len(t.prefix)
 	for d := 0; d < depth; d++ {
+		at := d * nc
 		// Every item not yet read sits at rank d or below in every lane.
 		if len(sc.heap) == n {
 			var thr float64
-			for _, o := range lanes {
-				thr += o.m * o.row[o.ids[d]]
+			for k, p := range prefix {
+				thr += masses[k] * p.cols[at+int(touched[k])]
 			}
 			if sc.heap[0].Utility > thr {
 				return true
 			}
 		}
-		for _, l := range lanes {
-			i := l.ids[d]
+		for _, p := range prefix {
+			i := p.ids[d]
 			if seen[i>>6]&(1<<(i&63)) != 0 {
 				continue
 			}
 			seen[i>>6] |= 1 << (i & 63)
+			col := p.cols[at : at+nc]
 			var s float64
-			for _, o := range lanes {
-				s += o.m * o.row[i]
+			for k, m := range masses {
+				s += m * col[touched[k]]
 			}
 			if math.IsNaN(s) {
 				return false

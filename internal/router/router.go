@@ -468,6 +468,12 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		rt.writeJSON(ctx, w, http.StatusBadRequest, map[string]string{"error": "users must be non-empty"})
 		return
 	}
+	if req.N < 0 {
+		// Every shard would refuse it, and refusals count as shard
+		// failures: the client would see 502, not its own mistake.
+		rt.writeJSON(ctx, w, http.StatusBadRequest, map[string]string{"error": "bad n parameter"})
+		return
+	}
 	if len(req.Users) > rt.cfg.MaxBatch {
 		rt.writeJSON(ctx, w, http.StatusBadRequest,
 			map[string]string{"error": fmt.Sprintf("batch too large (max %d)", rt.cfg.MaxBatch)})

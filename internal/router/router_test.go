@@ -370,6 +370,17 @@ func TestRouterBatchRejectsBadRequests(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("oversized batch status = %d, want 400", resp.StatusCode)
 	}
+	// Scattered, a negative n would come back as one 400 per shard, each
+	// counted as a shard failure, and the client would get 502.
+	resp, _ = postBatch(t, tr.srv.URL, []string{"u0", "u1"}, -3)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("negative n batch status = %d, want 400", resp.StatusCode)
+	}
+	for s, c := range tr.rt.m.attempts {
+		if got := c.Value(); got != 0 {
+			t.Errorf("shard %d saw %d attempts for bad batches, want 0", s, got)
+		}
+	}
 }
 
 // flakyHandler fails the first fails requests with 500, then answers 200.

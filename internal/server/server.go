@@ -487,7 +487,9 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(ctx, w, status, rr)
 }
 
-// batchRequest is the POST /recommend/batch payload.
+// batchRequest is the POST /recommend/batch payload. N is the list length
+// for every user; zero (or omitted) means the default of 10, as an omitted
+// GET n does, and a negative N is rejected.
 type batchRequest struct {
 	Users []string `json:"users"`
 	N     int      `json:"n"`
@@ -504,6 +506,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	if len(req.Users) == 0 {
 		s.writeError(ctx, w, http.StatusBadRequest, "users must be non-empty")
+		return
+	}
+	if req.N < 0 {
+		s.writeError(ctx, w, http.StatusBadRequest, "bad n parameter")
 		return
 	}
 	const maxBatch = 1000

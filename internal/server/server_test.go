@@ -220,7 +220,7 @@ func TestBatch(t *testing.T) {
 
 func TestBatchValidation(t *testing.T) {
 	ts := newTestServer(t)
-	for _, payload := range []string{`not json`, `{"users": []}`} {
+	for _, payload := range []string{`not json`, `{"users": []}`, `{"users": ["alice"], "n": -3}`} {
 		resp, err := http.Post(ts.URL+"/recommend/batch", "application/json", strings.NewReader(payload))
 		if err != nil {
 			t.Fatal(err)
@@ -228,6 +228,31 @@ func TestBatchValidation(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("payload %q: status = %d, want 400", payload, resp.StatusCode)
+		}
+	}
+}
+
+// TestBatchDefaultN: a zero or omitted batch n serves the default list
+// (10, capped at MaxN), as an omitted GET n does.
+func TestBatchDefaultN(t *testing.T) {
+	ts := newTestServer(t)
+	post := func(payload string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/recommend/batch", "application/json", strings.NewReader(payload))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(body)
+	}
+	_, want := post(`{"users": ["alice"], "n": 4}`)
+	for _, payload := range []string{`{"users": ["alice"], "n": 0}`, `{"users": ["alice"]}`} {
+		if status, body := post(payload); status != http.StatusOK || body != want {
+			t.Errorf("%s: status %d, body %s; want 200 and the n = MaxN body %s", payload, status, body, want)
 		}
 	}
 }

@@ -10,10 +10,10 @@
 # path (scripts/wal_chaos.sh), the router chaos smoke for the sharded
 # serving tier (scripts/router_chaos.sh), a build and smoke test of the
 # paper-scale benchmark module (perfbench/), and a short fuzz smoke over the
-# dataset parsers, every release decoder, the traceparent parser and the
-# exact top-N scan. Every step must pass; the first failure aborts with a non-zero
-# exit. `make ci` is the one-command entry point, locally and in any future
-# pipeline.
+# dataset parsers, every release decoder, the traceparent parser, the
+# exact top-N scan and same-seed Louvain repeats. Every step must pass; the
+# first failure aborts with a non-zero exit. `make ci` is the one-command
+# entry point, locally and in any future pipeline.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
