@@ -41,6 +41,10 @@ lint:
 lint-fix-check:
 	$(GO) run ./cmd/sociolint -baseline .sociolint-baseline.json -check-stale ./...
 
+# fuzz-smoke runs each fuzz target for 10s. FuzzReadIntent and
+# FuzzStoreLoad cap input minimization at 1s: at the default 60s cap,
+# minimizing one new input can outlast the whole run and leave the fuzzer
+# idle.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzReadSocialTSV$$' -fuzztime=10s ./internal/dataset
 	$(GO) test -run='^$$' -fuzz='^FuzzReadPreferenceTSV$$' -fuzztime=10s ./internal/dataset
@@ -49,6 +53,9 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzParseTraceparent$$' -fuzztime=10s ./internal/trace
 	$(GO) test -run='^$$' -fuzz='^FuzzClusterTopN$$' -fuzztime=10s ./internal/mechanism
 	$(GO) test -run='^$$' -fuzz='^FuzzLouvainSameSeed$$' -fuzztime=10s ./internal/community
+	$(GO) test -run='^$$' -fuzz='^FuzzScanSegment$$' -fuzztime=10s ./internal/wal
+	$(GO) test -run='^$$' -fuzz='^FuzzReadIntent$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/dynamic
+	$(GO) test -run='^$$' -fuzz='^FuzzStoreLoad$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/pipeline
 
 # chaos drives the hardened server benchmark under -race with mixed
 # error/panic/latency fault injection; it fails on any escaped panic,

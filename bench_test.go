@@ -11,6 +11,7 @@
 package socialrec_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -470,7 +471,7 @@ func BenchmarkExtensionWeighted(b *testing.B) {
 		b.Run("weighted-release/eps="+epsName(eps), func(b *testing.B) {
 			var v float64
 			for i := 0; i < b.N; i++ {
-				est, err := mechanism.NewWeightedCluster(clusters, rated, 5, eps, dp.SourceFor(eps, benchSeed+int64(i)))
+				est, err := mechanism.NewWeightedCluster(context.Background(), clusters, rated, 5, eps, dp.SourceFor(eps, benchSeed+int64(i)))
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -32,6 +32,7 @@ import (
 	"socialrec/internal/dataset"
 	"socialrec/internal/dp"
 	"socialrec/internal/experiment"
+	"socialrec/internal/mechanism"
 	"socialrec/internal/metrics"
 	"socialrec/internal/pipeline"
 	"socialrec/internal/release"
@@ -120,17 +121,12 @@ func main() {
 	listSpan.End()
 
 	var ndcg, prec, rec, jac float64
+	eq1 := mechanism.NewExact(ds.Prefs)
 	truth := make([]float64, ds.Prefs.NumItems())
+	truths := [][]float64{truth}
 	for k := range users {
-		for i := range truth {
-			truth[i] = 0
-		}
-		s := sims[k]
-		for j, v := range s.Users {
-			for _, item := range ds.Prefs.Items(int(v)) {
-				truth[item] += s.Vals[j]
-			}
-		}
+		clear(truth)
+		eq1.Utilities(evalUsers[k:k+1], sims[k:k+1], truths)
 		ndcg += metrics.NDCGAtN(privLists[k], truth, *n)
 		p, r := metrics.PrecisionRecallAtN(privLists[k], truth, *n)
 		prec += p

@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 
+	"socialrec/internal/core"
 	"socialrec/internal/dp"
 	"socialrec/internal/metrics"
 )
@@ -60,68 +61,38 @@ func (r *Runner) DecomposeError(eps dp.Epsilon, seed int64, n int) (*ErrorDecomp
 		TopSignal:   make([]float64, len(r.EvalUsers)),
 	}
 	epsF := float64(eps)
+	// mass[c] accumulates S_c(u); touched lists the clusters in first-touch
+	// order, so every call sums the same terms in the same order.
+	mass := make([]float64, r.Clusters.NumClusters())
+	var touched []int
 	for k := range r.EvalUsers {
-		// Fold the similarity vector into per-cluster mass S_c(u).
-		mass := make(map[int]float64)
 		s := r.evalSims[k]
+		touched = touched[:0]
 		for j, v := range s.Users {
-			mass[r.Clusters.Cluster(int(v))] += s.Vals[j]
+			c := r.Clusters.Cluster(int(v))
+			if mass[c] == 0 {
+				touched = append(touched, c)
+			}
+			mass[c] += s.Vals[j]
 		}
 		var pe float64
-		if !eps.IsInf() {
-			for c, m := range mass {
-				pe += math.Sqrt2 / (epsF * float64(r.Clusters.Size(c))) * m
+		for _, c := range touched {
+			if !eps.IsInf() {
+				pe += math.Sqrt2 / (epsF * float64(r.Clusters.Size(c))) * mass[c]
 			}
+			mass[c] = 0
 		}
 		d.PredictedPE[k] = pe
 
-		ideal := topUtilities(r.truth[k], n)
-		d.TopSignal[k] = metrics.Mean(ideal)
+		ideal := core.TopN(r.truth[k], n, 0)
+		for _, it := range ideal {
+			d.TopSignal[k] += it.Utility
+		}
+		if len(ideal) > 0 {
+			d.TopSignal[k] /= float64(len(ideal))
+		}
 	}
 	return d, nil
-}
-
-func topUtilities(truth []float64, n int) []float64 {
-	// Selection of the n largest values; n is small relative to |I|.
-	top := make([]float64, 0, n)
-	for _, v := range truth {
-		if v <= 0 {
-			continue
-		}
-		if len(top) < n {
-			top = append(top, v)
-			if len(top) == n {
-				// Establish min-heap order lazily via full sort-down.
-				for i := range top {
-					siftDown(top, i)
-				}
-			}
-			continue
-		}
-		if v > top[0] {
-			top[0] = v
-			siftDown(top, 0)
-		}
-	}
-	return top
-}
-
-func siftDown(h []float64, i int) {
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(h) && h[l] < h[small] {
-			small = l
-		}
-		if r < len(h) && h[r] < h[small] {
-			small = r
-		}
-		if small == i {
-			return
-		}
-		h[i], h[small] = h[small], h[i]
-		i = small
-	}
 }
 
 // MeanSNR returns the mean ratio of top-signal to predicted perturbation

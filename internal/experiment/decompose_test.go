@@ -85,3 +85,27 @@ func TestDecomposeInfEpsHasNoPE(t *testing.T) {
 		t.Errorf("SNR at ε=∞ = %v, want +Inf", d.MeanSNR())
 	}
 }
+
+// TestDecomposeErrorDeterministic: the Eq. 5 prediction sums each user's
+// per-cluster masses in one fixed order, so repeated calls agree to the
+// bit.
+func TestDecomposeErrorDeterministic(t *testing.T) {
+	r := tinyRunner(t)
+	first, err := r.DecomposeError(dp.Epsilon(0.1), 3, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rep := 0; rep < 4; rep++ {
+		d, err := r.DecomposeError(dp.Epsilon(0.1), 3, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := range first.PredictedPE {
+			if math.Float64bits(d.PredictedPE[k]) != math.Float64bits(first.PredictedPE[k]) ||
+				math.Float64bits(d.TopSignal[k]) != math.Float64bits(first.TopSignal[k]) {
+				t.Fatalf("repeat %d, user %d: (PE %v, signal %v) vs first call's (%v, %v)",
+					rep, k, d.PredictedPE[k], d.TopSignal[k], first.PredictedPE[k], first.TopSignal[k])
+			}
+		}
+	}
+}

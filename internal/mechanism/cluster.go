@@ -7,8 +7,6 @@ import (
 	"socialrec/internal/community"
 	"socialrec/internal/dp"
 	"socialrec/internal/graph"
-	"socialrec/internal/telemetry"
-	"socialrec/internal/trace"
 )
 
 // Cluster is the paper's privacy-preserving framework (Algorithm 1). At
@@ -47,49 +45,11 @@ func NewClusterCtx(ctx context.Context, clusters *community.Clustering, prefs *g
 	if err := eps.Validate(); err != nil {
 		return nil, err
 	}
-	if clusters.NumUsers() != prefs.NumUsers() {
-		return nil, fmt.Errorf("mechanism: clustering covers %d users but preference graph has %d",
-			clusters.NumUsers(), prefs.NumUsers())
+	if err := checkUsers(clusters, prefs.NumUsers()); err != nil {
+		return nil, err
 	}
-	nc := clusters.NumClusters()
-	ni := prefs.NumItems()
-	c := &Cluster{newTable(clusters, ni, make([]float64, nc*ni))}
-	// Accumulate raw per-cluster edge counts item-major: one pass over the
-	// preference edges (lines 2–6 of Algorithm 1).
-	for u := 0; u < prefs.NumUsers(); u++ {
-		cu := clusters.Cluster(u)
-		base := cu * ni
-		for _, item := range prefs.Items(u) {
-			c.avg[base+int(item)]++
-		}
-	}
-	// Average and perturb (line 7). The noise scale for cluster c is
-	// 1/(|c|·ε): one edge changes the cluster's average by at most 1/|c|.
-	ctx, sp := trace.Start(ctx, "laplace_release")
-	defer sp.End()
-	for cl := 0; cl < nc; cl++ {
-		size := float64(clusters.Size(cl))
-		if size == 0 {
-			continue
-		}
-		var scale float64
-		if !eps.IsInf() {
-			scale = 1 / (size * float64(eps))
-		}
-		base := cl * ni
-		for i := 0; i < ni; i++ {
-			c.avg[base+i] = c.avg[base+i]/size + noise.Laplace(scale)
-		}
-	}
-	// The whole table is one ε-DP release by parallel composition: each
-	// preference edge perturbs exactly one average by at most 1/|c|.
-	telemetry.Budget().RecordCtx(ctx, telemetry.ReleaseEvent{
-		Mechanism:   "cluster",
-		Epsilon:     float64(eps),
-		Sensitivity: 1,
-		Values:      nc * ni,
-	})
-	return c, nil
+	avg := release(ctx, "laplace_release", "cluster", clusters, prefs.NumItems(), unitEdges(prefs), nil, 1, eps, noise)
+	return &Cluster{newTable(clusters, prefs.NumItems(), avg)}, nil
 }
 
 // Name returns "cluster".

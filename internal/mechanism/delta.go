@@ -3,12 +3,11 @@ package mechanism
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"socialrec/internal/community"
 	"socialrec/internal/dp"
 	"socialrec/internal/graph"
-	"socialrec/internal/telemetry"
-	"socialrec/internal/trace"
 )
 
 // DeltaRows runs module A_w restricted to a subset of clusters: it
@@ -30,71 +29,22 @@ import (
 // on membership changes only.
 //
 // The returned slice is cluster-major over ONLY the fresh clusters, in
-// ascending cluster order — the layout release.Delta.Fresh expects.
+// ascending cluster order — the layout release.Delta.Fresh expects. The
+// rows are released under a "laplace_delta_release" span on ctx; with no
+// fresh cluster DeltaRows returns an empty slice, opens no span and
+// spends no budget.
 func DeltaRows(ctx context.Context, clusters *community.Clustering, prefs *graph.Preference, fresh []bool, eps dp.Epsilon, noise dp.NoiseSource) ([]float64, error) {
 	if err := eps.Validate(); err != nil {
 		return nil, err
 	}
-	if clusters.NumUsers() != prefs.NumUsers() {
-		return nil, fmt.Errorf("mechanism: clustering covers %d users but preference graph has %d",
-			clusters.NumUsers(), prefs.NumUsers())
+	if err := checkUsers(clusters, prefs.NumUsers()); err != nil {
+		return nil, err
 	}
-	nc := clusters.NumClusters()
-	if len(fresh) != nc {
+	if nc := clusters.NumClusters(); len(fresh) != nc {
 		return nil, fmt.Errorf("mechanism: fresh mask covers %d clusters, clustering has %d", len(fresh), nc)
 	}
-	ni := prefs.NumItems()
-	// Map fresh clusters to compact row indices.
-	rowOf := make([]int, nc)
-	rows := 0
-	for c := 0; c < nc; c++ {
-		if fresh[c] {
-			rowOf[c] = rows
-			rows++
-		} else {
-			rowOf[c] = -1
-		}
+	if !slices.Contains(fresh, true) {
+		return []float64{}, nil
 	}
-	out := make([]float64, rows*ni)
-	if rows == 0 {
-		return out, nil
-	}
-	// Accumulate raw counts for fresh clusters only.
-	for u := 0; u < prefs.NumUsers(); u++ {
-		r := rowOf[clusters.Cluster(u)]
-		if r < 0 {
-			continue
-		}
-		base := r * ni
-		for _, item := range prefs.Items(u) {
-			out[base+int(item)]++
-		}
-	}
-	ctx, sp := trace.Start(ctx, "laplace_delta_release")
-	defer sp.End()
-	for c := 0; c < nc; c++ {
-		r := rowOf[c]
-		if r < 0 {
-			continue
-		}
-		size := float64(clusters.Size(c))
-		if size == 0 {
-			continue
-		}
-		var scale float64
-		if !eps.IsInf() {
-			scale = 1 / (size * float64(eps))
-		}
-		base := r * ni
-		for i := 0; i < ni; i++ {
-			out[base+i] = out[base+i]/size + noise.Laplace(scale)
-		}
-	}
-	telemetry.Budget().RecordCtx(ctx, telemetry.ReleaseEvent{
-		Mechanism:   "cluster_delta",
-		Epsilon:     float64(eps),
-		Sensitivity: 1,
-		Values:      rows * ni,
-	})
-	return out, nil
+	return release(ctx, "laplace_delta_release", "cluster_delta", clusters, prefs.NumItems(), unitEdges(prefs), fresh, 1, eps, noise), nil
 }

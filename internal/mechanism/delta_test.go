@@ -2,6 +2,7 @@ package mechanism
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"socialrec/internal/community"
@@ -35,20 +36,25 @@ func TestDeltaRowsMatchesFullRelease(t *testing.T) {
 		}
 	}
 
-	// Both clusters fresh, finite ε, fixed seed: identical to the full
-	// mechanism run with the same noise stream? No — the streams differ in
-	// consumption order — but the rows must be deterministic across calls.
-	a, err := DeltaRows(context.Background(), cl, prefs, []bool{true, true}, dp.Epsilon(0.5), dp.SourceFor(dp.Epsilon(0.5), 7))
+	// Both clusters fresh, finite ε, fixed seed: the delta draws the same
+	// noise in the same order as the full release, so its rows are
+	// NewCluster's averages bit for bit.
+	eps := dp.Epsilon(0.5)
+	full, err = NewCluster(cl, prefs, eps, dp.SourceFor(eps, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := DeltaRows(context.Background(), cl, prefs, []bool{true, true}, dp.Epsilon(0.5), dp.SourceFor(dp.Epsilon(0.5), 7))
+	all, err := DeltaRows(context.Background(), cl, prefs, []bool{true, true}, eps, dp.SourceFor(eps, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("delta rows not deterministic for a fixed seed at %d", i)
+	avg = full.Averages()
+	if len(all) != len(avg) {
+		t.Fatalf("all-fresh delta has %d values, full release %d", len(all), len(avg))
+	}
+	for i := range avg {
+		if math.Float64bits(all[i]) != math.Float64bits(avg[i]) {
+			t.Fatalf("all-fresh delta differs from the full release at %d: %v vs %v", i, all[i], avg[i])
 		}
 	}
 }

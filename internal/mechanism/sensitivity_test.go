@@ -1,6 +1,7 @@
 package mechanism
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -163,7 +164,7 @@ func TestWeightedClusterSensitivityBound(t *testing.T) {
 	_ = pb.AddEdge(2, 1, 5)
 	full := pb.Build()
 	clusters, _ := community.FromAssignment([]int32{0, 0, 0, 1, 1, 1})
-	base, err := NewWeightedCluster(clusters, full, 5, dp.Inf, dp.ZeroSource{})
+	base, err := NewWeightedCluster(context.Background(), clusters, full, 5, dp.Inf, dp.ZeroSource{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +172,7 @@ func TestWeightedClusterSensitivityBound(t *testing.T) {
 	pb2 := graph.NewWeightedPreferenceBuilder(6, 3)
 	_ = pb2.AddEdge(1, 0, 2)
 	_ = pb2.AddEdge(2, 1, 5)
-	alt, err := NewWeightedCluster(clusters, pb2.Build(), 5, dp.Inf, dp.ZeroSource{})
+	alt, err := NewWeightedCluster(context.Background(), clusters, pb2.Build(), 5, dp.Inf, dp.ZeroSource{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,13 +1,13 @@
 package mechanism
 
 import (
+	"context"
 	"fmt"
 
 	"socialrec/internal/community"
 	"socialrec/internal/dp"
 	"socialrec/internal/graph"
 	"socialrec/internal/similarity"
-	"socialrec/internal/telemetry"
 )
 
 // WeightedExact is the non-private reference recommender over weighted
@@ -58,8 +58,10 @@ type WeightedCluster struct {
 // NewWeightedCluster performs the private release over a weighted
 // preference graph. maxWeight must be an a-priori public bound on edge
 // weights (e.g. 5 for star ratings); it must not be derived from the data
-// itself. Graphs whose actual weights exceed maxWeight are rejected.
-func NewWeightedCluster(clusters *community.Clustering, prefs *graph.WeightedPreference, maxWeight float64, eps dp.Epsilon, noise dp.NoiseSource) (*WeightedCluster, error) {
+// itself. Graphs whose actual weights exceed maxWeight are rejected. Like
+// NewClusterCtx, the release runs under a "laplace_release" span on ctx,
+// and the recorded budget spend carries that span's trace id.
+func NewWeightedCluster(ctx context.Context, clusters *community.Clustering, prefs *graph.WeightedPreference, maxWeight float64, eps dp.Epsilon, noise dp.NoiseSource) (*WeightedCluster, error) {
 	if err := eps.Validate(); err != nil {
 		return nil, err
 	}
@@ -71,42 +73,11 @@ func NewWeightedCluster(clusters *community.Clustering, prefs *graph.WeightedPre
 		// leak into the error; the declared bound is public by contract.
 		return nil, fmt.Errorf("mechanism: graph contains a weight above the declared bound %v", maxWeight)
 	}
-	if clusters.NumUsers() != prefs.NumUsers() {
-		return nil, fmt.Errorf("mechanism: clustering covers %d users but preference graph has %d",
-			clusters.NumUsers(), prefs.NumUsers())
+	if err := checkUsers(clusters, prefs.NumUsers()); err != nil {
+		return nil, err
 	}
-	nc := clusters.NumClusters()
-	ni := prefs.NumItems()
-	c := &WeightedCluster{newTable(clusters, ni, make([]float64, nc*ni))}
-	for u := 0; u < prefs.NumUsers(); u++ {
-		cu := clusters.Cluster(u)
-		base := cu * ni
-		items, ws := prefs.Edges(u)
-		for k, item := range items {
-			c.avg[base+int(item)] += ws[k]
-		}
-	}
-	for cl := 0; cl < nc; cl++ {
-		size := float64(clusters.Size(cl))
-		if size == 0 {
-			continue
-		}
-		var scale float64
-		if !eps.IsInf() {
-			scale = maxWeight / (size * float64(eps))
-		}
-		base := cl * ni
-		for i := 0; i < ni; i++ {
-			c.avg[base+i] = c.avg[base+i]/size + noise.Laplace(scale)
-		}
-	}
-	telemetry.Budget().Record(telemetry.ReleaseEvent{
-		Mechanism:   "weighted_cluster",
-		Epsilon:     float64(eps),
-		Sensitivity: maxWeight,
-		Values:      nc * ni,
-	})
-	return c, nil
+	avg := release(ctx, "laplace_release", "weighted_cluster", clusters, prefs.NumItems(), prefs.Edges, nil, maxWeight, eps, noise)
+	return &WeightedCluster{newTable(clusters, prefs.NumItems(), avg)}, nil
 }
 
 // Name returns "cluster-weighted".

@@ -1,11 +1,13 @@
 package mechanism
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"socialrec/internal/community"
 	"socialrec/internal/dp"
+	"socialrec/internal/generator"
 	"socialrec/internal/graph"
 	"socialrec/internal/similarity"
 )
@@ -61,7 +63,7 @@ func TestWeightedExactHandComputed(t *testing.T) {
 func TestWeightedClusterNoNoiseAverages(t *testing.T) {
 	_, p := weightedFixture(t)
 	clusters, _ := community.FromAssignment([]int32{0, 0, 0, 0, 1, 1, 1, 1})
-	wc, err := NewWeightedCluster(clusters, p, 5, dp.Inf, dp.ZeroSource{})
+	wc, err := NewWeightedCluster(context.Background(), clusters, p, 5, dp.Inf, dp.ZeroSource{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +84,7 @@ func TestWeightedClusterNoiseScale(t *testing.T) {
 	clusters, _ := community.FromAssignment([]int32{0, 0, 0, 0, 0, 1, 1, 1})
 	rec := &dp.RecordingSource{}
 	const maxW, eps = 5.0, 0.4
-	if _, err := NewWeightedCluster(clusters, p, maxW, dp.Epsilon(eps), rec); err != nil {
+	if _, err := NewWeightedCluster(context.Background(), clusters, p, maxW, dp.Epsilon(eps), rec); err != nil {
 		t.Fatal(err)
 	}
 	ni := p.NumItems()
@@ -99,10 +101,10 @@ func TestWeightedClusterNoiseScale(t *testing.T) {
 func TestWeightedClusterRejectsUnderdeclaredBound(t *testing.T) {
 	_, p := weightedFixture(t) // max weight 5
 	clusters, _ := community.FromAssignment(make([]int32, 8))
-	if _, err := NewWeightedCluster(clusters, p, 3, dp.Epsilon(1), dp.ZeroSource{}); err == nil {
+	if _, err := NewWeightedCluster(context.Background(), clusters, p, 3, dp.Epsilon(1), dp.ZeroSource{}); err == nil {
 		t.Error("weights above the declared bound must be rejected")
 	}
-	if _, err := NewWeightedCluster(clusters, p, 0, dp.Epsilon(1), dp.ZeroSource{}); err == nil {
+	if _, err := NewWeightedCluster(context.Background(), clusters, p, 0, dp.Epsilon(1), dp.ZeroSource{}); err == nil {
 		t.Error("non-positive bound must be rejected")
 	}
 }
@@ -110,7 +112,7 @@ func TestWeightedClusterRejectsUnderdeclaredBound(t *testing.T) {
 func TestWeightedClusterSingletonsEqualExact(t *testing.T) {
 	g, p := weightedFixture(t)
 	singles, _ := community.FromAssignment(allUsers(8))
-	wc, err := NewWeightedCluster(singles, p, 5, dp.Inf, dp.ZeroSource{})
+	wc, err := NewWeightedCluster(context.Background(), singles, p, 5, dp.Inf, dp.ZeroSource{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,11 +139,11 @@ func TestWeightedClusterSingletonsEqualExact(t *testing.T) {
 func TestWeightedNormalizationEquivalence(t *testing.T) {
 	_, p := weightedFixture(t)
 	clusters, _ := community.FromAssignment([]int32{0, 0, 0, 0, 1, 1, 1, 1})
-	raw, err := NewWeightedCluster(clusters, p, 5, dp.Inf, dp.ZeroSource{})
+	raw, err := NewWeightedCluster(context.Background(), clusters, p, 5, dp.Inf, dp.ZeroSource{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	norm, err := NewWeightedCluster(clusters, p.Normalized(), 1, dp.Inf, dp.ZeroSource{})
+	norm, err := NewWeightedCluster(context.Background(), clusters, p.Normalized(), 1, dp.Inf, dp.ZeroSource{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,6 +151,41 @@ func TestWeightedNormalizationEquivalence(t *testing.T) {
 		for i := 0; i < p.NumItems(); i++ {
 			if math.Abs(raw.Average(c, i)-5*norm.Average(c, i)) > 1e-12 {
 				t.Fatalf("averages not a uniform rescaling at (%d, %d)", c, i)
+			}
+		}
+	}
+}
+
+// TestWeightedClusterUnitWeightsMatchCluster: the §7 release is Eq. 3 with
+// Δ = W_max, so unit weights at W_max = 1 give the unweighted release bit
+// for bit at the same seed.
+func TestWeightedClusterUnitWeightsMatchCluster(t *testing.T) {
+	social, _, prefs, err := generator.TinyTest(1).Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	clusters, _ := community.BestOf(social, 3, 1, community.Options{})
+	pb := graph.NewWeightedPreferenceBuilder(prefs.NumUsers(), prefs.NumItems())
+	for u := 0; u < prefs.NumUsers(); u++ {
+		for _, i := range prefs.Items(u) {
+			if err := pb.AddEdge(u, int(i), 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	eps := dp.Epsilon(0.5)
+	want, err := NewCluster(clusters, prefs, eps, dp.SourceFor(eps, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := NewWeightedCluster(context.Background(), clusters, pb.Build(), 1, eps, dp.SourceFor(eps, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c := 0; c < clusters.NumClusters(); c++ {
+		for i := 0; i < prefs.NumItems(); i++ {
+			if g, w := got.Average(c, i), want.Average(c, i); math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("cluster %d item %d: weighted %v, unweighted %v", c, i, g, w)
 			}
 		}
 	}

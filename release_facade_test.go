@@ -2,7 +2,11 @@ package socialrec
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
+
+	"socialrec/internal/generator"
 )
 
 func TestSaveLoadReleaseRoundTrip(t *testing.T) {
@@ -71,5 +75,35 @@ func TestLoadEngineRejectsWrongGraph(t *testing.T) {
 	}
 	if _, err := LoadEngine(&buf, otherEngine.social); err == nil {
 		t.Error("loading against a different-population graph should fail")
+	}
+}
+
+// TestReleaseBytesPinned pins the SHA-256 of the persisted release for two
+// presets (CN, ε = 1, seed 1). Clustering, the Laplace release and the
+// release encoding all feed these bytes, so any drift in how a release is
+// drawn or written fails here.
+func TestReleaseBytesPinned(t *testing.T) {
+	for _, tc := range []struct {
+		preset generator.Preset
+		sha256 string
+	}{
+		{generator.TinyTest(1), "dda06ab788bb9993a5ae61ed85bd0ffe46ba87accace038247ea5f220fc4eb65"},
+		{generator.LastFMLike(1), "94af4c655461d32db7bdce5704dc7c0014fb6243dda39cc55aefe384609f7ac0"},
+	} {
+		social, _, prefs, err := tc.preset.Generate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := NewEngineFromGraphs(social, prefs, Config{Epsilon: 1, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		if err := e.SaveRelease(h); err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != tc.sha256 {
+			t.Errorf("%s: release SHA-256 %s, want %s", tc.preset.Name, got, tc.sha256)
+		}
 	}
 }

@@ -159,7 +159,6 @@ func (b *GraphBuilder) AddPreference(u, i int) *GraphBuilder {
 // recommendation lists may be served without further privacy cost.
 type Engine struct {
 	social   *graph.Social
-	prefs    *graph.Preference
 	measure  similarity.Measure
 	clusters *community.Clustering
 	rec      *core.Recommender
@@ -180,13 +179,15 @@ func NewEngine(b *GraphBuilder, cfg Config) (*Engine, error) {
 	if b.err != nil {
 		return nil, fmt.Errorf("socialrec: building graphs: %w", b.err)
 	}
-	return newEngine(b.social.Build(), b.prefs.Build(), cfg)
+	return NewEngineFromGraphs(b.social.Build(), b.prefs.Build(), cfg)
 }
 
 // NewEngineFromGraphs is the advanced constructor for callers that built
 // graphs directly with the internal packages (e.g. the dataset loaders).
 func NewEngineFromGraphs(social *graph.Social, prefs *graph.Preference, cfg Config) (*Engine, error) {
-	return newEngine(social, prefs, cfg)
+	return build(social, prefs, cfg, func(ctx context.Context, clusters *community.Clustering, eps dp.Epsilon, noise dp.NoiseSource) (core.Estimator, error) {
+		return mechanism.NewClusterCtx(ctx, clusters, prefs, eps, noise)
+	})
 }
 
 // NewExactEngine returns the NON-PRIVATE reference recommender A of
@@ -203,20 +204,12 @@ func NewExactEngine(b *GraphBuilder, measure string) (*Engine, error) {
 
 // NewExactEngineFromGraphs is NewExactEngine for pre-built graphs.
 func NewExactEngineFromGraphs(social *graph.Social, prefs *graph.Preference, measure string) (*Engine, error) {
-	if social.NumUsers() != prefs.NumUsers() {
-		return nil, fmt.Errorf("socialrec: social graph has %d users but preference graph %d",
-			social.NumUsers(), prefs.NumUsers())
-	}
-	if measure == "" {
-		measure = "CN"
-	}
-	m, err := similarity.ByName(measure)
+	m, err := checkGraphs(social, prefs, measure)
 	if err != nil {
 		return nil, err
 	}
 	return &Engine{
 		social:   social,
-		prefs:    prefs,
 		measure:  m,
 		eps:      dp.Inf,
 		numItems: prefs.NumItems(),
@@ -224,15 +217,34 @@ func NewExactEngineFromGraphs(social *graph.Social, prefs *graph.Preference, mea
 	}, nil
 }
 
-func newEngine(social *graph.Social, prefs *graph.Preference, cfg Config) (*Engine, error) {
+// preferences is what the constructors read of a preference graph,
+// weighted or not.
+type preferences interface {
+	NumUsers() int
+	NumItems() int
+}
+
+// checkGraphs rejects graphs over different user populations and resolves
+// the similarity measure ("" selects CN).
+func checkGraphs(social *graph.Social, prefs preferences, measure string) (similarity.Measure, error) {
 	if social.NumUsers() != prefs.NumUsers() {
 		return nil, fmt.Errorf("socialrec: social graph has %d users but preference graph %d",
 			social.NumUsers(), prefs.NumUsers())
 	}
-	if cfg.Measure == "" {
-		cfg.Measure = "CN"
+	if measure == "" {
+		measure = "CN"
 	}
-	m, err := similarity.ByName(cfg.Measure)
+	return similarity.ByName(measure)
+}
+
+// build is the one private-engine constructor behind NewEngineFromGraphs
+// and NewWeightedEngineFromGraphs: it checks the graphs and cfg, then,
+// under one engine_build root, clusters the public social graph and runs
+// release, the private release over the clustering. Only an unweighted
+// release (a *mechanism.Cluster) is kept for persisting.
+func build(social *graph.Social, prefs preferences, cfg Config,
+	release func(context.Context, *community.Clustering, dp.Epsilon, dp.NoiseSource) (core.Estimator, error)) (*Engine, error) {
+	m, err := checkGraphs(social, prefs, cfg.Measure)
 	if err != nil {
 		return nil, err
 	}
@@ -243,27 +255,25 @@ func newEngine(social *graph.Social, prefs *graph.Preference, cfg Config) (*Engi
 	if err := eps.Validate(); err != nil {
 		return nil, err
 	}
-	// One engine_build root: clustering and the release are its children.
 	ctx, sp := trace.Start(context.Background(), "engine_build")
 	defer sp.End()
 	clusters, err := cfg.cluster(ctx, social)
 	if err != nil {
 		return nil, err
 	}
-	est, err := mechanism.NewClusterCtx(ctx, clusters, prefs, eps, dp.SourceFor(eps, cfg.Seed+1))
+	est, err := release(ctx, clusters, eps, dp.SourceFor(eps, cfg.Seed+1))
 	if err != nil {
 		return nil, err
 	}
 	e := &Engine{
 		social:   social,
-		prefs:    prefs,
 		measure:  m,
 		clusters: clusters,
 		eps:      eps,
 		numItems: prefs.NumItems(),
-		cluster:  est,
 		rec:      core.NewRecommender(social, prefs.NumItems(), m, est),
 	}
+	e.cluster, _ = est.(*mechanism.Cluster)
 	return e, nil
 }
 

@@ -4,12 +4,11 @@ import (
 	"context"
 	"fmt"
 
+	"socialrec/internal/community"
 	"socialrec/internal/core"
 	"socialrec/internal/dp"
 	"socialrec/internal/graph"
 	"socialrec/internal/mechanism"
-	"socialrec/internal/similarity"
-	"socialrec/internal/trace"
 )
 
 // WeightedGraphBuilder accumulates a social graph plus a *weighted*
@@ -63,40 +62,7 @@ func NewWeightedEngine(b *WeightedGraphBuilder, maxWeight float64, cfg Config) (
 
 // NewWeightedEngineFromGraphs is NewWeightedEngine for pre-built graphs.
 func NewWeightedEngineFromGraphs(social *graph.Social, prefs *graph.WeightedPreference, maxWeight float64, cfg Config) (*Engine, error) {
-	if social.NumUsers() != prefs.NumUsers() {
-		return nil, fmt.Errorf("socialrec: social graph has %d users but preference graph %d",
-			social.NumUsers(), prefs.NumUsers())
-	}
-	if cfg.Measure == "" {
-		cfg.Measure = "CN"
-	}
-	m, err := similarity.ByName(cfg.Measure)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Epsilon == 0 {
-		return nil, fmt.Errorf("socialrec: Config.Epsilon must be set; use math.Inf(1) for a non-private engine")
-	}
-	eps := dp.Epsilon(cfg.Epsilon)
-	if err := eps.Validate(); err != nil {
-		return nil, err
-	}
-	ctx, sp := trace.Start(context.Background(), "engine_build")
-	defer sp.End()
-	clusters, err := cfg.cluster(ctx, social)
-	if err != nil {
-		return nil, err
-	}
-	est, err := mechanism.NewWeightedCluster(clusters, prefs, maxWeight, eps, dp.SourceFor(eps, cfg.Seed+1))
-	if err != nil {
-		return nil, err
-	}
-	return &Engine{
-		social:   social,
-		measure:  m,
-		clusters: clusters,
-		eps:      eps,
-		numItems: prefs.NumItems(),
-		rec:      core.NewRecommender(social, prefs.NumItems(), m, est),
-	}, nil
+	return build(social, prefs, cfg, func(ctx context.Context, clusters *community.Clustering, eps dp.Epsilon, noise dp.NoiseSource) (core.Estimator, error) {
+		return mechanism.NewWeightedCluster(ctx, clusters, prefs, maxWeight, eps, noise)
+	})
 }

@@ -1,6 +1,11 @@
 package socialrec
 
-import "testing"
+import (
+	"testing"
+
+	"socialrec/internal/telemetry"
+	"socialrec/internal/trace"
+)
 
 func buildWeighted() *WeightedGraphBuilder {
 	b := NewWeightedGraphBuilder(8, 6)
@@ -98,5 +103,47 @@ func TestWeightedEngineDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatal("same seed, different weighted recommendations")
 		}
+	}
+}
+
+// TestWeightedEngineBuildTracedAndAttributed: a weighted build releases
+// under its engine_build root like an unweighted one does — the
+// weighted_cluster spend carries the root's trace id, and the release is
+// timed as a laplace_release stage.
+func TestWeightedEngineBuildTracedAndAttributed(t *testing.T) {
+	releases := func() int64 {
+		for _, st := range telemetry.Stages().Snapshot() {
+			if st.Stage == "laplace_release" {
+				return st.Count
+			}
+		}
+		return 0
+	}
+	telemetry.Budget().Reset()
+	before := releases()
+	if _, err := NewWeightedEngine(buildWeighted(), 5, Config{Epsilon: 1, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if got := releases(); got != before+1 {
+		t.Errorf("laplace_release stage count %d after a weighted build, want %d", got, before+1)
+	}
+	events := telemetry.Budget().Snapshot().Events
+	if len(events) != 1 || events[0].Mechanism != "weighted_cluster" || events[0].Sensitivity != 5 {
+		t.Fatalf("ledger events %+v, want one weighted_cluster spend at sensitivity 5", events)
+	}
+	id, ok := trace.ParseTraceID(events[0].TraceID)
+	if !ok {
+		t.Fatalf("weighted_cluster spend carries trace id %q", events[0].TraceID)
+	}
+	td := trace.Default().Lookup(id)
+	if td == nil || td.Root.Name != "engine_build" {
+		t.Fatalf("spend's trace %s is not a retained engine_build root: %+v", id, td)
+	}
+	found := false
+	for _, sp := range td.Spans {
+		found = found || sp.Name == "laplace_release"
+	}
+	if !found {
+		t.Errorf("engine_build trace %s has no laplace_release span", id)
 	}
 }
