@@ -41,8 +41,8 @@ lint:
 lint-fix-check:
 	$(GO) run ./cmd/sociolint -baseline .sociolint-baseline.json -check-stale ./...
 
-# fuzz-smoke runs each fuzz target for 10s. FuzzReadIntent and
-# FuzzStoreLoad cap input minimization at 1s: at the default 60s cap,
+# fuzz-smoke runs each fuzz target for 10s. FuzzReadIntent, FuzzStoreLoad
+# and FuzzScrapeMerge cap input minimization at 1s: at the default 60s cap,
 # minimizing one new input can outlast the whole run and leave the fuzzer
 # idle.
 fuzz-smoke:
@@ -56,6 +56,9 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzScanSegment$$' -fuzztime=10s ./internal/wal
 	$(GO) test -run='^$$' -fuzz='^FuzzReadIntent$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/dynamic
 	$(GO) test -run='^$$' -fuzz='^FuzzStoreLoad$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/pipeline
+	$(GO) test -run='^$$' -fuzz='^FuzzParseBatchResults$$' -fuzztime=10s ./internal/router
+	$(GO) test -run='^$$' -fuzz='^FuzzParseLineage$$' -fuzztime=10s ./internal/router
+	$(GO) test -run='^$$' -fuzz='^FuzzScrapeMerge$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/obsagg
 
 # chaos drives the hardened server benchmark under -race with mixed
 # error/panic/latency fault injection; it fails on any escaped panic,

@@ -238,24 +238,18 @@ func main() {
 	reg := telemetry.Default()
 	stopRuntime := telemetry.StartRuntimeCollector(reg, 0)
 	defer stopRuntime()
-	hot := server.NewHot(serveEngine, version)
-	if len(startLineage.Deltas) > 0 && startFull != nil {
-		// Install the lineage explicitly so the full generation's engine
-		// stays retained in memory: a later corrupt delta rolls serving
-		// back to it instead of going dark.
-		hot.Swap(startFull, startLineage.Full)
-		if err := hot.ApplyDelta(serveEngine, startLineage.Full, startLineage.Deltas); err != nil {
-			fatal("recserve: installing delta lineage", "err", err)
-		}
-	}
-
 	cacheCap := -1
 	if *simCache != 0 {
 		cacheCap = *simCache
 		if cacheCap < 0 {
 			cacheCap = 0 // simcache.New maps < 1 to its default
 		}
-		engine.EnableSimilarityCache(cacheCap)
+	}
+	hot, err := startSlot(serveEngine, engine, startFull, startLineage, version, cacheCap)
+	if err != nil {
+		fatal("recserve: installing delta lineage", "err", err)
+	}
+	if cacheCap >= 0 {
 		registerCacheGauges(reg, hot)
 	}
 
@@ -427,6 +421,31 @@ func loadLineageStore(ctx context.Context, store *release.Store, social *graph.S
 		}
 	}
 	return engine, full, ln, nil
+}
+
+// startSlot builds the serving slot at start-up. serve answers requests
+// and engine is the whole-population engine behind it; with a delta
+// lineage, full is the bare full generation's engine, and the lineage is
+// installed explicitly so full stays retained in memory: a later corrupt
+// delta rolls serving back to it instead of going dark. Every engine the
+// slot can serve gets the similarity cache before it is installed
+// (cacheCap < 0: none), so a rollback serves cached too.
+func startSlot(serve server.Engine, engine, full *socialrec.Engine, ln release.Lineage,
+	version uint64, cacheCap int) (*server.Hot, error) {
+	if cacheCap >= 0 {
+		engine.EnableSimilarityCache(cacheCap)
+		if full != nil && full != engine {
+			full.EnableSimilarityCache(cacheCap)
+		}
+	}
+	hot := server.NewHot(serve, version)
+	if len(ln.Deltas) > 0 && full != nil {
+		hot.Swap(full, ln.Full)
+		if err := hot.ApplyDelta(serve, ln.Full, ln.Deltas); err != nil {
+			return nil, err
+		}
+	}
+	return hot, nil
 }
 
 // makeReload builds the closure shared by POST /admin/reload and SIGHUP: it
@@ -610,7 +629,7 @@ type cacheStatser interface {
 
 // registerCacheGauges exposes similarity-cache statistics read through the
 // hot slot, so the gauges keep following the serving engine across reloads.
-// Cache counters describe which public similarity vectors are resident,
+// Cache counters describe which users' public similarity is resident,
 // nothing protected.
 func registerCacheGauges(reg *telemetry.Registry, hot *server.Hot) {
 	stat := func(f func(socialrec.CacheStats) float64) func() float64 {
@@ -632,7 +651,7 @@ func registerCacheGauges(reg *telemetry.Registry, hot *server.Hot) {
 		stat(func(st socialrec.CacheStats) float64 { return float64(st.Misses) }))
 	reg.NewGaugeFunc("simcache_evictions_total", "similarity cache evictions",
 		stat(func(st socialrec.CacheStats) float64 { return float64(st.Evictions) }))
-	reg.NewGaugeFunc("simcache_entries", "similarity vectors resident",
+	reg.NewGaugeFunc("simcache_entries", "users whose similarity is cached (per-cluster mass, or the vector for exact engines)",
 		stat(func(st socialrec.CacheStats) float64 { return float64(st.Len) }))
 	reg.NewGaugeFunc("simcache_hit_ratio", "similarity cache hit ratio",
 		stat(func(st socialrec.CacheStats) float64 { return st.HitRatio() }))

@@ -254,3 +254,38 @@ func TestReloadNewFullWithDeltasUnderReaders(t *testing.T) {
 		}
 	}
 }
+
+// TestStartSlotCachesRetainedFull: start-up over a delta lineage gives the
+// retained full generation its similarity cache too, so serving after a
+// rollback stays cached and the simcache gauges keep reading it.
+func TestStartSlotCachesRetainedFull(t *testing.T) {
+	ctx := context.Background()
+	store := rollbackStore(t, t.TempDir())
+	social := rollbackSocial(t)
+	fullV := saveFullFixture(t, store)
+	saveDeltaFixture(t, store, fullV)
+
+	engine, full, ln, err := loadLineageStore(ctx, store, social)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hot, err := startSlot(engine, engine, full, ln, ln.Version(), 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := func(stage string) {
+		t.Helper()
+		if _, err := hot.Recommend(0, 2); err != nil {
+			t.Fatalf("%s: %v", stage, err)
+		}
+		st, ok := hot.Engine().(cacheStatser).CacheStats()
+		if !ok || st.Misses == 0 {
+			t.Fatalf("%s: serving engine cache stats %+v, ok %v", stage, st, ok)
+		}
+	}
+	served("delta")
+	if v := hot.Rollback("test"); v != fullV {
+		t.Fatalf("rolled back to %d, want full generation %d", v, fullV)
+	}
+	served("rolled back")
+}

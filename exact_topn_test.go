@@ -14,7 +14,9 @@ import (
 // TestEngineExactTopNConcurrentFirstUse races the lazily built per-cluster
 // prefixes of the exact top-n path: many goroutines hit a fresh engine at
 // once, so first touches of every cluster collide, and every answer must
-// equal the dense Utilities + core.TopN list over the same release.
+// equal the dense Utilities + core.TopN list over the same release. The
+// cached run also races the similarity cache: a capacity of a quarter of
+// the users keeps folds being made, shared and evicted under the readers.
 func TestEngineExactTopNConcurrentFirstUse(t *testing.T) {
 	const n, workers = 10, 8
 	social, _, prefs, err := generator.TinyTest(5).Generate()
@@ -51,10 +53,29 @@ func TestEngineExactTopNConcurrentFirstUse(t *testing.T) {
 		want[u] = core.TopN(row, n, math.Inf(-1))
 	}
 
-	fresh, err := EngineFromRelease(rel, social)
-	if err != nil {
-		t.Fatal(err)
+	for _, capacity := range []int{0, users / 4} {
+		name := "uncached"
+		if capacity > 0 {
+			name = "cached"
+		}
+		t.Run(name, func(t *testing.T) {
+			fresh, err := EngineFromRelease(rel, social)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if capacity > 0 {
+				fresh.EnableSimilarityCache(capacity)
+			}
+			raceEngine(t, fresh, want, n, workers)
+		})
 	}
+}
+
+// raceEngine has workers goroutines ask e for every user's top-n list at
+// once, each starting at a different user, and requires want[u] bit for
+// bit.
+func raceEngine(t *testing.T, e *Engine, want [][]Recommendation, n, workers int) {
+	users := len(want)
 	start := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < workers; g++ {
@@ -64,17 +85,14 @@ func TestEngineExactTopNConcurrentFirstUse(t *testing.T) {
 			<-start
 			for k := 0; k < users; k++ {
 				u := (k + g*users/workers) % users
-				got, err := fresh.Recommend(u, n)
+				got, err := e.Recommend(u, n)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				for i := range want[u] {
-					if len(got) != len(want[u]) || got[i].Item != want[u][i].Item ||
-						math.Float64bits(got[i].Utility) != math.Float64bits(want[u][i].Utility) {
-						t.Errorf("user %d: engine %v, dense %v", u, got, want[u])
-						return
-					}
+				if !sameRecs(got, want[u]) {
+					t.Errorf("user %d: engine %v, dense %v", u, got, want[u])
+					return
 				}
 			}
 		}(g)

@@ -10,12 +10,12 @@ import (
 )
 
 // TestRecommendContextAllocBudget pins the serving path's exact steady-state
-// allocation counts, on the dense path and on the exact top-n path. With
-// the pooled scratch the only per-call allocations left are the result
-// slices themselves: one outer slice plus one list per user. The traced
-// variant additionally pays the fixed root-span cost (pooled spans make the
-// three per-batch children free). Skipped under -race (detector shadow
-// state allocates).
+// allocation counts, on the dense path, on the exact top-n path and on the
+// exact path from cached folds. With the pooled scratch the only per-call
+// allocations left are the result slices themselves: one outer slice plus
+// one list per user. The traced variant additionally pays the fixed
+// root-span cost (pooled spans make the three per-batch children free).
+// Skipped under -race (detector shadow state allocates).
 func TestRecommendContextAllocBudget(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("alloc counts are only exact without the race detector")
@@ -32,10 +32,16 @@ func TestRecommendContextAllocBudget(t *testing.T) {
 	}{
 		{"dense", benchEstimator{items: items}, similarity.Scores{Users: []int32{1, 2}, Vals: []float64{0.5, 0.25}}},
 		{"exact", splitEstimator{items: items}, similarity.Scores{Users: []int32{2, 1}, Vals: []float64{0.5, 0.25}}},
+		{"fold", foldingEstimator{splitEstimator{items: items}}, similarity.Scores{Users: []int32{2, 1}, Vals: []float64{0.5, 0.25}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := NewRecommender(g, items, similarity.CommonNeighbors{}, tc.est)
-			r.SimilaritySource = func(int32) similarity.Scores { return tc.sim }
+			if fe, ok := tc.est.(FoldEstimator); ok {
+				f := fe.Fold(tc.sim)
+				r.foldSource = func(int32) Fold { return f }
+			} else {
+				r.similaritySource = func(int32) similarity.Scores { return tc.sim }
+			}
 			users := []int32{5, 17, 29, 41}
 			ctx := context.Background()
 

@@ -18,6 +18,7 @@ import (
 	"sync/atomic"
 
 	"socialrec/internal/graph"
+	"socialrec/internal/simcache"
 	"socialrec/internal/similarity"
 	"socialrec/internal/telemetry"
 	"socialrec/internal/trace"
@@ -33,15 +34,17 @@ var (
 
 // scratch is the pooled per-call working set of RecommendContext: the flat
 // utility arena the dense rows slice into, the row headers, the batch
-// positions answered densely, and the similarity-vector buffer used on the
-// SimilaritySource path. Pooling it (capacity is kept across calls, grown
-// only when a larger batch arrives) makes the steady-state serving path
-// allocation-free up to the returned recommendation lists themselves.
+// positions answered densely, and the similarity-vector and fold buffers
+// used when a similarity cache supplies users. Pooling it (capacity
+// is kept across calls, grown only when a larger batch arrives) makes the
+// steady-state serving path allocation-free up to the returned
+// recommendation lists themselves.
 type scratch struct {
 	flat  []float64
 	rows  [][]float64
 	dense []int
 	sims  []similarity.Scores
+	folds []Fold
 }
 
 // denseRows returns k zeroed utility rows of width items, windows into the
@@ -81,9 +84,11 @@ func getScratch() *scratch {
 
 //sociolint:hotpath
 func putScratch(sc *scratch) {
-	// Similarity vectors can be large (cache entries); drop the references
-	// so a pooled scratch never pins another engine's score memory.
+	// Drop the similarity vectors and folds (cache entries; a fold also
+	// references its release) so a pooled scratch never pins another
+	// engine's memory.
 	clear(sc.sims)
+	clear(sc.folds)
 	scratchPool.Put(sc)
 }
 
@@ -125,6 +130,30 @@ type TopNEstimator interface {
 	// estimator could not settle the list exactly and cheaply — and the
 	// caller ignores list.
 	TopN(sim similarity.Scores, n int) (list []Recommendation, ok bool)
+}
+
+// FoldEstimator is an optional Estimator capability: an estimator that
+// reads a similarity vector only through a compact per-user summary, its
+// fold, can hand that summary out and answer from it. NewRecommender
+// detects it once; a similarity cache then keeps folds instead of vectors
+// (CacheSimilarity), and RecommendContext answers cached users from them.
+type FoldEstimator interface {
+	// Fold summarizes sim. The result holds no reference to sim and is
+	// immutable, so it may be cached and shared between callers.
+	Fold(sim similarity.Scores) Fold
+}
+
+// Fold is one user's similarity vector as a FoldEstimator reads it. Its
+// contents belong to the estimator that made it; both methods answer for
+// that user exactly as the estimator answers from the vector itself.
+type Fold interface {
+	// TopN is TopNEstimator.TopN for the folded user: same items,
+	// bit-identical utilities, same declines.
+	TopN(n int) (list []Recommendation, ok bool)
+	// Utilities adds the folded user's estimated utilities into out (len
+	// NumItems, zeroed by the caller), bit-identically to Utilities over
+	// the vector.
+	Utilities(out []float64)
 }
 
 // TopN selects the n highest-utility items from a dense utility vector and
@@ -246,6 +275,8 @@ type Recommender struct {
 	est     Estimator
 	// topN is est's exact top-n capability, nil when est lacks it.
 	topN TopNEstimator
+	// fold is est's fold capability, nil when est lacks it.
+	fold FoldEstimator
 
 	// BatchSize bounds how many dense utility vectors are held in memory
 	// at once; 0 means a default of 256.
@@ -253,18 +284,37 @@ type Recommender struct {
 	// Workers bounds similarity-computation parallelism; 0 means
 	// GOMAXPROCS.
 	Workers int
-	// SimilaritySource, when non-nil, supplies similarity vectors instead
-	// of direct computation — e.g. a simcache.Cache for serving
-	// workloads with repeat users. Results must equal
-	// Measure.Similar(social, u) exactly.
-	SimilaritySource func(u int32) similarity.Scores
+
+	// At most one of the two sources is set, by CacheSimilarity; with
+	// neither, similarity is computed per batch. similaritySource supplies
+	// vectors equal to Measure.Similar(social, u); foldSource supplies, for
+	// a folding estimator only, their folds.
+	similaritySource func(u int32) similarity.Scores
+	foldSource       func(u int32) Fold
 }
 
 // NewRecommender wires a recommender from its parts. numItems is |I| of the
 // preference graph the estimator was built from.
 func NewRecommender(social *graph.Social, numItems int, m similarity.Measure, est Estimator) *Recommender {
 	topN, _ := est.(TopNEstimator)
-	return &Recommender{social: social, items: numItems, measure: m, est: est, topN: topN}
+	fold, _ := est.(FoldEstimator)
+	return &Recommender{social: social, items: numItems, measure: m, est: est, topN: topN, fold: fold}
+}
+
+// CacheSimilarity installs a bounded LRU of per-user similarity, capacity
+// users (capacity < 1 selects simcache's default), and returns the cache's
+// counters. When the estimator folds, the cache keeps each user's fold —
+// all the estimator reads of the vector, and far smaller — otherwise the
+// vector. Not safe to call concurrently with RecommendContext.
+func (r *Recommender) CacheSimilarity(capacity int) (stats func() simcache.Stats) {
+	if r.fold != nil {
+		c := simcache.NewDerived(r.social, r.measure, capacity, r.fold.Fold)
+		r.similaritySource, r.foldSource = nil, c.Similar
+		return c.Stats
+	}
+	c := simcache.New(r.social, r.measure, capacity)
+	r.similaritySource, r.foldSource = c.Similar, nil
+	return c.Stats
 }
 
 func (r *Recommender) batchSize() int {
@@ -292,7 +342,8 @@ func (r *Recommender) Recommend(users []int32, n int) ([][]Recommendation, error
 // With a TopNEstimator, cluster_average times its selection scan and top_n
 // the ranking of the n survivors; users it declines take the dense path
 // (Utilities into a pooled row, then TopN), which is the only code that
-// touches the dense arena.
+// touches the dense arena. Users a similarity cache supplies as folds
+// (CacheSimilarity) run both the scan and the dense path from the fold.
 //
 //sociolint:hotpath
 func (r *Recommender) RecommendContext(ctx context.Context, users []int32, n int) ([][]Recommendation, error) {
@@ -322,17 +373,30 @@ func (r *Recommender) RecommendContext(ctx context.Context, users []int32, n int
 			end = len(users)
 		}
 		batch := users[start:end]
-		var sims []similarity.Scores
+		// Each user arrives as a fold (folds != nil) or as a vector.
+		var (
+			sims  []similarity.Scores
+			folds []Fold
+		)
 		simTrace := trace.StartLeaf(ctx, "similarity_batch", attrBatchSize.Int(int64(len(batch))))
-		if r.SimilaritySource != nil {
+		switch {
+		case r.foldSource != nil:
+			if cap(sc.folds) < len(batch) {
+				sc.folds = make([]Fold, len(batch))
+			}
+			folds = sc.folds[:len(batch)]
+			for i, u := range batch {
+				folds[i] = r.foldSource(u)
+			}
+		case r.similaritySource != nil:
 			if cap(sc.sims) < len(batch) {
 				sc.sims = make([]similarity.Scores, len(batch))
 			}
 			sims = sc.sims[:len(batch)]
 			for i, u := range batch {
-				sims[i] = r.SimilaritySource(u)
+				sims[i] = r.similaritySource(u)
 			}
-		} else {
+		default:
 			sims = similarity.ComputeAll(r.social, r.measure, batch, r.Workers)
 		}
 		simTrace.End()
@@ -340,18 +404,31 @@ func (r *Recommender) RecommendContext(ctx context.Context, users []int32, n int
 		// dense lists the batch positions the exact path did not answer.
 		dense := sc.dense[:0]
 		for i := range batch {
-			if r.topN != nil {
-				if list, ok := r.topN.TopN(sims[i], n); ok {
-					out[start+i] = list
-					continue
-				}
+			var (
+				list []Recommendation
+				ok   bool
+			)
+			switch {
+			case folds != nil:
+				list, ok = folds[i].TopN(n)
+			case r.topN != nil:
+				list, ok = r.topN.TopN(sims[i], n)
+			}
+			if ok {
+				out[start+i] = list
+				continue
 			}
 			dense = append(dense, i)
 		}
 		rows := sc.denseRows(len(dense), r.items)
-		if len(dense) == len(batch) {
+		switch {
+		case folds != nil:
+			for k, i := range dense {
+				folds[i].Utilities(rows[k])
+			}
+		case len(dense) == len(batch):
 			r.est.Utilities(batch, sims, rows)
-		} else {
+		default:
 			for k, i := range dense {
 				r.est.Utilities(batch[i:i+1], sims[i:i+1], rows[k:k+1])
 			}

@@ -242,9 +242,123 @@ func (e splitEstimator) TopN(sim similarity.Scores, n int) ([]Recommendation, bo
 // denseOnly hides an estimator's TopN capability.
 type denseOnly struct{ Estimator }
 
+// foldingEstimator is splitEstimator with the fold capability: a user's
+// fold is the first entry of their similarity vector, all split reads.
+type foldingEstimator struct{ splitEstimator }
+
+func (e foldingEstimator) Fold(sim similarity.Scores) Fold {
+	return splitFold{e: e.splitEstimator, sim: similarity.Scores{Users: sim.Users[:1], Vals: sim.Vals[:1]}}
+}
+
+// splitFold answers from its one-entry vector through splitEstimator.
+type splitFold struct {
+	e   splitEstimator
+	sim similarity.Scores
+}
+
+func (f splitFold) TopN(n int) ([]Recommendation, bool) { return f.e.TopN(f.sim, n) }
+
+func (f splitFold) Utilities(out []float64) {
+	f.e.Utilities(nil, []similarity.Scores{f.sim}, [][]float64{out})
+}
+
+// foldOnly is foldingEstimator for a recommender whose every user must
+// arrive as a fold: it counts its folds and fails the test if asked to
+// answer from a similarity vector.
+type foldOnly struct {
+	foldingEstimator
+	t     *testing.T
+	folds *int
+}
+
+func (e foldOnly) Fold(sim similarity.Scores) Fold {
+	*e.folds++
+	return e.foldingEstimator.Fold(sim)
+}
+
+func (e foldOnly) Utilities([]int32, []similarity.Scores, [][]float64) {
+	e.t.Error("Utilities answered from a similarity vector")
+}
+
+func (e foldOnly) TopN(similarity.Scores, int) ([]Recommendation, bool) {
+	e.t.Error("TopN answered from a similarity vector")
+	return nil, false
+}
+
+// TestCacheSimilarityHoldsFolds: over a folding estimator, the similarity
+// cache keeps each user's fold — exactly what the estimator's Fold made,
+// built once per resident user — and every answer comes from it, never
+// from a vector; over any other estimator it keeps vectors. Both answer as
+// the uncached recommender does.
+func TestCacheSimilarityHoldsFolds(t *testing.T) {
+	const users, items = 20, 17
+	g := lineGraph(t, users)
+	all := make([]int32, users)
+	for i := range all {
+		all[i] = int32(i)
+	}
+	want, err := NewRecommender(g, items, similarity.CommonNeighbors{}, splitEstimator{items: items}).Recommend(all, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := func(name string, got [][]Recommendation) {
+		t.Helper()
+		for u := range want {
+			if len(got[u]) != len(want[u]) {
+				t.Fatalf("%s user %d: %v, uncached %v", name, u, got[u], want[u])
+			}
+			for i := range want[u] {
+				if got[u][i] != want[u][i] {
+					t.Fatalf("%s user %d: %v, uncached %v", name, u, got[u], want[u])
+				}
+			}
+		}
+	}
+
+	folds := 0
+	est := foldOnly{foldingEstimator{splitEstimator{items: items}}, t, &folds}
+	r := NewRecommender(g, items, similarity.CommonNeighbors{}, est)
+	stats := r.CacheSimilarity(users)
+	if r.foldSource == nil || r.similaritySource != nil {
+		t.Fatal("a folding estimator's cache does not supply folds")
+	}
+	for rep := 0; rep < 2; rep++ {
+		got, err := r.Recommend(all, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same("folded", got)
+	}
+	if folds != users {
+		t.Errorf("%d folds for %d users served twice, want one each", folds, users)
+	}
+	for _, u := range all {
+		// Every user is resident, so this is the cached entry itself.
+		f, ok := r.foldSource(u).(splitFold)
+		if !ok || len(f.sim.Users) != 1 {
+			t.Fatalf("user %d: cached %#v, want its one-entry splitFold", u, r.foldSource(u))
+		}
+	}
+	if st := stats(); st.Len != users || st.Misses != users {
+		t.Errorf("cache stats %+v: want %d resident from %d misses", st, users, users)
+	}
+
+	r = NewRecommender(g, items, similarity.CommonNeighbors{}, splitEstimator{items: items})
+	r.CacheSimilarity(users)
+	if r.similaritySource == nil || r.foldSource != nil {
+		t.Fatal("a non-folding estimator's cache does not supply vectors")
+	}
+	got, err := r.Recommend(all, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("vector", got)
+}
+
 // TestRecommendContextExactPathMatchesDense checks the orchestration of
 // the exact path: batches mixing answered and declined users, at several
-// batch sizes, return the same lists as the dense path alone.
+// batch sizes, return the same lists as the dense path alone, whether the
+// users arrive as similarity vectors or as folds.
 func TestRecommendContextExactPathMatchesDense(t *testing.T) {
 	const users, items = 20, 17
 	g := lineGraph(t, users)
@@ -256,25 +370,31 @@ func TestRecommendContextExactPathMatchesDense(t *testing.T) {
 	for _, bs := range []int{1, 3, 0} {
 		exact := NewRecommender(g, items, similarity.CommonNeighbors{}, splitEstimator{items: items})
 		dense := NewRecommender(g, items, similarity.CommonNeighbors{}, denseOnly{splitEstimator{items: items}})
-		for _, r := range []*Recommender{exact, dense} {
-			r.BatchSize, r.SimilaritySource = bs, self
+		fe := foldingEstimator{splitEstimator{items: items}}
+		folded := NewRecommender(g, items, similarity.CommonNeighbors{}, fe)
+		for _, r := range []*Recommender{exact, dense, folded} {
+			r.BatchSize = bs
 		}
+		exact.similaritySource, dense.similaritySource = self, self
+		folded.foldSource = func(u int32) Fold { return fe.Fold(self(u)) }
 		for _, n := range []int{1, 5, items} {
-			got, err := exact.Recommend(all, n)
-			if err != nil {
-				t.Fatal(err)
-			}
 			want, err := dense.Recommend(all, n)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for u := range want {
-				if len(got[u]) != len(want[u]) {
-					t.Fatalf("batch %d n=%d user %d: exact %v, dense %v", bs, n, u, got[u], want[u])
+			for name, r := range map[string]*Recommender{"exact": exact, "folded": folded} {
+				got, err := r.Recommend(all, n)
+				if err != nil {
+					t.Fatal(err)
 				}
-				for i := range want[u] {
-					if got[u][i] != want[u][i] {
-						t.Fatalf("batch %d n=%d user %d: exact %v, dense %v", bs, n, u, got[u], want[u])
+				for u := range want {
+					if len(got[u]) != len(want[u]) {
+						t.Fatalf("batch %d n=%d user %d: %s %v, dense %v", bs, n, u, name, got[u], want[u])
+					}
+					for i := range want[u] {
+						if got[u][i] != want[u][i] {
+							t.Fatalf("batch %d n=%d user %d: %s %v, dense %v", bs, n, u, name, got[u], want[u])
+						}
 					}
 				}
 			}

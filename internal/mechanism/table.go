@@ -30,8 +30,9 @@ const (
 )
 
 // table is a released per-(cluster, item) averages table and everything
-// served from it: Eq. 4's dense reconstruction (Utilities), the exact top-n
-// selection (TopN) and the sorted prefixes TopN scans. Cluster and
+// served from it: the per-user fold of a similarity vector (Fold), Eq. 4's
+// dense reconstruction (Utilities), the exact top-n selection (TopN), both
+// also from a fold, and the sorted prefixes TopN scans. Cluster and
 // WeightedCluster differ only in how they release the averages.
 type table struct {
 	clusters *community.Clustering
@@ -110,10 +111,11 @@ func (t *table) Average(cluster, item int) float64 {
 	return t.avg[cluster*t.numItems+item]
 }
 
-// scanScratch is the pooled working set of Utilities and TopN: the
-// per-cluster mass accumulator (all zero between uses), the fold's touched
-// clusters and their masses, a scan's prefixes (prefix[k] is touched[k]'s),
-// the set of items a scan has scored and the scan's selection heap.
+// scanScratch is the pooled working set of Fold, Utilities and TopN: the
+// per-cluster mass accumulator (all zero between uses), a fold's touched
+// clusters and their masses, a scan's prefixes (prefix[k] is the k-th
+// lane's), the set of items a scan has scored and the scan's selection
+// heap.
 type scanScratch struct {
 	mass    []float64
 	touched []int32
@@ -155,8 +157,8 @@ func putScanScratch(sc *scanScratch) {
 
 // fold sums s's similarity values per cluster (the inner sum of Eq. 4) and
 // leaves the touched clusters in sc.touched, in first-touch order, with
-// their masses in sc.masses. Utilities and TopN both start here, so both
-// combine the same masses in the same order.
+// their masses in sc.masses. Every reconstruction and every scan starts
+// from a fold, so both combine the same masses in the same order.
 func (t *table) fold(sc *scanScratch, s similarity.Scores) {
 	if nc := t.clusters.NumClusters(); len(sc.mass) < nc {
 		sc.mass = make([]float64, nc)
@@ -178,6 +180,31 @@ func (t *table) fold(sc *scanScratch, s similarity.Scores) {
 	sc.touched, sc.masses = touched, masses
 }
 
+// Fold is one user's similarity vector as the table reads it: the
+// clusters the vector touches, in first-touch order, and the similarity
+// mass it puts in each (the inner sum of Eq. 4) — at most |C| pairs,
+// where the vector holds one pair per similar user. Both slices are
+// exact-size, so a cached Fold keeps no spare capacity. A Fold answers
+// TopN and Utilities bit-identically to its table answering from the
+// vector, because both run from the same masses in the same order.
+type Fold struct {
+	t        *table
+	clusters []int32
+	masses   []float64
+}
+
+// Fold implements core.FoldEstimator: it folds sim into a Fold that
+// holds no reference to sim.
+func (t *table) Fold(sim similarity.Scores) core.Fold {
+	sc := getScanScratch()
+	t.fold(sc, sim)
+	f := &Fold{t: t, clusters: make([]int32, len(sc.touched)), masses: make([]float64, len(sc.masses))}
+	copy(f.clusters, sc.touched)
+	copy(f.masses, sc.masses)
+	putScanScratch(sc)
+	return f
+}
+
 // Utilities reconstructs utility estimates via Eq. 4:
 //
 //	μ̂_u^i = Σ_{c ∈ Φ} ( Σ_{v ∈ sim(u) ∩ c} sim(u,v) ) · ŵ_c^i
@@ -191,12 +218,23 @@ func (t *table) Utilities(users []int32, sims []similarity.Scores, out [][]float
 	sc := getScanScratch()
 	for k := range users {
 		t.fold(sc, sims[k])
-		for j, cl := range sc.touched {
-			base := int(cl) * t.numItems
-			axpy(sc.masses[j], t.avg[base:base+t.numItems], out[k])
-		}
+		t.reconstruct(sc.touched, sc.masses, out[k])
 	}
 	putScanScratch(sc)
+}
+
+// Utilities implements core.Fold: Eq. 4's dense row for the folded user,
+// added into out.
+func (f *Fold) Utilities(out []float64) {
+	f.t.reconstruct(f.clusters, f.masses, out)
+}
+
+// reconstruct adds Σ_k masses[k]·row(touched[k]) into out, in fold order.
+func (t *table) reconstruct(touched []int32, masses []float64, out []float64) {
+	for j, cl := range touched {
+		base := int(cl) * t.numItems
+		axpy(masses[j], t.avg[base:base+t.numItems], out)
+	}
 }
 
 // axpy computes y += a*x over equal-length slices. The bounds hint lets the
@@ -235,38 +273,62 @@ func axpy(a float64, x, y []float64) {
 //
 //sociolint:hotpath
 func (t *table) TopN(sim similarity.Scores, n int) ([]core.Recommendation, bool) {
-	if n < 1 || n > maxExactN || n >= t.numItems {
+	if !t.exactN(n) {
 		return nil, false
 	}
 	sc := getScanScratch()
 	t.fold(sc, sim)
-	var list []core.Recommendation
-	ok := t.scan(sc, n)
-	if ok {
-		list = make([]core.Recommendation, len(sc.heap))
-		copy(list, sc.heap)
-	}
+	list, ok := t.selectTop(sc, sc.touched, sc.masses, n)
 	putScanScratch(sc)
 	return list, ok
 }
 
-// scan runs the threshold algorithm over the folded clusters (its lanes),
+// TopN implements core.Fold: the table's TopN for the folded user, without
+// re-reading the vector.
+//
+//sociolint:hotpath
+func (f *Fold) TopN(n int) ([]core.Recommendation, bool) {
+	if !f.t.exactN(n) {
+		return nil, false
+	}
+	sc := getScanScratch()
+	list, ok := f.t.selectTop(sc, f.clusters, f.masses, n)
+	putScanScratch(sc)
+	return list, ok
+}
+
+// exactN reports whether TopN tries the scan for lists of length n.
+func (t *table) exactN(n int) bool {
+	return n >= 1 && n <= maxExactN && n < t.numItems
+}
+
+// selectTop runs the scan over a fold and copies out the n items it
+// settles, in heap order; ok=false when the scan could not settle them.
+func (t *table) selectTop(sc *scanScratch, touched []int32, masses []float64, n int) ([]core.Recommendation, bool) {
+	if !t.scan(sc, touched, masses, n) {
+		return nil, false
+	}
+	list := make([]core.Recommendation, len(sc.heap))
+	copy(list, sc.heap)
+	return list, true
+}
+
+// scan runs the threshold algorithm over a fold's clusters (its lanes),
 // leaving the n best items in sc.heap; false means it could not settle
 // them. Every lane's prefix is read in rank order: a candidate met at rank
 // d of a lane is scored from that lane's column d, and the threshold takes
 // each lane's term from its own column d, so no step reads a row of the
 // table itself.
-func (t *table) scan(sc *scanScratch, n int) bool {
+func (t *table) scan(sc *scanScratch, touched []int32, masses []float64, n int) bool {
 	sc.heap = sc.heap[:0]
-	if len(sc.touched) == 0 {
+	if len(touched) == 0 {
 		// The dense row is all zero, and TopN keeps the lowest ids.
 		for i := 0; i < n; i++ {
 			sc.heap.Offer(core.Recommendation{Item: int32(i)}, n)
 		}
 		return true
 	}
-	masses := sc.masses
-	touched := sc.touched[:len(masses)]
+	touched = touched[:len(masses)]
 	for _, m := range masses {
 		if !(m > 0 && m <= math.MaxFloat64) {
 			return false

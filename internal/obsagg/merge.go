@@ -1,6 +1,7 @@
 package obsagg
 
 import (
+	"slices"
 	"sort"
 
 	"socialrec/internal/telemetry"
@@ -10,9 +11,10 @@ import (
 // ones included — staleness is declared per target, not silently dropped)
 // is grouped by series identity (name + label pair), counters and
 // histogram buckets sum, and quantiles are recomputed from the merged
-// buckets. Series whose names or label values fail re-validation, and
-// histograms whose bucket layouts disagree, are skipped and counted —
-// never merged approximately, never echoed.
+// buckets. Series whose names or label values fail re-validation, ledger
+// entries whose mechanism names fail it, and histograms whose bucket
+// layouts disagree, are skipped and counted — never merged approximately,
+// never echoed.
 
 // FleetCounter is one counter series summed across the fleet, with the
 // per-target breakdown keyed by declared target name.
@@ -74,7 +76,8 @@ type FleetMetrics struct {
 	Gauges     []FleetGauge     `json:"gauges"`
 	Histograms []FleetHistogram `json:"histograms"`
 	// SkippedSeries counts series dropped by name/label re-validation or
-	// by a histogram bucket-layout mismatch. The offending values are
+	// by a histogram bucket-layout mismatch, and ledger mechanism totals
+	// and events dropped by name re-validation. The offending values are
 	// deliberately not listed.
 	SkippedSeries int `json:"skipped_series,omitempty"`
 }
@@ -165,10 +168,12 @@ func (c *Collector) mergeAll() *mergedView {
 				v.latencyAll = append(v.latencyAll, h)
 			}
 		}
-		ledgers = append(ledgers, rep.PrivacyBudget)
+		ledger, dropped := validLedger(rep.PrivacyBudget)
+		v.skipped += dropped
+		ledgers = append(ledgers, ledger)
 		v.perTarget = append(v.perTarget, targetBudget{
 			status: statusByName[name],
-			ledger: rep.PrivacyBudget,
+			ledger: ledger,
 		})
 	}
 
@@ -226,6 +231,36 @@ func validSeries(name, labelKey, labelValue string) bool {
 		return true
 	}
 	return telemetry.ValidName(labelKey) && telemetry.ValidName(labelValue)
+}
+
+// validLedger re-validates a scraped privacy ledger under the same rule:
+// it returns l without the mechanism totals and events whose mechanism
+// name fails telemetry.ValidName, and how many it dropped. The target's
+// reported TotalEpsilon and InfReleases stay as sent, so a dropped name
+// never hides that target's spend from its own budget row.
+func validLedger(l telemetry.LedgerSnapshot) (telemetry.LedgerSnapshot, int) {
+	dropped := 0
+	for _, m := range l.ByMechanism {
+		if !telemetry.ValidName(m.Mechanism) {
+			dropped++
+		}
+	}
+	for _, e := range l.Events {
+		if !telemetry.ValidName(e.Mechanism) {
+			dropped++
+		}
+	}
+	if dropped == 0 {
+		return l, 0
+	}
+	// The scraped report is shared by every merge: filter copies.
+	l.ByMechanism = slices.DeleteFunc(slices.Clone(l.ByMechanism), func(m telemetry.MechanismTotal) bool {
+		return !telemetry.ValidName(m.Mechanism)
+	})
+	l.Events = slices.DeleteFunc(slices.Clone(l.Events), func(e telemetry.ReleaseEvent) bool {
+		return !telemetry.ValidName(e.Mechanism)
+	})
+	return l, dropped
 }
 
 // requestLatency merges every request-latency histogram in the view into

@@ -389,7 +389,13 @@ func (c *Collector) get(url string, v any, acceptStatus func(int) bool) error {
 	if !acceptStatus(resp.StatusCode) {
 		return fmt.Errorf("obsagg: scrape status %d", resp.StatusCode)
 	}
-	return json.NewDecoder(io.LimitReader(resp.Body, maxScrapeBody)).Decode(v)
+	return decodeScrape(resp.Body, v)
+}
+
+// decodeScrape decodes one scraped JSON document from r into v, reading at
+// most maxScrapeBody bytes.
+func decodeScrape(r io.Reader, v any) error {
+	return json.NewDecoder(io.LimitReader(r, maxScrapeBody)).Decode(v)
 }
 
 func (c *Collector) fetchReport(base string) (*telemetry.Report, error) {

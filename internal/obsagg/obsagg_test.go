@@ -566,6 +566,50 @@ func TestClosedWorldSurvivesAggregation(t *testing.T) {
 	}
 }
 
+// TestClosedWorldLedgerNames: ledger entries whose mechanism names fail
+// re-validation are skipped and counted, never re-exported by the fleet
+// budget; valid mechanisms merge as before, and the target's own budget
+// row keeps the total it reported.
+func TestClosedWorldLedgerNames(t *testing.T) {
+	ft := newFakeTarget(t, "shard_0", 1)
+	c := newTestCollector(t, Config{Targets: []Target{ft.target("shard")}})
+	c.ScrapeOnce()
+	c.targets[0].mu.Lock()
+	c.targets[0].report.PrivacyBudget = telemetry.LedgerSnapshot{
+		Events: []telemetry.ReleaseEvent{
+			{Mechanism: "cluster", Epsilon: 0.5, Sensitivity: 1, Values: 4},
+			{Mechanism: "Not A Name!", Epsilon: 0.25, Sensitivity: 1, Values: 4},
+		},
+		ByMechanism: []telemetry.MechanismTotal{
+			{Mechanism: "Not A Name!", Releases: 1, Epsilon: 0.25},
+			{Mechanism: "cluster", Releases: 1, Epsilon: 0.5},
+		},
+		TotalEpsilon: 0.75,
+	}
+	c.targets[0].mu.Unlock()
+
+	doc := c.FleetBudget()
+	if got := doc.Fleet.ByMechanism; len(got) != 1 || got[0].Mechanism != "cluster" || got[0].Epsilon != 0.5 {
+		t.Fatalf("fleet by mechanism %+v, want cluster alone", got)
+	}
+	if doc.Fleet.TotalEpsilon != 0.5 || doc.Fleet.Dropped != 1 {
+		t.Errorf("fleet total %v over %d events, want 0.5 over 1", doc.Fleet.TotalEpsilon, doc.Fleet.Dropped)
+	}
+	if len(doc.Targets) != 1 || doc.Targets[0].TotalEpsilon != 0.75 {
+		t.Errorf("target rows %+v, want shard_0 at its reported 0.75", doc.Targets)
+	}
+	raw, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if containsStr(string(raw), "Not A Name") {
+		t.Fatalf("rejected mechanism name leaked into the fleet budget: %s", raw)
+	}
+	if got := c.FleetMetrics().SkippedSeries; got != 2 {
+		t.Errorf("skipped %d, want the total and the event", got)
+	}
+}
+
 func containsStr(s, sub string) bool {
 	for i := 0; i+len(sub) <= len(s); i++ {
 		if s[i:i+len(sub)] == sub {

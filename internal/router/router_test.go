@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -907,5 +908,84 @@ func TestRouterReadyzReportsShardLineage(t *testing.T) {
 	deltas, ok := got["deltas_applied"].([]any)
 	if !ok || len(deltas) != 2 || deltas[0] != float64(4) || deltas[1] != float64(5) {
 		t.Errorf("deltas_applied = %v", got["deltas_applied"])
+	}
+}
+
+// TestRouterDefaultClientKeepsShardConnections: with no Config.Client the
+// router keeps a pool of idle connections per shard, so a second burst of
+// concurrent calls reuses the first burst's connections instead of
+// re-dialing (http.DefaultTransport keeps 2 per host).
+func TestRouterDefaultClientKeepsShardConnections(t *testing.T) {
+	const wave = 8
+	var (
+		conns   atomic.Int32
+		mu      sync.Mutex
+		waiting int
+		gate    = make(chan struct{})
+	)
+	// The shard holds each call until the whole wave has arrived, so a
+	// wave needs wave connections at once.
+	shard := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		waiting++
+		g := gate
+		if waiting == wave {
+			close(gate)
+			waiting, gate = 0, make(chan struct{})
+		}
+		mu.Unlock()
+		select {
+		case <-g:
+		case <-time.After(5 * time.Second):
+		}
+		w.Header().Set("Content-Type", "application/json")
+		_, _ = io.WriteString(w, `{"recommendations":[]}`)
+	}))
+	shard.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	shard.Start()
+	t.Cleanup(shard.Close)
+
+	manifest, ids := testManifest(1, 2)
+	rt, err := New(Config{
+		Manifest:      manifest,
+		UserIDs:       ids,
+		Shards:        [][]string{{shard.URL}},
+		HedgeDelay:    -1,
+		ProbeInterval: -1,
+		Logger:        testLogger(t),
+		Metrics:       telemetry.NewRegistry(),
+		Tracer:        trace.New(trace.Config{Seed: 7}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(rt)
+	t.Cleanup(front.Close)
+	for w := 0; w < 2; w++ {
+		var wg sync.WaitGroup
+		for i := 0; i < wave; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				resp, err := http.Get(front.URL + "/recommend?user=u0&n=1")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				_, _ = io.Copy(io.Discard, resp.Body)
+				_ = resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("status %d", resp.StatusCode)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	if n := conns.Load(); n > wave {
+		t.Errorf("two waves of %d concurrent calls opened %d shard connections, want at most %d", wave, n, wave)
 	}
 }

@@ -146,3 +146,29 @@ func TestCacheConcurrent(t *testing.T) {
 		t.Errorf("capacity exceeded: %d", c.Len())
 	}
 }
+
+// TestDerivedCachesTheDerivedValue: NewDerived keeps derive's result, runs
+// derive once per miss only, and counts hits, misses and evictions as the
+// vector cache does.
+func TestDerivedCachesTheDerivedValue(t *testing.T) {
+	g := testGraph(t, 30)
+	m := similarity.CommonNeighbors{}
+	calls := 0
+	c := NewDerived(g, m, 5, func(s similarity.Scores) int {
+		calls++
+		return len(s.Users)
+	})
+	for u := 0; u < 20; u++ {
+		if got, want := c.Similar(int32(u)), len(m.Similar(g, u, nil).Users); got != want {
+			t.Fatalf("user %d: cached %d, want %d", u, got, want)
+		}
+	}
+	c.Similar(19)
+	if calls != 20 {
+		t.Errorf("derive ran %d times for 20 misses", calls)
+	}
+	want := Stats{Hits: 1, Misses: 20, Evictions: 15, Len: 5, Capacity: 5}
+	if st := c.Stats(); st != want {
+		t.Errorf("Stats() = %+v, want %+v", st, want)
+	}
+}

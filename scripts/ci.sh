@@ -11,7 +11,9 @@
 # serving tier (scripts/router_chaos.sh), a build and smoke test of the
 # paper-scale benchmark module (perfbench/), and a short fuzz smoke over the
 # dataset parsers, every release decoder, the traceparent parser, the
-# exact top-N scan and same-seed Louvain repeats. Every step must pass; the
+# exact top-N scan, same-seed Louvain repeats, the WAL, intent and
+# checkpoint decoders, the router's shard-response parses and socmon's
+# scrape decode and merge. Every step must pass; the
 # first failure aborts with a non-zero exit. `make ci` is the one-command
 # entry point, locally and in any future pipeline.
 set -euo pipefail

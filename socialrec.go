@@ -167,8 +167,9 @@ type Engine struct {
 	// cluster is the sanitized release backing the engine; nil for exact
 	// engines (which have nothing safe to persist).
 	cluster *mechanism.Cluster
-	// simCache is the similarity cache, nil until EnableSimilarityCache.
-	simCache *simcache.Cache
+	// cacheStats reads the similarity cache's counters, nil until
+	// EnableSimilarityCache.
+	cacheStats func() simcache.Stats
 }
 
 // NewEngine clusters the social graph, performs the private release of
@@ -439,13 +440,15 @@ func (e *Engine) Modularity() float64 {
 var NoPrivacy = math.Inf(1)
 
 // EnableSimilarityCache installs a bounded LRU cache of per-user similarity
-// vectors (capacity < 1 selects 4096). Similarity computation dominates
-// per-request serving cost and is derived from public data only, so caching
-// changes performance, not privacy. Call before serving; not safe to call
-// concurrently with Recommend.
+// holding capacity users (capacity < 1 selects 4096). A private engine
+// caches each user's per-cluster similarity mass — at most one entry per
+// cluster, all its release reads of the vector — and an exact engine the
+// whole vector. Similarity computation dominates per-request serving cost
+// and is derived from public data only, so caching changes performance,
+// not privacy, and cached lists equal uncached ones bit for bit. Call
+// before serving; not safe to call concurrently with Recommend.
 func (e *Engine) EnableSimilarityCache(capacity int) {
-	e.simCache = simcache.New(e.social, e.measure, capacity)
-	e.rec.SimilaritySource = e.simCache.Similar
+	e.cacheStats = e.rec.CacheSimilarity(capacity)
 }
 
 // CacheStats is a point-in-time summary of the similarity cache. It
@@ -455,8 +458,8 @@ type CacheStats = simcache.Stats
 // CacheStats reports the similarity cache's counters; ok is false when no
 // cache is installed.
 func (e *Engine) CacheStats() (stats CacheStats, ok bool) {
-	if e.simCache == nil {
+	if e.cacheStats == nil {
 		return CacheStats{}, false
 	}
-	return e.simCache.Stats(), true
+	return e.cacheStats(), true
 }

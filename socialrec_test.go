@@ -1,11 +1,17 @@
 package socialrec
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"socialrec/internal/dataset"
+	"socialrec/internal/dp"
 	"socialrec/internal/generator"
+	"socialrec/internal/graph"
+	"socialrec/internal/mechanism"
+	"socialrec/internal/release"
+	"socialrec/internal/similarity"
 )
 
 // buildSmall wires a two-community toy network through the public builder.
@@ -169,31 +175,167 @@ func TestEngineFromGeneratedGraphs(t *testing.T) {
 	}
 }
 
+// cacheEngine is what the similarity-cache tests drive: Engine and
+// ShardEngine alike.
+type cacheEngine interface {
+	Recommend(user, n int) ([]Recommendation, error)
+	RecommendBatch(users []int, n int) ([][]Recommendation, error)
+	EnableSimilarityCache(capacity int)
+	CacheStats() (CacheStats, bool)
+}
+
+// sameRecs reports whether a and b hold the same items with bit-identical
+// utilities, in order.
+func sameRecs(a, b []Recommendation) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Item != b[i].Item || math.Float64bits(a[i].Utility) != math.Float64bits(b[i].Utility) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestEngineSimilarityCacheEquivalence: an engine with a similarity cache
+// answers bit-identically to one without, over the same release, for every
+// kind of engine — whole cluster, weighted, shard, delta-applied and exact —
+// while a small cache evicts, at n on both sides of the exact scan's cutoff
+// (48): n = 10 runs the scan, n = 60 the dense fallback.
 func TestEngineSimilarityCacheEquivalence(t *testing.T) {
-	e1, err := NewEngine(buildSmall(), Config{Epsilon: 0.5, Seed: 6})
+	const capacity = 16
+	social, _, prefs, err := generator.TinyTest(5).Generate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2, err := NewEngine(buildSmall(), Config{Epsilon: 0.5, Seed: 6})
+	cfg := Config{Epsilon: 0.5, Seed: 6}
+	whole, err := NewEngineFromGraphs(social, prefs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2.EnableSimilarityCache(16)
-	users := []int{0, 1, 2, 3, 0, 1} // repeats exercise cache hits
-	a, err := e1.RecommendBatch(users, 4)
+	rel, err := whole.Release()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := e2.RecommendBatch(users, 4)
-	if err != nil {
-		t.Fatal(err)
+	all := make([]int, social.NumUsers())
+	for u := range all {
+		all[u] = u
 	}
-	for k := range a {
-		for i := range a[k] {
-			if a[k][i] != b[k][i] {
-				t.Fatal("cached engine disagrees with uncached engine")
+
+	wb := graph.NewWeightedPreferenceBuilder(prefs.NumUsers(), prefs.NumItems())
+	for u := 0; u < prefs.NumUsers(); u++ {
+		for _, i := range prefs.Items(u) {
+			if err := wb.AddEdge(u, int(i), float64(1+(u+int(i))%5)); err != nil {
+				t.Fatal(err)
 			}
 		}
+	}
+	weighted := wb.Build()
+
+	m, err := similarity.ByName(rel.Measure)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clusterShard := make([]int32, rel.Clusters.NumClusters())
+	for c := range clusterShard {
+		clusterShard[c] = int32(c % 2)
+	}
+	manifest, shards, err := release.SplitRelease(rel, social, clusterShard, 2, similarity.Horizon(m))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var owned []int
+	for _, u := range all {
+		if manifest.ShardOf(u) == 0 {
+			owned = append(owned, u)
+		}
+	}
+
+	// The delta re-releases every odd cluster and keeps the even ones.
+	nc := rel.Clusters.NumClusters()
+	fresh := make([]bool, nc)
+	source := make([]int32, nc)
+	for c := range source {
+		source[c], fresh[c] = int32(c), c%2 == 1
+		if fresh[c] {
+			source[c] = -1
+		}
+	}
+	rows, err := mechanism.DeltaRows(context.Background(), rel.Clusters, prefs, fresh, 0.5, dp.SourceFor(0.5, 9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	delta := &release.Delta{Base: 1, Epsilon: 0.5, Measure: rel.Measure, NumItems: rel.NumItems,
+		Assign: rel.Clusters.Assignment(), Source: source, Fresh: rows}
+	applied, err := delta.Apply(rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, kind := range []struct {
+		name  string
+		build func() (cacheEngine, error)
+		users []int
+	}{
+		{"cluster", func() (cacheEngine, error) { return EngineFromRelease(rel, social) }, all},
+		{"weighted", func() (cacheEngine, error) { return NewWeightedEngineFromGraphs(social, weighted, 5, cfg) }, all},
+		{"shard", func() (cacheEngine, error) { return EngineFromShard(shards[0], social) }, owned},
+		{"delta", func() (cacheEngine, error) { return EngineFromRelease(applied, social) }, all},
+		{"exact", func() (cacheEngine, error) { return NewExactEngineFromGraphs(social, prefs, "") }, all},
+	} {
+		t.Run(kind.name, func(t *testing.T) {
+			plain, err := kind.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			cached, err := kind.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			cached.EnableSimilarityCache(capacity)
+			for _, n := range []int{10, 60} {
+				// Each user twice in a row (a hit), then batches of 8.
+				for _, u := range kind.users {
+					want, err := plain.Recommend(u, n)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for rep := 0; rep < 2; rep++ {
+						got, err := cached.Recommend(u, n)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !sameRecs(got, want) {
+							t.Fatalf("user %d n=%d: cached %v, uncached %v", u, n, got, want)
+						}
+					}
+				}
+				for lo := 0; lo < len(kind.users); lo += 8 {
+					batch := kind.users[lo:min(lo+8, len(kind.users))]
+					want, err := plain.RecommendBatch(batch, n)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := cached.RecommendBatch(batch, n)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for k := range want {
+						if !sameRecs(got[k], want[k]) {
+							t.Fatalf("batch user %d n=%d: cached %v, uncached %v", batch[k], n, got[k], want[k])
+						}
+					}
+				}
+			}
+			st, ok := cached.CacheStats()
+			if !ok || st.Hits == 0 || st.Evictions == 0 || st.Len != capacity {
+				t.Errorf("cache stats %+v (ok %v): want hits, evictions and %d resident", st, ok, capacity)
+			}
+			if _, ok := plain.CacheStats(); ok {
+				t.Error("an engine without a cache reports cache stats")
+			}
+		})
 	}
 }
 
