@@ -218,13 +218,14 @@ func main() {
 	default:
 		// Serve the newest valid full release plus its delta chain from
 		// the store, recovering past any corrupt or torn artifacts.
-		var full *socialrec.Engine
-		engine, full, startLineage, err = loadLineageStore(context.Background(), store, social)
+		engine, startLineage, err = loadLineageStore(context.Background(), store, social)
+		if err == nil {
+			startFull, err = loadFullStore(context.Background(), store, social, engine, startLineage)
+		}
 		if err != nil {
 			fatal("recserve: loading from release store", "dir", store.Dir(), "err", err)
 		}
 		version = startLineage.Version()
-		startFull = full
 		//sociolint:ignore privflow versions and chain length are store metadata, not preference data
 		logger.Info("recserve: serving stored release", "version", version,
 			"full_version", startLineage.Full, "deltas", len(startLineage.Deltas), "dir", store.Dir())
@@ -393,34 +394,39 @@ func loadEngineFile(path string, social *graph.Social) (*socialrec.Engine, error
 }
 
 // loadLineageStore resolves the newest full generation plus its valid
-// delta chain from the store. engine serves the composed release; full is
-// the engine of the bare full generation, retained for rollback (equal to
-// engine when no deltas are in the lineage).
-func loadLineageStore(ctx context.Context, store *release.Store, social *graph.Social) (engine, full *socialrec.Engine, ln release.Lineage, err error) {
+// delta chain from the store and builds the engine serving the composed
+// release.
+func loadLineageStore(ctx context.Context, store *release.Store, social *graph.Social) (*socialrec.Engine, release.Lineage, error) {
 	rel, ln, skipped, err := store.LoadLatestContext(ctx)
 	for _, sk := range skipped {
 		logger.WarnContext(ctx, "recserve: release store skipped corrupt artifact",
 			"file", sk.Name, "err", sk.Err)
 	}
 	if err != nil {
-		return nil, nil, ln, err
+		return nil, ln, err
 	}
-	engine, err = socialrec.EngineFromRelease(rel, social)
+	engine, err := socialrec.EngineFromRelease(rel, social)
 	if err != nil {
-		return nil, nil, ln, err
+		return nil, ln, err
 	}
-	full = engine
-	if len(ln.Deltas) > 0 {
-		fullRel, err := store.LoadVersionContext(ctx, ln.Full)
-		if err != nil {
-			return nil, nil, ln, err
-		}
-		full, err = socialrec.EngineFromRelease(fullRel, social)
-		if err != nil {
-			return nil, nil, ln, err
-		}
+	return engine, ln, nil
+}
+
+// loadFullStore returns the engine of ln's bare full generation, which the
+// slot retains for rollback: engine itself when ln carries no deltas, else
+// a second read and build of the full generation. Only the paths that
+// install a full generation call it (start-up and a new full generation in
+// reloadFromStore); a longer chain on the served full needs neither.
+func loadFullStore(ctx context.Context, store *release.Store, social *graph.Social,
+	engine *socialrec.Engine, ln release.Lineage) (*socialrec.Engine, error) {
+	if len(ln.Deltas) == 0 {
+		return engine, nil
 	}
-	return engine, full, ln, nil
+	rel, err := store.LoadVersionContext(ctx, ln.Full)
+	if err != nil {
+		return nil, err
+	}
+	return socialrec.EngineFromRelease(rel, social)
 }
 
 // startSlot builds the serving slot at start-up. serve answers requests
@@ -493,7 +499,7 @@ func makeReload(hot *server.Hot, store *release.Store, loadRel string,
 // answering — instead of serving state with unverifiable provenance.
 func reloadFromStore(ctx context.Context, hot *server.Hot, store *release.Store,
 	social *graph.Social, cacheCap int) error {
-	engine, full, ln, err := loadLineageStore(ctx, store, social)
+	engine, ln, err := loadLineageStore(ctx, store, social)
 	st := hot.Status()
 	if err != nil {
 		hot.Fail(err.Error())
@@ -523,8 +529,14 @@ func reloadFromStore(ctx context.Context, hot *server.Hot, store *release.Store,
 		}
 		return nil
 	}
-	// New full generation, possibly with deltas already on top of it. The
-	// full engine gets its cache before Swap: once installed it serves.
+	// New full generation, possibly with deltas already on top of it: the
+	// only reload that installs, and so builds, a bare full generation.
+	full, err := loadFullStore(ctx, store, social, engine, ln)
+	if err != nil {
+		hot.Fail(err.Error())
+		return err
+	}
+	// The full engine gets its cache before Swap: once installed it serves.
 	if full != engine && cacheCap >= 0 {
 		full.EnableSimilarityCache(cacheCap)
 	}

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"socialrec"
 	"socialrec/internal/community"
 	"socialrec/internal/graph"
 	"socialrec/internal/release"
@@ -76,6 +77,32 @@ func saveDeltaFixture(t *testing.T, store *release.Store, base uint64) uint64 {
 	return v
 }
 
+// loadStart resolves the store's lineage as main() does at start-up: the
+// serving engine plus the retained full generation's engine.
+func loadStart(t *testing.T, store *release.Store, social *graph.Social) (engine, full *socialrec.Engine, ln release.Lineage) {
+	t.Helper()
+	ctx := context.Background()
+	engine, ln, err := loadLineageStore(ctx, store, social)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full, err = loadFullStore(ctx, store, social, engine, ln); err != nil {
+		t.Fatal(err)
+	}
+	return engine, full, ln
+}
+
+// releaseLoads counts the full-release decodes the process ledger has
+// recorded (one release_load event per release.ReadContext).
+func releaseLoads() int {
+	for _, m := range telemetry.Budget().Snapshot().ByMechanism {
+		if m.Mechanism == "release_load" {
+			return m.Releases
+		}
+	}
+	return 0
+}
+
 // corruptDelta flips a byte in the stored delta artifact for the given
 // version, simulating on-disk rot of an already-served delta.
 func corruptDelta(t *testing.T, dir string, version uint64) {
@@ -114,10 +141,7 @@ func TestReloadFromStoreRollsBackOnCorruptDelta(t *testing.T) {
 	deltaV := saveDeltaFixture(t, store, fullV)
 
 	// Startup resolves full + delta, as main() does for -release-dir.
-	engine, full, ln, err := loadLineageStore(ctx, store, social)
-	if err != nil {
-		t.Fatal(err)
-	}
+	engine, full, ln := loadStart(t, store, social)
 	if ln.Full != fullV || len(ln.Deltas) != 1 || ln.Deltas[0] != deltaV {
 		t.Fatalf("startup lineage = %+v", ln)
 	}
@@ -146,7 +170,7 @@ func TestReloadFromStoreRollsBackOnCorruptDelta(t *testing.T) {
 	// generation, which is older than what we serve: reload must roll
 	// back, not 500 the serving path.
 	corruptDelta(t, dir, deltaV)
-	err = reloadFromStore(ctx, hot, store, social, -1)
+	err := reloadFromStore(ctx, hot, store, social, -1)
 	if err == nil || !strings.Contains(err.Error(), "rolled back") {
 		t.Fatalf("reload over corrupt served delta: %v", err)
 	}
@@ -174,7 +198,9 @@ func TestReloadFromStoreRollsBackOnCorruptDelta(t *testing.T) {
 
 // TestReloadFromStoreExtendsDeltaChain: a new delta appearing in the
 // store swaps in through the validated delta path, keeping the full
-// generation retained for rollback.
+// generation retained for rollback. The slot already retains that full
+// generation, so the reload decodes it once (to compose the chain) and
+// builds no second engine over it.
 func TestReloadFromStoreExtendsDeltaChain(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
@@ -182,18 +208,19 @@ func TestReloadFromStoreExtendsDeltaChain(t *testing.T) {
 	social := rollbackSocial(t)
 
 	fullV := saveFullFixture(t, store)
-	engine, full, ln, err := loadLineageStore(ctx, store, social)
-	if err != nil {
-		t.Fatal(err)
-	}
+	engine, full, ln := loadStart(t, store, social)
 	if full != engine || len(ln.Deltas) != 0 {
 		t.Fatalf("fresh store lineage = %+v", ln)
 	}
 	hot := server.NewHot(server.Engine(engine), ln.Version())
 
 	deltaV := saveDeltaFixture(t, store, fullV)
+	loads := releaseLoads()
 	if err := reloadFromStore(ctx, hot, store, social, -1); err != nil {
 		t.Fatalf("delta reload: %v", err)
+	}
+	if n := releaseLoads() - loads; n != 1 {
+		t.Errorf("delta reload decoded %d full releases, want 1", n)
 	}
 	st := hot.Status()
 	if st.Version != deltaV || st.FullVersion != fullV || len(st.Deltas) != 1 {
@@ -212,10 +239,7 @@ func TestReloadNewFullWithDeltasUnderReaders(t *testing.T) {
 	social := rollbackSocial(t)
 
 	saveFullFixture(t, store)
-	engine, _, ln, err := loadLineageStore(ctx, store, social)
-	if err != nil {
-		t.Fatal(err)
-	}
+	engine, _, ln := loadStart(t, store, social)
 	hot := server.NewHot(server.Engine(engine), ln.Version())
 
 	stop := make(chan struct{})
@@ -259,16 +283,12 @@ func TestReloadNewFullWithDeltasUnderReaders(t *testing.T) {
 // retained full generation its similarity cache too, so serving after a
 // rollback stays cached and the simcache gauges keep reading it.
 func TestStartSlotCachesRetainedFull(t *testing.T) {
-	ctx := context.Background()
 	store := rollbackStore(t, t.TempDir())
 	social := rollbackSocial(t)
 	fullV := saveFullFixture(t, store)
 	saveDeltaFixture(t, store, fullV)
 
-	engine, full, ln, err := loadLineageStore(ctx, store, social)
-	if err != nil {
-		t.Fatal(err)
-	}
+	engine, full, ln := loadStart(t, store, social)
 	hot, err := startSlot(engine, engine, full, ln, ln.Version(), 16)
 	if err != nil {
 		t.Fatal(err)

@@ -55,22 +55,21 @@ func NewClusterCtx(ctx context.Context, clusters *community.Clustering, prefs *g
 // Name returns "cluster".
 func (*Cluster) Name() string { return "cluster" }
 
-// Averages returns a copy of the sanitized per-(cluster, item) averages,
-// cluster-major. They are safe to persist and share: under differential
-// privacy everything derived from them is post-processing (see
-// internal/release).
-func (c *Cluster) Averages() []float64 {
-	out := make([]float64, len(c.avg))
-	copy(out, c.avg)
-	return out
-}
+// Averages returns the sanitized per-(cluster, item) averages,
+// cluster-major: the estimator's own table, not a copy. They are safe to
+// persist and share: under differential privacy everything derived from
+// them is post-processing (see internal/release). The slice is read-only:
+// the estimator serves from it, and nothing writes it after Eq. 3.
+func (c *Cluster) Averages() []float64 { return c.avg }
 
 // Clustering returns the user partition backing the release.
 func (c *Cluster) Clustering() *community.Clustering { return c.clusters }
 
 // NewClusterFromRelease reconstructs a Cluster estimator from previously
 // released sanitized averages — no preference data and no privacy budget
-// involved. avg must be cluster-major with numItems columns.
+// involved. avg must be cluster-major with numItems columns. The estimator
+// adopts avg instead of copying it, so one table serves the release and
+// the engine: neither the estimator nor the caller may write it afterwards.
 func NewClusterFromRelease(clusters *community.Clustering, numItems int, avg []float64) (*Cluster, error) {
 	if numItems < 0 {
 		return nil, fmt.Errorf("mechanism: negative item count")
@@ -78,7 +77,7 @@ func NewClusterFromRelease(clusters *community.Clustering, numItems int, avg []f
 	if want := clusters.NumClusters() * numItems; len(avg) != want {
 		return nil, fmt.Errorf("mechanism: %d averages, want %d", len(avg), want)
 	}
-	return &Cluster{newTable(clusters, numItems, append([]float64(nil), avg...))}, nil
+	return &Cluster{newTable(clusters, numItems, avg)}, nil
 }
 
 // NumClusters reports the number of clusters backing the release.

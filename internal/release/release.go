@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"socialrec/internal/community"
 	"socialrec/internal/dp"
@@ -46,7 +47,9 @@ type Release struct {
 	// NumItems is |I|.
 	NumItems int
 	// Avg holds the sanitized averages, cluster-major:
-	// Avg[c*NumItems + i] = ŵ_c^i.
+	// Avg[c*NumItems + i] = ŵ_c^i. It may be a serving engine's own table
+	// (socialrec.EngineFromRelease adopts it, Engine.Release returns it),
+	// so nothing writes it in place; Snap replaces it.
 	Avg []float64
 }
 
@@ -57,11 +60,13 @@ type Release struct {
 // rounding them onto an input-independent grid destroys exactly those
 // bits. Snapping is post-processing, so the release's ε is unchanged; a
 // grain well below the mechanism's noise scale (e.g. scale/100) costs at
-// most grain/2 of utility per value. A grain ≤ 0 leaves the release
-// untouched. Callers should snap before Write, so only snapped values are
+// most grain/2 of utility per value. A grain ≤ 0 leaves the values
+// unchanged. Callers should snap before Write, so only snapped values are
 // ever persisted or served.
+// Snap writes into a new slice and points r.Avg at it, leaving the slice
+// it replaces, which may be an engine's own table (see Avg), untouched.
 func (r *Release) Snap(grain float64) {
-	dp.Snap(r.Avg, grain)
+	r.Avg = dp.Snap(slices.Clone(r.Avg), grain)
 }
 
 // Validate checks internal consistency.

@@ -692,18 +692,25 @@ func (rt *Router) replicaOrder(shard int, key string) []*replica {
 // with capped jittered backoff across the replica preference order, an
 // optional hedged attempt for idempotent reads, breaker bookkeeping per
 // attempt, all bounded by the request context's deadline.
+//
+// When no hedge can start (hedge off, hedging disabled, one replica, or a
+// single attempt), attempts run on the calling goroutine: nothing races
+// them, and the caller's stack has already grown, while a fresh
+// goroutine's would grow again inside http.Client.Do. Each attempt's
+// result goes through the same channel either way.
 func (rt *Router) callShard(parent context.Context, shard int, key, method, path string, body []byte, hedge bool) (*shardResp, error) {
 	reps := rt.replicaOrder(shard, key)
 	ctx, cancel := context.WithCancel(parent)
 	defer cancel()
+	canHedge := hedge && rt.cfg.HedgeDelay >= 0 && len(reps) > 1 && rt.cfg.MaxAttempts > 1
 
 	type attemptOut struct {
 		resp   *shardResp
 		err    error
 		hedged bool
 	}
-	// Buffered to the attempt cap so goroutines finishing after we return
-	// never block.
+	// Buffered to the attempt cap, so neither an inline attempt's send nor
+	// a goroutine finishing after we return ever blocks.
 	results := make(chan attemptOut, rt.cfg.MaxAttempts+1)
 	attempts, pending, next := 0, 0, 0
 	// pickAllowed consumes the next replica whose breaker admits a call.
@@ -736,6 +743,11 @@ func (rt *Router) callShard(parent context.Context, shard int, key, method, path
 			}()
 			return
 		}
+		if !canHedge {
+			resp, err := rt.attempt(actx, rep, method, path, body, attempt)
+			results <- attemptOut{resp: resp, err: err}
+			return
+		}
 		go func() {
 			resp, err := rt.attempt(actx, rep, method, path, body, attempt)
 			results <- attemptOut{resp: resp, err: err}
@@ -750,7 +762,7 @@ func (rt *Router) callShard(parent context.Context, shard int, key, method, path
 	launch(rep, false)
 
 	var hedgeC <-chan time.Time
-	if hedge && rt.cfg.HedgeDelay >= 0 && len(reps) > 1 && rt.cfg.MaxAttempts > 1 {
+	if canHedge {
 		t := time.NewTimer(rt.hedgeDelay(shard))
 		defer t.Stop()
 		hedgeC = t.C

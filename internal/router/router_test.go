@@ -10,6 +10,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -411,6 +412,67 @@ func TestRouterRetriesTransientFailures(t *testing.T) {
 	}
 	if got := rt.m.attempts[0].Value(); got != 3 {
 		t.Errorf("attempts = %d, want 3", got)
+	}
+}
+
+// handlerStackTransport answers every shard call with a canned row and
+// records whether (*Router).handleRecommend is on the stack of the
+// goroutine that calls RoundTrip, which http.Client.Do runs on its caller's.
+type handlerStackTransport struct {
+	calls, onHandler atomic.Int32
+}
+
+func (tr *handlerStackTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	tr.calls.Add(1)
+	pc := make([]uintptr, 64)
+	frames := runtime.CallersFrames(pc[:runtime.Callers(1, pc)])
+	for {
+		f, more := frames.Next()
+		if strings.HasSuffix(f.Function, ".(*Router).handleRecommend") {
+			tr.onHandler.Add(1)
+			break
+		}
+		if !more {
+			break
+		}
+	}
+	return &http.Response{
+		StatusCode: http.StatusOK,
+		Header:     http.Header{"Content-Type": {"application/json"}},
+		Body:       io.NopCloser(strings.NewReader(`{"user":"u0","recommendations":[]}`)),
+		Request:    r,
+	}, nil
+}
+
+// TestRouterAttemptsInlineWithoutHedge: with one replica no hedge can race
+// the attempt, so the router makes it on the handler's own goroutine
+// instead of starting one per attempt.
+func TestRouterAttemptsInlineWithoutHedge(t *testing.T) {
+	tr := &handlerStackTransport{}
+	manifest, ids := testManifest(1, 2)
+	rt, err := New(Config{
+		Manifest:      manifest,
+		UserIDs:       ids,
+		Shards:        [][]string{{"http://shard.invalid"}},
+		Client:        &http.Client{Transport: tr},
+		HedgeDelay:    0, // adaptive hedging on: the single replica alone rules it out
+		ProbeInterval: -1,
+		Logger:        testLogger(t),
+		Metrics:       telemetry.NewRegistry(),
+		Tracer:        trace.New(trace.Config{Seed: 7}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		w := httptest.NewRecorder()
+		rt.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/recommend?user=u0&n=1", nil))
+		if w.Code != http.StatusOK {
+			t.Fatalf("status %d, body %s", w.Code, w.Body)
+		}
+	}
+	if calls, inline := tr.calls.Load(), tr.onHandler.Load(); calls != 3 || inline != calls {
+		t.Errorf("%d of %d shard calls ran on the handler's goroutine, want all 3", inline, calls)
 	}
 }
 

@@ -73,6 +73,7 @@ run_named 'TestStore|TestReadCorruptCorpus|TestDecodersBoundedAllocation' ./inte
 run_named 'TestHot|TestFailedReload|TestReload|TestPanicRecovery|TestChaos|TestLimiterSheds|TestDeadline' ./internal/server
 run_named 'TestPanicRecovery|TestDeadlineBudget|TestStatusCapture' ./internal/httpedge
 run_named 'TestUpdaterCrashRecompute|TestUpdaterPublishFaultSweep|TestUpdaterBudgetExhaustion|TestUpdaterRefusesCorruptIntent' ./internal/dynamic
+run_named 'TestReloadFromStoreRollsBackOnCorruptDelta|TestReloadFromStoreExtendsDeltaChain|TestReloadNewFullWithDeltasUnderReaders|TestStartSlotCachesRetainedFull' ./cmd/recserve
 
 step "crash/resume matrix (checkpointed pipeline, updater intent journal)"
 ./scripts/resume_chaos.sh

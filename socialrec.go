@@ -294,7 +294,9 @@ func (e *Engine) SaveRelease(w io.Writer) error {
 // Release returns the engine's sanitized release as a value, for callers
 // that persist through release.Store rather than a plain io.Writer. The
 // same post-processing safety as SaveRelease applies; exact (non-private)
-// engines refuse.
+// engines refuse. The release's Avg is the engine's own averages table,
+// not a copy: treat it as read-only. Snap replaces it with a snapped copy
+// and leaves the engine's table as it was.
 func (e *Engine) Release() (*release.Release, error) {
 	if e.cluster == nil {
 		return nil, fmt.Errorf("socialrec: engine has no sanitized release to save (exact or weighted engines are not persistable)")
