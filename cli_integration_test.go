@@ -56,10 +56,22 @@ func TestCLIIntegration(t *testing.T) {
 		t.Fatalf("recommend output malformed:\n%s", out)
 	}
 
-	out = run("./cmd/evaluate", "-social", social, "-prefs", prefs,
-		"-epsilon", "0.5", "-n", "5", "-sample", "40")
+	evalArgs := []string{"./cmd/evaluate", "-social", social, "-prefs", prefs,
+		"-epsilon", "0.5", "-n", "5", "-sample", "40"}
+	out = run(evalArgs...)
 	if !strings.Contains(out, "NDCG@5") {
 		t.Fatalf("evaluate output malformed:\n%s", out)
+	}
+	// The checkpointed pipeline evaluates the same sample of the same
+	// release, so every metric line must match the direct path's.
+	report := func(out string) string {
+		_, rep, _ := strings.Cut(out, "evaluated ")
+		rep, _, _ = strings.Cut(rep, "\n\n")
+		return rep
+	}
+	ckpt := run(append(evalArgs, "-checkpoint-dir", filepath.Join(dir, "ckpt"))...)
+	if got, want := report(ckpt), report(out); got != want || want == "" {
+		t.Errorf("evaluate -checkpoint-dir reports\n%s\nwithout it\n%s", got, want)
 	}
 	// The exit table's rows come from finished trace spans: the graph
 	// load, the engine build root with its clustering and release

@@ -12,9 +12,12 @@
 //
 // -lenient quarantines malformed TSV rows (reported on stderr) instead of
 // failing on the first one. With -checkpoint-dir the offline precompute
-// (ingestion, similarity shards, clustering, release) runs through the
+// (ingestion, sampling, similarity shards, release) runs through the
 // resumable stage orchestrator: an interrupted run resumes from the first
 // incomplete stage on the next invocation, and -fresh discards checkpoints.
+// Both paths evaluate the same sample of the same release: the sample is
+// drawn at -seed+200, and the release follows release.Recipe with -runs
+// Louvain restarts and -seed.
 package main
 
 import (
@@ -54,11 +57,16 @@ func main() {
 		ckptDir    = flag.String("checkpoint-dir", "", "run the offline precompute through the resumable checkpoint pipeline, storing stage outputs here")
 		resume     = flag.Bool("resume", true, "reuse matching checkpoints in -checkpoint-dir")
 		fresh      = flag.Bool("fresh", false, "discard existing checkpoints before running")
-		runs       = flag.Int("runs", 10, "Louvain restarts (checkpointed pipeline)")
+		runs       = flag.Int("runs", 10, "Louvain restarts")
 	)
 	flag.Parse()
 	if *socialPath == "" || *prefsPath == "" {
 		fatalf("-social and -prefs are required")
+	}
+	if *sample < 1 {
+		// The pipeline would read 0 as its default of 400 users, the
+		// direct path as none: neither evaluates what was asked.
+		fatalf("-sample must be at least 1")
 	}
 	eps := math.Inf(1)
 	if *epsArg != "inf" {
@@ -87,12 +95,13 @@ func main() {
 	} else {
 		ds = loadDataset(context.Background(), *socialPath, *prefsPath, *lenient)
 		private, err = socialrec.NewEngineFromGraphs(ds.Social, ds.Prefs, socialrec.Config{
-			Measure: *measure, Epsilon: eps, Seed: *seed,
+			Measure: *measure, Epsilon: eps, LouvainRuns: *runs, Seed: *seed,
 		})
 		if err != nil {
 			fatalf("%v", err)
 		}
-		evalUsers = experiment.SampleUsers(ds.Social.NumUsers(), *sample, *seed+99)
+		// The pipeline's sampling stage draws the same sample.
+		evalUsers = experiment.SampleUsers(ds.Social.NumUsers(), *sample, *seed+200)
 		// Per-user scoring needs true utilities; recompute them via the
 		// measure (public data).
 		sims = similarity.ComputeAll(ds.Social, m, evalUsers, 0)
@@ -196,8 +205,8 @@ func loadDataset(ctx context.Context, socialPath, prefsPath string, lenient bool
 	return &dataset.Dataset{Name: socialPath, Social: social, Prefs: prefs}
 }
 
-// checkpointedPrecompute runs ingestion, similarity precompute, clustering
-// and the mechanism release through the resumable pipeline, then builds the
+// checkpointedPrecompute runs ingestion, sampling, similarity precompute
+// and the release through the resumable pipeline, then builds the
 // private engine from the released (already-noised) averages. Checkpoints
 // are keyed by a content hash of both input files, so editing the data
 // invalidates them.

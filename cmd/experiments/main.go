@@ -17,11 +17,13 @@
 // -repeats, -sample and -runs trade fidelity for speed; the paper's own
 // settings are -repeats 10 and (for the big dataset) -sample 10000.
 //
-// The release experiment runs the offline path (load → similarity shards →
-// Louvain runs → pick → mechanism release → persist) through the resumable
-// stage orchestrator. With -checkpoint-dir, completed stages are
-// checkpointed and a rerun resumes from the first invalidated stage;
-// -fresh discards checkpoints, -resume=false ignores them. -faults arms a
+// The release experiment runs the offline path (load → sample → similarity
+// shards → merge → release → persist) through the resumable stage
+// orchestrator; its release stage is release.Recipe.Build, so it writes
+// the bytes recserve's -prefs build writes for the same data, ε and seed.
+// With -checkpoint-dir, completed stages are checkpointed and a rerun
+// resumes from the first invalidated stage; -fresh discards checkpoints,
+// -resume=false ignores them. -faults arms a
 // deterministic fault-injection point (e.g. fs.rename) so crash/resume
 // drills are scriptable: the interrupted run exits non-zero, the resumed
 // run must produce the byte-identical release with the ε-spend journaled
@@ -344,13 +346,13 @@ func runReleasePipeline(f releaseFlags) error {
 			len(records), pipeline.SpentEpsilon(records), len(skipped))
 	}
 
-	// Exercise the checkpoint-fed evaluation path: score the released
-	// mechanism without recomputing similarities or clusterings.
+	// Exercise the checkpoint-fed evaluation path: score the release's own
+	// averages without recomputing similarities or clusterings.
 	runner, err := experiment.RunnerFromState(res.State, similarity.CommonNeighbors{})
 	if err != nil {
 		return err
 	}
-	score, err := runner.EvaluateCluster(spec.Eps, f.seed, []int{10})
+	score, err := runner.EvaluateRelease(rel, []int{10})
 	if err != nil {
 		return err
 	}

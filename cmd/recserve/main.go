@@ -218,9 +218,10 @@ func main() {
 	default:
 		// Serve the newest valid full release plus its delta chain from
 		// the store, recovering past any corrupt or torn artifacts.
-		engine, startLineage, err = loadLineageStore(context.Background(), store, social)
+		var base *release.Release
+		engine, base, startLineage, err = loadLineageStore(context.Background(), store, social)
 		if err == nil {
-			startFull, err = loadFullStore(context.Background(), store, social, engine, startLineage)
+			startFull, err = fullEngine(social, engine, base, startLineage)
 		}
 		if err != nil {
 			fatal("recserve: loading from release store", "dir", store.Dir(), "err", err)
@@ -395,38 +396,37 @@ func loadEngineFile(path string, social *graph.Social) (*socialrec.Engine, error
 
 // loadLineageStore resolves the newest full generation plus its valid
 // delta chain from the store and builds the engine serving the composed
-// release.
-func loadLineageStore(ctx context.Context, store *release.Store, social *graph.Social) (*socialrec.Engine, release.Lineage, error) {
-	rel, ln, skipped, err := store.LoadLatestContext(ctx)
+// release. base is the bare full generation the chain was composed from,
+// read once with it.
+func loadLineageStore(ctx context.Context, store *release.Store, social *graph.Social) (*socialrec.Engine, *release.Release, release.Lineage, error) {
+	rel, base, ln, skipped, err := store.LoadLineage(ctx)
 	for _, sk := range skipped {
 		logger.WarnContext(ctx, "recserve: release store skipped corrupt artifact",
 			"file", sk.Name, "err", sk.Err)
 	}
 	if err != nil {
-		return nil, ln, err
+		return nil, nil, ln, err
 	}
 	engine, err := socialrec.EngineFromRelease(rel, social)
 	if err != nil {
-		return nil, ln, err
+		return nil, nil, ln, err
 	}
-	return engine, ln, nil
+	return engine, base, ln, nil
 }
 
-// loadFullStore returns the engine of ln's bare full generation, which the
+// fullEngine returns the engine of ln's bare full generation, which the
 // slot retains for rollback: engine itself when ln carries no deltas, else
-// a second read and build of the full generation. Only the paths that
-// install a full generation call it (start-up and a new full generation in
-// reloadFromStore); a longer chain on the served full needs neither.
-func loadFullStore(ctx context.Context, store *release.Store, social *graph.Social,
-	engine *socialrec.Engine, ln release.Lineage) (*socialrec.Engine, error) {
+// an engine over base, the full generation loadLineageStore read (no
+// delta writes into it, so the engine can adopt its table). Only the paths
+// that install a full generation call it (start-up and a new full
+// generation in reloadFromStore); a longer chain on the served full needs
+// neither.
+func fullEngine(social *graph.Social, engine *socialrec.Engine, base *release.Release,
+	ln release.Lineage) (*socialrec.Engine, error) {
 	if len(ln.Deltas) == 0 {
 		return engine, nil
 	}
-	rel, err := store.LoadVersionContext(ctx, ln.Full)
-	if err != nil {
-		return nil, err
-	}
-	return socialrec.EngineFromRelease(rel, social)
+	return socialrec.EngineFromRelease(base, social)
 }
 
 // startSlot builds the serving slot at start-up. serve answers requests
@@ -499,7 +499,7 @@ func makeReload(hot *server.Hot, store *release.Store, loadRel string,
 // answering — instead of serving state with unverifiable provenance.
 func reloadFromStore(ctx context.Context, hot *server.Hot, store *release.Store,
 	social *graph.Social, cacheCap int) error {
-	engine, ln, err := loadLineageStore(ctx, store, social)
+	engine, base, ln, err := loadLineageStore(ctx, store, social)
 	st := hot.Status()
 	if err != nil {
 		hot.Fail(err.Error())
@@ -531,7 +531,7 @@ func reloadFromStore(ctx context.Context, hot *server.Hot, store *release.Store,
 	}
 	// New full generation, possibly with deltas already on top of it: the
 	// only reload that installs, and so builds, a bare full generation.
-	full, err := loadFullStore(ctx, store, social, engine, ln)
+	full, err := fullEngine(social, engine, base, ln)
 	if err != nil {
 		hot.Fail(err.Error())
 		return err

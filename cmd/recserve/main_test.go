@@ -62,7 +62,7 @@ func saveFullFixture(t *testing.T, store *release.Store) uint64 {
 
 func saveDeltaFixture(t *testing.T, store *release.Store, base uint64) uint64 {
 	t.Helper()
-	v, err := store.SaveDelta(&release.Delta{
+	v, err := store.SaveDeltaContext(context.Background(), &release.Delta{
 		Base:     base,
 		Epsilon:  0.25,
 		Measure:  "CN",
@@ -81,12 +81,11 @@ func saveDeltaFixture(t *testing.T, store *release.Store, base uint64) uint64 {
 // serving engine plus the retained full generation's engine.
 func loadStart(t *testing.T, store *release.Store, social *graph.Social) (engine, full *socialrec.Engine, ln release.Lineage) {
 	t.Helper()
-	ctx := context.Background()
-	engine, ln, err := loadLineageStore(ctx, store, social)
+	engine, base, ln, err := loadLineageStore(context.Background(), store, social)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if full, err = loadFullStore(ctx, store, social, engine, ln); err != nil {
+	if full, err = fullEngine(social, engine, base, ln); err != nil {
 		t.Fatal(err)
 	}
 	return engine, full, ln
@@ -225,6 +224,39 @@ func TestReloadFromStoreExtendsDeltaChain(t *testing.T) {
 	st := hot.Status()
 	if st.Version != deltaV || st.FullVersion != fullV || len(st.Deltas) != 1 {
 		t.Fatalf("post-delta status = %+v", st)
+	}
+}
+
+// TestStartReadsFullGenerationOnce: start-up over a full generation and
+// two deltas reads and decodes the full generation once, both to compose
+// the served chain and to build the retained full engine, and the two
+// engines still answer from their own tables.
+func TestStartReadsFullGenerationOnce(t *testing.T) {
+	store := rollbackStore(t, t.TempDir())
+	social := rollbackSocial(t)
+	fullV := saveFullFixture(t, store)
+	saveDeltaFixture(t, store, saveDeltaFixture(t, store, fullV))
+
+	loads := releaseLoads()
+	engine, full, ln := loadStart(t, store, social)
+	if n := releaseLoads() - loads; n != 1 {
+		t.Errorf("start-up decoded %d full releases, want 1", n)
+	}
+	if ln.Full != fullV || len(ln.Deltas) != 2 || full == engine {
+		t.Fatalf("start-up lineage = %+v, separate full engine %v", ln, full != engine)
+	}
+	served, err := engine.Release()
+	if err != nil {
+		t.Fatal(err)
+	}
+	retained, err := full.Release()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Cluster 1 is fresh in the deltas (30, 40); the full generation keeps
+	// its own row (3, 4).
+	if served.Avg[2] != 30 || retained.Avg[2] != 3 {
+		t.Fatalf("served row %v, retained row %v", served.Avg[2:4], retained.Avg[2:4])
 	}
 }
 

@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -148,7 +149,7 @@ func admit(wlog *wal.Log, social *graph.Social, prefs *graph.Preference, from, t
 // showTop serves the store's newest release over the admitted users'
 // social graph and prints one user's top 3.
 func showTop(store *release.Store, social *graph.Social, users, user int) error {
-	rel, _, _, err := store.LoadLatest()
+	rel, _, _, err := store.LoadLatestContext(context.Background())
 	if err != nil {
 		return err
 	}

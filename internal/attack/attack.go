@@ -16,13 +16,14 @@
 package attack
 
 import (
+	"context"
 	"fmt"
 
-	"socialrec/internal/community"
 	"socialrec/internal/core"
 	"socialrec/internal/dp"
 	"socialrec/internal/graph"
 	"socialrec/internal/mechanism"
+	"socialrec/internal/release"
 	"socialrec/internal/similarity"
 )
 
@@ -196,19 +197,20 @@ func RunExact(t *Topology, prefs *graph.Preference, m similarity.Measure) (float
 
 // RunPrivate mounts the attack against the paper's cluster framework at the
 // given budget: the spliced graph (Sybils included — the defender cannot
-// tell them apart) is clustered with Louvain best-of-`louvainRuns`, the
-// private release is drawn with the given seed, and the observer's list is
+// tell them apart) is released through the release.Recipe of louvainRuns
+// Louvain restarts (< 1 selects 10) and seed, and the observer's list is
 // scored against the victim's secret edges.
 func RunPrivate(t *Topology, prefs *graph.Preference, m similarity.Measure, eps dp.Epsilon, louvainRuns int, seed int64) (float64, error) {
-	if louvainRuns < 1 {
-		louvainRuns = 10
-	}
 	extended, err := ExtendPrefs(prefs, t.Social.NumUsers())
 	if err != nil {
 		return 0, err
 	}
-	clusters, _ := community.BestOf(t.Social, louvainRuns, seed, community.Options{})
-	est, err := mechanism.NewCluster(clusters, extended, eps, dp.SourceFor(eps, seed+1))
+	recipe := release.Recipe{Measure: m.Name(), Eps: eps, LouvainRuns: louvainRuns, Seed: seed}
+	clusters, err := recipe.Cluster(context.Background(), t.Social)
+	if err != nil {
+		return 0, err
+	}
+	est, err := mechanism.NewCluster(clusters, extended, eps, recipe.Noise())
 	if err != nil {
 		return 0, err
 	}

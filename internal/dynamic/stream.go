@@ -83,9 +83,10 @@ type UpdaterConfig struct {
 	Measure similarity.Measure
 	// LouvainRuns is the best-of count for full releases; 0 selects 10.
 	LouvainRuns int
-	// Seed derives per-release clustering orders and noise streams; the
-	// release at index i uses Seed + i*7919, which is what makes crashed
-	// publishes recomputable bit-for-bit.
+	// Seed derives per-release clustering orders and noise streams
+	// through release.Recipe's seed rule, keyed by the journaled release
+	// index, which is what makes crashed publishes recomputable
+	// bit-for-bit.
 	Seed int64
 	// JournalPath persists the intent journal. Required: an updater
 	// without durable spend accounting could re-spend ε after a crash.
@@ -287,9 +288,6 @@ func OpenUpdater(cfg UpdaterConfig) (*Updater, error) {
 	if cfg.Measure == nil {
 		cfg.Measure = similarity.CommonNeighbors{}
 	}
-	if cfg.LouvainRuns <= 0 {
-		cfg.LouvainRuns = 10
-	}
 	if cfg.DriftUsers <= 0 {
 		cfg.DriftUsers = 0.01
 	}
@@ -350,7 +348,7 @@ func OpenUpdater(cfg UpdaterConfig) (*Updater, error) {
 	}
 
 	// Recover the served lineage from the store.
-	rel, lineage, skipped, lerr := cfg.Store.LoadLatest()
+	rel, lineage, skipped, lerr := cfg.Store.LoadLatestContext(context.Background())
 	for _, sk := range skipped {
 		logf("dynamic: updater: store skipped %s: %v", sk.Name, sk.Err)
 	}
@@ -560,28 +558,21 @@ func (u *Updater) canPublishLocked() bool {
 // describes, then advances the served lineage. It is the single publish
 // path for both live Advance calls and post-crash recomputation, which is
 // what makes the two produce byte-identical artifacts: the noise seed
-// derives from the release index and the inputs derive from the WAL prefix
-// the intent records.
+// derives from the release index (release.Recipe's seed rule) and the
+// inputs derive from the WAL prefix the intent records.
 func (u *Updater) finishPublish(intent intentState) error {
 	social, prefs, err := u.st.snapshot()
 	if err != nil {
 		return err
 	}
-	seed := u.cfg.Seed + int64(intent.Releases-1)*7919
+	recipe := release.Recipe{Measure: u.cfg.Measure.Name(), Eps: u.cfg.PerRelease,
+		LouvainRuns: u.cfg.LouvainRuns, Seed: u.cfg.Seed, Index: intent.Releases}
 	var version uint64
 	switch intent.Kind {
 	case intentFull:
-		clusters, _ := community.BestOf(social, u.cfg.LouvainRuns, seed, community.Options{})
-		est, err := mechanism.NewCluster(clusters, prefs, u.cfg.PerRelease, dp.SourceFor(u.cfg.PerRelease, seed+1))
+		rel, err := recipe.Build(context.Background(), social, prefs)
 		if err != nil {
 			return err
-		}
-		rel := &release.Release{
-			Epsilon:  float64(u.cfg.PerRelease),
-			Measure:  u.cfg.Measure.Name(),
-			Clusters: clusters,
-			NumItems: prefs.NumItems(),
-			Avg:      est.Averages(),
 		}
 		version, err = u.cfg.Store.Save(rel)
 		if err != nil {
@@ -602,7 +593,7 @@ func (u *Updater) finishPublish(intent intentState) error {
 			return err
 		}
 		rows, err := mechanism.DeltaRows(context.Background(), plan.repaired, prefs,
-			plan.fresh, u.cfg.PerRelease, dp.SourceFor(u.cfg.PerRelease, seed+1))
+			plan.fresh, u.cfg.PerRelease, recipe.Noise())
 		if err != nil {
 			return err
 		}
@@ -619,7 +610,7 @@ func (u *Updater) finishPublish(intent intentState) error {
 		if err != nil {
 			return err
 		}
-		version, err = u.cfg.Store.SaveDelta(delta)
+		version, err = u.cfg.Store.SaveDeltaContext(context.Background(), delta)
 		if err != nil {
 			return err
 		}

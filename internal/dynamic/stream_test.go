@@ -2,6 +2,7 @@ package dynamic
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -230,7 +231,7 @@ func TestUpdaterFullThenDelta(t *testing.T) {
 
 	// The store agrees: latest lineage is full 1 + delta 2, and the new
 	// user is clustered with clique 0.
-	rel, lnS, skipped, err := e.store.LoadLatest()
+	rel, lnS, skipped, err := e.store.LoadLatestContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,6 @@ package experiment
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 
 	"socialrec/internal/community"
@@ -17,6 +16,7 @@ import (
 	"socialrec/internal/dp"
 	"socialrec/internal/mechanism"
 	"socialrec/internal/metrics"
+	"socialrec/internal/release"
 	"socialrec/internal/similarity"
 )
 
@@ -190,6 +190,16 @@ func (r *Runner) EvaluateCluster(eps dp.Epsilon, seed int64, ns []int) (*Result,
 	return r.score(est, eps, ns), nil
 }
 
+// EvaluateRelease scores an already-drawn release's own averages over the
+// runner's evaluation users: no noise is drawn and no ε is spent.
+func (r *Runner) EvaluateRelease(rel *release.Release, ns []int) (*Result, error) {
+	est, err := mechanism.NewClusterFromRelease(rel.Clusters, rel.NumItems, rel.Avg)
+	if err != nil {
+		return nil, err
+	}
+	return r.score(est, dp.Epsilon(rel.Epsilon), ns), nil
+}
+
 // EvaluateExact scores the non-private recommender (trivially 1.0 at every
 // N; useful as a harness self-check).
 func (r *Runner) EvaluateExact(ns []int) *Result {
@@ -299,15 +309,9 @@ func (r *Runner) EvaluateLRM(eps dp.Epsilon, rank int, seed int64, ns []int) (*R
 // Flixster evaluation sample. If n >= the population, all users are
 // returned. The sample is a deterministic function of seed via the
 // dp.NewRand stream (identical to the historical rand.NewSource stream, so
-// existing seeds reproduce existing samples).
+// existing seeds reproduce existing samples); no package-global randomness
+// is consumed.
 func SampleUsers(numUsers, n int, seed int64) []int32 {
-	return SampleUsersFrom(dp.NewRand(seed), numUsers, n)
-}
-
-// SampleUsersFrom is SampleUsers with the random source threaded
-// explicitly, for callers that manage seeding themselves (the checkpointed
-// pipeline's sampling stage). No package-global randomness is consumed.
-func SampleUsersFrom(rng *rand.Rand, numUsers, n int) []int32 {
 	if n >= numUsers {
 		all := make([]int32, numUsers)
 		for i := range all {
@@ -315,7 +319,7 @@ func SampleUsersFrom(rng *rand.Rand, numUsers, n int) []int32 {
 		}
 		return all
 	}
-	perm := rng.Perm(numUsers)[:n]
+	perm := dp.NewRand(seed).Perm(numUsers)[:n]
 	out := make([]int32, n)
 	for i, u := range perm {
 		out[i] = int32(u)

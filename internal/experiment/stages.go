@@ -1,8 +1,11 @@
 // Stage-graph decomposition of the offline release path for
-// internal/pipeline: load dataset → similarity shards → Louvain runs →
-// merge/pick → mechanism release → persist. Each similarity shard and each
-// Louvain restart is its own checkpointable unit, so a crash during the
-// expensive precompute resumes mid-phase instead of from scratch.
+// internal/pipeline: load dataset → sample evaluation users → similarity
+// shards → merge → release → persist. Each similarity shard is its own
+// checkpointable unit, so a crash during the evaluation precompute resumes
+// mid-phase instead of from scratch. The release stage is one call of
+// release.Recipe.Build, the function every other publish path runs, so a
+// pipeline release is byte-identical to the facade's for the same graphs,
+// ε and seed.
 package experiment
 
 import (
@@ -11,12 +14,10 @@ import (
 	"fmt"
 	"math"
 
-	"socialrec/internal/community"
 	"socialrec/internal/dataset"
 	"socialrec/internal/dp"
 	"socialrec/internal/frame"
 	"socialrec/internal/graph"
-	"socialrec/internal/mechanism"
 	"socialrec/internal/pipeline"
 	"socialrec/internal/release"
 	"socialrec/internal/similarity"
@@ -28,7 +29,6 @@ const (
 	KeyDataset   pipeline.Key = "dataset"
 	KeyEvalUsers pipeline.Key = "eval_users"
 	KeyEvalSims  pipeline.Key = "eval_sims"
-	KeyClusters  pipeline.Key = "clusters"
 	KeyRelease   pipeline.Key = "released"
 	KeyVersion   pipeline.Key = "release_version"
 )
@@ -47,14 +47,16 @@ type ReleaseSpec struct {
 	Eps dp.Epsilon
 	// EvalSample is the evaluation-user sample size; 0 selects 400.
 	EvalSample int
-	// LouvainRuns is the best-of restart count; 0 selects 10.
+	// LouvainRuns is the best-of restart count; 0 selects the recipe's
+	// default of 10.
 	LouvainRuns int
 	// SimShards is how many checkpointable units the similarity precompute
 	// is split into; 0 selects 4.
 	SimShards int
-	// Seed drives sampling, clustering order and noise, exactly as
-	// Opts.Seed does for the figures (clustering at Seed+100, sampling at
-	// Seed+200, noise at Seed).
+	// Seed drives sampling and the release: the evaluation sample is
+	// drawn at Seed+200, as Opts.Seed does for the figures, and the release
+	// follows release.Recipe's seed rule (clustering at Seed, noise at
+	// Seed+1).
 	Seed int64
 	// SnapGrain rounds the sanitized averages before they leave the trust
 	// boundary (0 leaves them untouched).
@@ -78,11 +80,9 @@ func (s ReleaseSpec) evalSample() int {
 	return 400
 }
 
-func (s ReleaseSpec) louvainRuns() int {
-	if s.LouvainRuns > 0 {
-		return s.LouvainRuns
-	}
-	return 10
+// recipe is the release the spec describes.
+func (s ReleaseSpec) recipe() release.Recipe {
+	return release.Recipe{Measure: s.measure().Name(), Eps: s.Eps, LouvainRuns: s.LouvainRuns, Seed: s.Seed}
 }
 
 func (s ReleaseSpec) simShards() int {
@@ -101,7 +101,7 @@ func (s ReleaseSpec) Fingerprint() uint64 {
 	h.String(s.measure().Name())
 	h.Word(math.Float64bits(float64(s.Eps)))
 	h.Word(uint64(s.evalSample()))
-	h.Word(uint64(s.louvainRuns()))
+	h.Word(uint64(s.LouvainRuns))
 	h.Word(uint64(s.simShards()))
 	h.Word(uint64(s.Seed))
 	h.Word(math.Float64bits(s.SnapGrain))
@@ -130,12 +130,6 @@ func (s *funcStage) Run(ctx context.Context, st *pipeline.State) error {
 	return s.run(ctx, st)
 }
 
-// ClusterRun is one Louvain restart's checkpointable result.
-type ClusterRun struct {
-	Clusters   *community.Clustering
-	Modularity float64
-}
-
 // BuildReleasePipeline assembles the checkpointed offline path. Stage
 // versions are bumped when a stage's algorithm changes incompatibly;
 // everything else is invalidated through ReleaseSpec.Fingerprint.
@@ -144,7 +138,6 @@ func BuildReleasePipeline(spec ReleaseSpec) (*pipeline.Pipeline, error) {
 		return nil, fmt.Errorf("experiment: ReleaseSpec.Load is required")
 	}
 	shards := spec.simShards()
-	runs := spec.louvainRuns()
 
 	stages := []pipeline.Stage{
 		&funcStage{
@@ -168,7 +161,7 @@ func BuildReleasePipeline(spec ReleaseSpec) (*pipeline.Pipeline, error) {
 				if err != nil {
 					return err
 				}
-				st.Put(KeyEvalUsers, SampleUsersFrom(dp.NewRand(spec.Seed+200), ds.Social.NumUsers(), spec.evalSample()))
+				st.Put(KeyEvalUsers, SampleUsers(ds.Social.NumUsers(), spec.evalSample(), spec.Seed+200))
 				return nil
 			},
 		},
@@ -227,73 +220,18 @@ func BuildReleasePipeline(spec ReleaseSpec) (*pipeline.Pipeline, error) {
 		},
 	})
 
-	// Louvain restarts: run r seeds at Seed+100+r, exactly the stream
-	// community.BestOf(g, runs, Seed+100, …) would consume, so the picked
-	// clustering matches the monolithic path bit for bit.
-	runKeys := make([]pipeline.Key, runs)
-	for r := 0; r < runs; r++ {
-		r := r
-		runKeys[r] = pipeline.Key(fmt.Sprintf("louvain_run_%d", r))
-		stages = append(stages, &funcStage{
-			name: fmt.Sprintf("louvain_run_%d", r), version: 1,
-			inputs:  []pipeline.Key{KeyDataset},
-			outputs: []pipeline.Port{clusterPort(runKeys[r])},
-			run: func(ctx context.Context, st *pipeline.State) error {
-				ds, err := pipeline.Get[*dataset.Dataset](st, KeyDataset)
-				if err != nil {
-					return err
-				}
-				c := community.Louvain(ds.Social, community.Options{Seed: spec.Seed + 100 + int64(r)})
-				st.Put(runKeys[r], &ClusterRun{Clusters: c, Modularity: community.Modularity(ds.Social, c)})
-				return ctx.Err()
-			},
-		})
-	}
 	stages = append(stages, &funcStage{
-		name: "louvain_pick", version: 1,
-		inputs:  runKeys,
-		outputs: []pipeline.Port{clusterPort(KeyClusters)},
-		run: func(ctx context.Context, st *pipeline.State) error {
-			var best *ClusterRun
-			for r := 0; r < runs; r++ {
-				cr, err := pipeline.Get[*ClusterRun](st, runKeys[r])
-				if err != nil {
-					return err
-				}
-				// Strictly-greater keeps the earliest of tied runs,
-				// matching community.BestOf.
-				if best == nil || cr.Modularity > best.Modularity {
-					best = cr
-				}
-			}
-			st.Put(KeyClusters, best)
-			return ctx.Err()
-		},
-	})
-
-	stages = append(stages, &funcStage{
-		name: "mechanism_release", version: 1,
-		inputs:  []pipeline.Key{KeyDataset, KeyClusters},
+		name: "release", version: 1,
+		inputs:  []pipeline.Key{KeyDataset},
 		outputs: []pipeline.Port{releasePort(KeyRelease)},
 		run: func(ctx context.Context, st *pipeline.State) error {
 			ds, err := pipeline.Get[*dataset.Dataset](st, KeyDataset)
 			if err != nil {
 				return err
 			}
-			cr, err := pipeline.Get[*ClusterRun](st, KeyClusters)
+			rel, err := spec.recipe().Build(ctx, ds.Social, ds.Prefs)
 			if err != nil {
 				return err
-			}
-			est, err := mechanism.NewClusterCtx(ctx, cr.Clusters, ds.Prefs, spec.Eps, dp.SourceFor(spec.Eps, spec.Seed))
-			if err != nil {
-				return err
-			}
-			rel := &release.Release{
-				Epsilon:  float64(spec.Eps),
-				Measure:  spec.measure().Name(),
-				Clusters: cr.Clusters,
-				NumItems: ds.Prefs.NumItems(),
-				Avg:      est.Averages(),
 			}
 			rel.Snap(spec.SnapGrain)
 			// Journal the spend into the stage receipt: this is what makes
@@ -304,7 +242,7 @@ func BuildReleasePipeline(spec ReleaseSpec) (*pipeline.Pipeline, error) {
 				Mechanism:   "cluster",
 				Epsilon:     float64(spec.Eps),
 				Sensitivity: 1,
-				Values:      cr.Clusters.NumClusters() * ds.Prefs.NumItems(),
+				Values:      len(rel.Avg),
 			})
 			st.Put(KeyRelease, rel)
 			return ctx.Err()
@@ -348,7 +286,7 @@ func persistRelease(dir string, rel *release.Release) (uint64, error) {
 	if err := release.Write(&fresh, rel); err != nil {
 		return 0, err
 	}
-	if prev, version, _, err := store.Load(); err == nil {
+	if prev, version, _, err := store.LoadContext(context.Background()); err == nil {
 		var have bytes.Buffer
 		if err := release.Write(&have, prev); err == nil && bytes.Equal(have.Bytes(), fresh.Bytes()) {
 			return version, nil
@@ -359,7 +297,8 @@ func persistRelease(dir string, rel *release.Release) (uint64, error) {
 
 // RunnerFromState builds an evaluation Runner from a (possibly resumed)
 // release-pipeline state, reusing the checkpointed similarity vectors and
-// clustering instead of recomputing them.
+// the release's clustering instead of recomputing them. Score the release
+// itself with Runner.EvaluateRelease.
 func RunnerFromState(st *pipeline.State, m similarity.Measure) (*Runner, error) {
 	ds, err := pipeline.Get[*dataset.Dataset](st, KeyDataset)
 	if err != nil {
@@ -373,11 +312,11 @@ func RunnerFromState(st *pipeline.State, m similarity.Measure) (*Runner, error) 
 	if err != nil {
 		return nil, err
 	}
-	cr, err := pipeline.Get[*ClusterRun](st, KeyClusters)
+	rel, err := pipeline.Get[*release.Release](st, KeyRelease)
 	if err != nil {
 		return nil, err
 	}
-	return NewRunnerWithSims(ds, m, cr.Clusters, users, sims)
+	return NewRunnerWithSims(ds, m, rel.Clusters, users, sims)
 }
 
 // Checkpoint codecs: each writes its value's fields into the artifact's
@@ -499,35 +438,6 @@ func simsPort(k pipeline.Key) pipeline.Port {
 				return nil, err
 			}
 			return sims, nil
-		},
-	}
-}
-
-// clusterPort round-trips a *ClusterRun: the assignment ([]i32), then the
-// modularity (f64).
-func clusterPort(k pipeline.Key) pipeline.Port {
-	return pipeline.Port{
-		Key: k,
-		Encode: func(w *frame.Writer, v any) error {
-			cr, ok := v.(*ClusterRun)
-			if !ok {
-				return fmt.Errorf("experiment: cluster codec got %T", v)
-			}
-			w.I32s(cr.Clusters.Assignment())
-			w.F64(cr.Modularity)
-			return nil
-		},
-		Decode: func(r *frame.Reader) (any, error) {
-			assign := r.I32s("assignment")
-			q := r.F64("modularity")
-			if err := r.Err(); err != nil {
-				return nil, err
-			}
-			c, err := community.FromAssignment(assign)
-			if err != nil {
-				return nil, err
-			}
-			return &ClusterRun{Clusters: c, Modularity: q}, nil
 		},
 	}
 }

@@ -4,18 +4,17 @@ import (
 	"bytes"
 	"context"
 	"math"
+	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
-	"socialrec/internal/community"
 	"socialrec/internal/dataset"
-	"socialrec/internal/dp"
 	"socialrec/internal/faults"
 	"socialrec/internal/frame"
 	"socialrec/internal/generator"
-	"socialrec/internal/mechanism"
 	"socialrec/internal/pipeline"
 	"socialrec/internal/release"
 	"socialrec/internal/similarity"
@@ -48,9 +47,25 @@ func quietOpts(dir string) pipeline.Options {
 	}
 }
 
+// tinyRecipe is the release.Recipe tinySpec(seed, …) describes.
+func tinyRecipe(seed int64) release.Recipe {
+	return release.Recipe{Measure: "CN", Eps: 0.5, LouvainRuns: 3, Seed: seed}
+}
+
+// releaseBytes serializes rel.
+func releaseBytes(t *testing.T, rel *release.Release) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := release.Write(&buf, rel); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // TestPipelineMatchesMonolithicPath proves stage-graph decomposition did
-// not change the computation: sampling, similarity, clustering and the
-// released averages all equal the direct (non-checkpointed) path.
+// not change the computation: sampling and similarity equal the direct
+// path, and the released bytes equal the spec's release.Recipe built
+// directly.
 func TestPipelineMatchesMonolithicPath(t *testing.T) {
 	const seed = 11
 	spec := tinySpec(seed, "")
@@ -87,19 +102,7 @@ func TestPipelineMatchesMonolithicPath(t *testing.T) {
 		t.Fatalf("similarity vectors diverge")
 	}
 
-	wantClusters, wantQ := ClusterSocial(ds, spec.louvainRuns(), seed+100)
-	gotCR, err := pipeline.Get[*ClusterRun](res.State, KeyClusters)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotCR.Modularity != wantQ {
-		t.Fatalf("modularity %v, want %v", gotCR.Modularity, wantQ)
-	}
-	if !reflect.DeepEqual(gotCR.Clusters.Assignment(), wantClusters.Assignment()) {
-		t.Fatalf("clustering diverges from community.BestOf")
-	}
-
-	est, err := mechanism.NewCluster(wantClusters, ds.Prefs, spec.Eps, dp.SourceFor(spec.Eps, seed))
+	want, err := tinyRecipe(seed).Build(context.Background(), ds.Social, ds.Prefs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,8 +110,8 @@ func TestPipelineMatchesMonolithicPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(rel.Avg, est.Averages()) {
-		t.Fatalf("released averages diverge from direct mechanism")
+	if !bytes.Equal(releaseBytes(t, rel), releaseBytes(t, want)) {
+		t.Fatalf("pipeline release diverges from the recipe built directly")
 	}
 }
 
@@ -187,7 +190,7 @@ func TestPipelineResumeAndPersistIdempotent(t *testing.T) {
 	for _, r := range records {
 		if r.Event.Epsilon != 0 {
 			spends++
-			if r.Stage != "mechanism_release" || r.Event.Epsilon != 0.5 {
+			if r.Stage != "release" || r.Event.Epsilon != 0.5 {
 				t.Fatalf("unexpected spend %+v", r)
 			}
 		}
@@ -200,40 +203,52 @@ func TestPipelineResumeAndPersistIdempotent(t *testing.T) {
 	}
 }
 
-// TestPipelineCrashMidPersistThenResume injects a fault at the release
-// store's rename (the last possible failure before the persist stage's
-// receipt) and checks the resumed run converges without duplicating the
-// stored release or the ε record.
+// TestPipelineCrashMidPersistThenResume fails the rename that commits the
+// persist stage's receipt, after the release already landed in the store,
+// and checks the resumed run re-runs persist into its byte-identical-reuse
+// branch: one store version, one ε record.
 func TestPipelineCrashMidPersistThenResume(t *testing.T) {
 	const seed = 11
-	ckpt := t.TempDir()
 	storeDir := filepath.Join(t.TempDir(), "releases")
 	spec := tinySpec(seed, storeDir)
+	run := func(ckpt string, fsys faults.FS) error {
+		t.Helper()
+		p, err := BuildReleasePipeline(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := quietOpts(ckpt)
+		opts.Config = spec.Fingerprint()
+		opts.FS = fsys
+		_, err = p.Run(context.Background(), opts)
+		return err
+	}
 
-	reg := faults.New(1)
-	// The pipeline checkpoints several artifacts before the persist stage
-	// touches the store, so fail a late rename: occurrence indices walk the
-	// run until the injected failure lands inside persist/commit territory.
-	reg.Arm(faults.PointFSRename, faults.Plan{After: 12, Times: 1})
-	opts := quietOpts(ckpt)
-	opts.Config = spec.Fingerprint()
-	opts.FS = faults.NewFS(faults.OS{}, reg)
-
-	p, err := BuildReleasePipeline(spec)
-	if err != nil {
+	// Count a clean run's checkpoint renames: the last one commits the
+	// persist stage's receipt, the run's final write.
+	count := faults.New(1)
+	count.Arm(faults.PointFSRename, faults.Plan{After: math.MaxUint64})
+	if err := run(t.TempDir(), faults.NewFS(faults.OS{}, count)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Run(context.Background(), opts); err == nil && reg.Fired(faults.PointFSRename) > 0 {
-		t.Fatalf("run succeeded despite injected rename failure")
+	renames := count.Checks(faults.PointFSRename)
+	if err := os.RemoveAll(storeDir); err != nil {
+		t.Fatal(err)
+	}
+
+	ckpt := t.TempDir()
+	reg := faults.New(1)
+	reg.Arm(faults.PointFSRename, faults.Plan{After: renames - 1, Times: 1})
+	err := run(ckpt, faults.NewFS(faults.OS{}, reg))
+	if err == nil || reg.Fired(faults.PointFSRename) != 1 {
+		t.Fatalf("run survived the injected rename failure: %v", err)
+	}
+	if !strings.Contains(err.Error(), "stage persist ") {
+		t.Fatalf("injected failure hit another stage: %v", err)
 	}
 
 	// Resume on a healthy filesystem.
-	opts.FS = nil
-	p2, err := BuildReleasePipeline(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p2.Run(context.Background(), opts); err != nil {
+	if err := run(ckpt, nil); err != nil {
 		t.Fatalf("resume: %v", err)
 	}
 	store, err := release.OpenStore(storeDir, release.StoreOptions{Logf: func(string, ...any) {}})
@@ -247,10 +262,22 @@ func TestPipelineCrashMidPersistThenResume(t *testing.T) {
 	if len(versions) != 1 {
 		t.Fatalf("store has %d versions after crash/resume, want 1", len(versions))
 	}
+	ckptStore, _, err := pipeline.OpenStore(ckpt, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	records, _, err := ckptStore.Ledger()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(records) != 1 || pipeline.SpentEpsilon(records) != 0.5 {
+		t.Fatalf("durable ledger after crash/resume = %+v, want one 0.5 record", records)
+	}
 }
 
-// TestRunnerFromState proves the checkpoint-fed runner scores identically
-// to one that recomputes everything.
+// TestRunnerFromState proves the checkpoint-fed runner scores the
+// pipeline's release exactly as a runner that recomputes everything scores
+// the same recipe built directly.
 func TestRunnerFromState(t *testing.T) {
 	const seed = 11
 	spec := tinySpec(seed, "")
@@ -268,23 +295,30 @@ func TestRunnerFromState(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RunnerFromState: %v", err)
 	}
+	rel, err := pipeline.Get[*release.Release](res.State, KeyRelease)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	ds, _, err := BuildDataset(generator.TinyTest(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	clusters, _ := ClusterSocial(ds, spec.louvainRuns(), seed+100)
+	want, err := tinyRecipe(seed).Build(context.Background(), ds.Social, ds.Prefs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	eval := SampleUsers(ds.Social.NumUsers(), spec.evalSample(), seed+200)
-	direct, err := NewRunner(ds, similarity.CommonNeighbors{}, clusters, eval)
+	direct, err := NewRunner(ds, similarity.CommonNeighbors{}, want.Clusters, eval)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	r1, err := fromState.EvaluateCluster(0.5, seed, []int{10})
+	r1, err := fromState.EvaluateRelease(rel, []int{10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := direct.EvaluateCluster(0.5, seed, []int{10})
+	r2, err := direct.EvaluateRelease(want, []int{10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,20 +384,4 @@ func portValue(t *testing.T, port pipeline.Port, data []byte) any {
 		t.Fatalf("decode: %v", err)
 	}
 	return v
-}
-
-// TestClusterRunFromAssignment guards the clustering codec against
-// community.FromAssignment rejecting Louvain output.
-func TestClusterCodecRoundTrip(t *testing.T) {
-	ds, _, err := BuildDataset(generator.TinyTest(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := community.Louvain(ds.Social, community.Options{Seed: 3})
-	cr := &ClusterRun{Clusters: c, Modularity: community.Modularity(ds.Social, c)}
-	port := clusterPort(KeyClusters)
-	cr2 := portValue(t, port, portBytes(t, port, cr)).(*ClusterRun)
-	if cr2.Modularity != cr.Modularity || !reflect.DeepEqual(cr2.Clusters.Assignment(), cr.Clusters.Assignment()) {
-		t.Fatalf("cluster round-trip diverged")
-	}
 }

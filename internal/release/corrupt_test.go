@@ -2,6 +2,7 @@ package release
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"math"
 	"runtime"
@@ -44,7 +45,7 @@ func goodManifestAndShard(t testing.TB) (manifest, shard []byte) {
 	if err := WriteManifest(&mb, m); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteShard(&sb, shards[0]); err != nil {
+	if err := WriteShardContext(context.Background(), &sb, shards[0]); err != nil {
 		t.Fatal(err)
 	}
 	return mb.Bytes(), sb.Bytes()
@@ -53,7 +54,7 @@ func goodManifestAndShard(t testing.TB) (manifest, shard []byte) {
 func goodDeltaBytes(t testing.TB) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := WriteDelta(&buf, moveDelta(1)); err != nil {
+	if err := WriteDeltaContext(context.Background(), &buf, moveDelta(1)); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -71,7 +72,7 @@ type format struct {
 
 var formats = []format{
 	{"release", "SOCRECv1", goodReleaseBytes, func(data []byte) (func() error, error) {
-		r, err := Read(bytes.NewReader(data))
+		r, err := ReadContext(context.Background(), bytes.NewReader(data))
 		if r == nil {
 			return nil, err
 		}
@@ -85,14 +86,14 @@ var formats = []format{
 		return m.Validate, err
 	}},
 	{"shard", "SOCSHDv1", func(t testing.TB) []byte { _, s := goodManifestAndShard(t); return s }, func(data []byte) (func() error, error) {
-		s, err := ReadShard(bytes.NewReader(data))
+		s, err := ReadShardContext(context.Background(), bytes.NewReader(data))
 		if s == nil {
 			return nil, err
 		}
 		return s.Validate, err
 	}},
 	{"delta", "SOCDLT01", goodDeltaBytes, func(data []byte) (func() error, error) {
-		d, err := ReadDelta(bytes.NewReader(data))
+		d, err := ReadDeltaContext(context.Background(), bytes.NewReader(data))
 		if d == nil {
 			return nil, err
 		}
@@ -164,7 +165,7 @@ func TestReadCorruptCorpusMatchesGood(t *testing.T) {
 			t.Fatalf("%s: pristine image rejected: %v", f.name, err)
 		}
 	}
-	rel, err := Read(bytes.NewReader(goodReleaseBytes(t)))
+	rel, err := ReadContext(context.Background(), bytes.NewReader(goodReleaseBytes(t)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -149,7 +149,8 @@ func (d *Delta) Apply(base *Release) (*Release, error) {
 	return out, nil
 }
 
-// WriteDelta serializes the delta as one frame:
+// WriteDeltaContext serializes the delta as one frame; persisting
+// already-sanitized rows is post-processing, recorded at ε = 0.
 //
 //	base     u64     store version this delta applies on top of
 //	epsilon  f64     ε spent on the fresh rows
@@ -158,12 +159,6 @@ func (d *Delta) Apply(base *Release) (*Release, error) {
 //	assign   []i32   user → new cluster
 //	source   []i32   new cluster → base cluster, -1 = fresh row
 //	fresh    []f64   fresh rows, ascending cluster order
-func WriteDelta(w io.Writer, d *Delta) error {
-	return WriteDeltaContext(context.Background(), w, d)
-}
-
-// WriteDeltaContext is WriteDelta on a caller-supplied context; persisting
-// already-sanitized rows is post-processing, recorded at ε = 0.
 func WriteDeltaContext(ctx context.Context, w io.Writer, d *Delta) error {
 	if err := d.Validate(); err != nil {
 		return err
@@ -183,12 +178,8 @@ func WriteDeltaContext(ctx context.Context, w io.Writer, d *Delta) error {
 	return nil
 }
 
-// ReadDelta deserializes and validates a delta, including its checksum.
-func ReadDelta(r io.Reader) (*Delta, error) {
-	return ReadDeltaContext(context.Background(), r)
-}
-
-// ReadDeltaContext is ReadDelta on a caller-supplied context.
+// ReadDeltaContext deserializes and validates a delta, including its
+// checksum.
 func ReadDeltaContext(ctx context.Context, r io.Reader) (*Delta, error) {
 	fr := frame.NewReader(r, deltaMagic)
 	d := &Delta{Base: fr.U64("base"), Epsilon: fr.F64("epsilon"), Measure: fr.String("measure")}
@@ -228,13 +219,8 @@ func (s *Store) NextVersion() (uint64, error) {
 	return next, nil
 }
 
-// SaveDelta persists d as the next version with the atomic-write
+// SaveDeltaContext persists d as the next version with the atomic-write
 // discipline; nothing becomes visible on failure.
-func (s *Store) SaveDelta(d *Delta) (uint64, error) {
-	return s.SaveDeltaContext(context.Background(), d)
-}
-
-// SaveDeltaContext is SaveDelta on a caller-supplied context.
 func (s *Store) SaveDeltaContext(ctx context.Context, d *Delta) (uint64, error) {
 	ctx, sp := trace.StartChild(ctx, "release_store_save_delta")
 	defer sp.End()
@@ -262,12 +248,8 @@ func (s *Store) SaveDeltaContext(ctx context.Context, d *Delta) (uint64, error) 
 	return next, nil
 }
 
-// LoadDelta opens one specific delta version, validating its checksum.
-func (s *Store) LoadDelta(v uint64) (*Delta, error) {
-	return s.LoadDeltaContext(context.Background(), v)
-}
-
-// LoadDeltaContext is LoadDelta on a caller-supplied context.
+// LoadDeltaContext opens one specific delta version, validating its
+// checksum.
 func (s *Store) LoadDeltaContext(ctx context.Context, v uint64) (*Delta, error) {
 	var d *Delta
 	if err := s.read(Deltas.file(v), func(f io.Reader) (err error) {
@@ -297,23 +279,40 @@ func (ln Lineage) Version() uint64 {
 	return ln.Full
 }
 
-// LoadLatest recovers the newest consistent serving state: the newest
-// valid full generation, plus every subsequent delta whose base chain and
-// checksum validate, applied in version order. The chain stops — and the
-// remainder is reported in skipped, never silently dropped — at the first
-// delta that is corrupt, unreachable, or chained to a version other than
-// the current head. The caller therefore always gets a consistent
+// LoadLatestContext recovers the newest consistent serving state: the
+// newest valid full generation, plus every subsequent delta whose base
+// chain and checksum validate, applied in version order. The chain stops —
+// and the remainder is reported in skipped, never silently dropped — at the
+// first delta that is corrupt, unreachable, or chained to a version other
+// than the current head. The caller therefore always gets a consistent
 // (possibly stale) release or ErrStoreEmpty.
-func (s *Store) LoadLatest() (*Release, Lineage, []Skipped, error) {
-	return s.LoadLatestContext(context.Background())
-}
-
-// LoadLatestContext is LoadLatest on a caller-supplied context.
 func (s *Store) LoadLatestContext(ctx context.Context) (*Release, Lineage, []Skipped, error) {
-	rel, fullV, skipped, err := s.LoadContext(ctx)
+	base, fullV, skipped, err := s.LoadContext(ctx)
 	if err != nil {
 		return nil, Lineage{}, skipped, err
 	}
+	return s.compose(ctx, base, fullV, skipped)
+}
+
+// LoadLineage is LoadLatestContext that also returns base, the bare full
+// generation the served release was composed from: the served release
+// itself when the lineage has no deltas, else a release Delta.Apply never
+// wrote into, so a caller can keep both without reading the full
+// generation twice.
+func (s *Store) LoadLineage(ctx context.Context) (served, base *Release, ln Lineage, skipped []Skipped, err error) {
+	base, fullV, skipped, err := s.LoadContext(ctx)
+	if err != nil {
+		return nil, nil, Lineage{}, skipped, err
+	}
+	served, ln, skipped, err = s.compose(ctx, base, fullV, skipped)
+	return served, base, ln, skipped, err
+}
+
+// compose applies to rel, the full generation at version fullV, every
+// later delta of the chain LoadLatestContext describes. It keeps no
+// reference to rel once the first delta applies, so a caller that dropped
+// its own holds one full generation's table at a time, not two.
+func (s *Store) compose(ctx context.Context, rel *Release, fullV uint64, skipped []Skipped) (*Release, Lineage, []Skipped, error) {
 	ln := Lineage{Full: fullV}
 	deltas, err := s.Versions(Deltas)
 	if err != nil {

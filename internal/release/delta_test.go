@@ -2,6 +2,7 @@ package release
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -56,10 +57,10 @@ func moveDelta(base uint64) *Delta {
 func TestDeltaRoundtrip(t *testing.T) {
 	d := moveDelta(3)
 	var buf bytes.Buffer
-	if err := WriteDelta(&buf, d); err != nil {
+	if err := WriteDeltaContext(context.Background(), &buf, d); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	got, err := ReadDelta(bytes.NewReader(buf.Bytes()))
+	got, err := ReadDeltaContext(context.Background(), bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
@@ -72,7 +73,7 @@ func TestDeltaRoundtrip(t *testing.T) {
 	// Corruption is caught by the checksum.
 	raw := buf.Bytes()
 	raw[len(raw)-10] ^= 0xff
-	if _, err := ReadDelta(bytes.NewReader(raw)); err == nil {
+	if _, err := ReadDeltaContext(context.Background(), bytes.NewReader(raw)); err == nil {
 		t.Fatal("corrupt delta passed checksum")
 	}
 }
@@ -137,7 +138,7 @@ func TestStoreDeltaChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	d1 := moveDelta(fullV)
-	v1, err := s.SaveDelta(d1)
+	v1, err := s.SaveDeltaContext(context.Background(), d1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,12 +156,12 @@ func TestStoreDeltaChain(t *testing.T) {
 		Source:   []int32{-1, -1},
 		Fresh:    []float64{7, 8, 9, 10},
 	}
-	v2, err := s.SaveDelta(d2)
+	v2, err := s.SaveDeltaContext(context.Background(), d2)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	rel, ln, skipped, err := s.LoadLatest()
+	rel, ln, skipped, err := s.LoadLatestContext(context.Background())
 	if err != nil {
 		t.Fatalf("load latest: %v", err)
 	}
@@ -186,7 +187,7 @@ func TestStoreDeltaChain(t *testing.T) {
 	if v3 != v2+1 {
 		t.Fatalf("full version %d did not advance past delta %d", v3, v2)
 	}
-	_, ln, _, err = s.LoadLatest()
+	_, ln, _, err = s.LoadLatestContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +207,7 @@ func TestStoreDeltaChainStopsAtCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	d1 := moveDelta(fullV)
-	v1, err := s.SaveDelta(d1)
+	v1, err := s.SaveDeltaContext(context.Background(), d1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +215,7 @@ func TestStoreDeltaChainStopsAtCorruption(t *testing.T) {
 		Base: v1, Epsilon: 0.25, Measure: "CN", NumItems: 2,
 		Assign: []int32{0, 0, 1, 1, 1}, Source: []int32{0, -1}, Fresh: []float64{70, 80},
 	}
-	v2, err := s.SaveDelta(d2)
+	v2, err := s.SaveDeltaContext(context.Background(), d2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +230,7 @@ func TestStoreDeltaChainStopsAtCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rel, ln, skipped, err := s.LoadLatest()
+	rel, ln, skipped, err := s.LoadLatestContext(context.Background())
 	if err != nil {
 		t.Fatalf("load latest: %v", err)
 	}
@@ -249,10 +250,10 @@ func TestStoreDeltaChainStopsAtCorruption(t *testing.T) {
 		Base: v2, Epsilon: 0.25, Measure: "CN", NumItems: 2,
 		Assign: []int32{0, 0, 1, 1, 1}, Source: []int32{0, -1}, Fresh: []float64{1, 2},
 	}
-	if _, err := s.SaveDelta(d3); err != nil {
+	if _, err := s.SaveDeltaContext(context.Background(), d3); err != nil {
 		t.Fatal(err)
 	}
-	_, ln2, skipped2, err := s.LoadLatest()
+	_, ln2, skipped2, err := s.LoadLatestContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package release
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"socialrec/internal/community"
@@ -34,7 +35,7 @@ func FuzzRead(f *testing.F) {
 		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := Read(bytes.NewReader(data))
+		r, err := ReadContext(context.Background(), bytes.NewReader(data))
 		if err != nil {
 			if r != nil {
 				t.Fatalf("Read returned a partial release alongside error %v", err)

@@ -88,13 +88,6 @@ func (r *Release) Validate() error {
 
 // Write serializes the release.
 func Write(w io.Writer, r *Release) error {
-	return WriteContext(context.Background(), w, r)
-}
-
-// WriteContext is Write on a caller-supplied context; the recorded
-// release_persist budget event carries the active trace id (if any), so a
-// persist triggered by a pipeline run or admin request is attributable.
-func WriteContext(ctx context.Context, w io.Writer, r *Release) error {
 	fw := frame.NewWriter(w, magic)
 	if err := WriteBody(fw, r); err != nil {
 		return err
@@ -104,7 +97,7 @@ func WriteContext(ctx context.Context, w io.Writer, r *Release) error {
 	}
 	// Persisting sanitized averages is post-processing: ε = 0 records that
 	// the event happened without charging the budget again.
-	recordPostProcessing(ctx, "release_persist", len(r.Avg))
+	recordPostProcessing(context.Background(), "release_persist", len(r.Avg))
 	return nil
 }
 
@@ -167,12 +160,9 @@ func ReadBody(fr *frame.Reader) (*Release, error) {
 	return out, nil
 }
 
-// Read deserializes and validates a release, including its checksum.
-func Read(r io.Reader) (*Release, error) {
-	return ReadContext(context.Background(), r)
-}
-
-// ReadContext is Read on a caller-supplied context; see WriteContext.
+// ReadContext deserializes and validates a release, including its
+// checksum. The recorded release_load budget event carries ctx's active
+// trace id (if any).
 func ReadContext(ctx context.Context, r io.Reader) (*Release, error) {
 	fr := frame.NewReader(r, magic)
 	out, err := ReadBody(fr)

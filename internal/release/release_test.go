@@ -2,6 +2,7 @@ package release
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -34,7 +35,7 @@ func TestRoundTrip(t *testing.T) {
 	if err := Write(&buf, r); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(&buf)
+	got, err := ReadContext(context.Background(), &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func TestRoundTripInfiniteEpsilon(t *testing.T) {
 	if err := Write(&buf, r); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(&buf)
+	got, err := ReadContext(context.Background(), &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,10 +87,10 @@ func TestWriteValidates(t *testing.T) {
 }
 
 func TestReadRejectsBadMagic(t *testing.T) {
-	if _, err := Read(strings.NewReader("NOTMAGIC-and-more-bytes")); err == nil {
+	if _, err := ReadContext(context.Background(), strings.NewReader("NOTMAGIC-and-more-bytes")); err == nil {
 		t.Error("bad magic should fail")
 	}
-	if _, err := Read(strings.NewReader("")); err == nil {
+	if _, err := ReadContext(context.Background(), strings.NewReader("")); err == nil {
 		t.Error("empty input should fail")
 	}
 }
@@ -103,7 +104,7 @@ func TestReadDetectsCorruption(t *testing.T) {
 	data := buf.Bytes()
 	// Flip a byte in the averages region.
 	data[len(data)-20] ^= 0xFF
-	if _, err := Read(bytes.NewReader(data)); err == nil {
+	if _, err := ReadContext(context.Background(), bytes.NewReader(data)); err == nil {
 		t.Error("corrupted payload should fail the checksum")
 	}
 }
@@ -116,7 +117,7 @@ func TestReadDetectsTruncation(t *testing.T) {
 	}
 	data := buf.Bytes()
 	for _, cut := range []int{len(magic), len(magic) + 4, len(data) / 2, len(data) - 2} {
-		if _, err := Read(bytes.NewReader(data[:cut])); err == nil {
+		if _, err := ReadContext(context.Background(), bytes.NewReader(data[:cut])); err == nil {
 			t.Errorf("truncation at %d bytes should fail", cut)
 		}
 	}
@@ -134,7 +135,7 @@ func TestReadRejectsBadAssignment(t *testing.T) {
 	// count(4) = 34. Point user 0 at cluster 99 and fix nothing else: Read
 	// must reject it before the checksum even matters.
 	data[34] = 99
-	if _, err := Read(bytes.NewReader(data)); err == nil {
+	if _, err := ReadContext(context.Background(), bytes.NewReader(data)); err == nil {
 		t.Error("out-of-range cluster assignment should fail")
 	}
 }

@@ -398,8 +398,9 @@ func ReadManifest(r io.Reader) (*Manifest, error) {
 	return m, nil
 }
 
-// WriteShard serializes a shard as one frame: its header, then the
-// embedded release's body (WriteBody).
+// WriteShardContext serializes a shard as one frame: its header, then the
+// embedded release's body (WriteBody). The embedded release's persist
+// event carries ctx's active trace id, as for an unsharded persist.
 //
 //	version        u64
 //	id             u32
@@ -407,13 +408,6 @@ func ReadManifest(r io.Reader) (*Manifest, error) {
 //	localToGlobal  []i32    local cluster → global cluster, -1 = foreign row
 //	owned          []bool   local clusters this shard serves
 //	release body
-func WriteShard(w io.Writer, s *Shard) error {
-	return WriteShardContext(context.Background(), w, s)
-}
-
-// WriteShardContext is WriteShard on a caller-supplied context; the
-// embedded release's persist event carries the active trace id, as for an
-// unsharded persist.
 func WriteShardContext(ctx context.Context, w io.Writer, s *Shard) error {
 	if err := s.Validate(); err != nil {
 		return err
@@ -434,13 +428,8 @@ func WriteShardContext(ctx context.Context, w io.Writer, s *Shard) error {
 	return nil
 }
 
-// ReadShard deserializes and validates a shard, including its checksum.
-func ReadShard(r io.Reader) (*Shard, error) {
-	return ReadShardContext(context.Background(), r)
-}
-
-// ReadShardContext is ReadShard on a caller-supplied context; see
-// WriteShardContext.
+// ReadShardContext deserializes and validates a shard, including its
+// checksum; see WriteShardContext.
 func ReadShardContext(ctx context.Context, r io.Reader) (*Shard, error) {
 	fr := frame.NewReader(r, shardMagic)
 	s := &Shard{Version: fr.U64("version")}

@@ -191,10 +191,10 @@ func TestShardRoundTrip(t *testing.T) {
 	}
 	for _, sh := range shards {
 		buf.Reset()
-		if err := WriteShard(&buf, sh); err != nil {
+		if err := WriteShardContext(context.Background(), &buf, sh); err != nil {
 			t.Fatal(err)
 		}
-		sh2, err := ReadShard(&buf)
+		sh2, err := ReadShardContext(context.Background(), &buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,18 +224,18 @@ func TestShardCorruptionDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteShard(&buf, shards[0]); err != nil {
+	if err := WriteShardContext(context.Background(), &buf, shards[0]); err != nil {
 		t.Fatal(err)
 	}
 	// Flip one byte in the header region (after the magic).
 	data := buf.Bytes()
 	corrupt := append([]byte(nil), data...)
 	corrupt[len(shardMagic)+3] ^= 0xff
-	if _, err := ReadShard(bytes.NewReader(corrupt)); err == nil {
+	if _, err := ReadShardContext(context.Background(), bytes.NewReader(corrupt)); err == nil {
 		t.Fatal("corrupt shard header accepted")
 	}
 	// Truncation must be detected too.
-	if _, err := ReadShard(bytes.NewReader(data[:len(data)-5])); err == nil {
+	if _, err := ReadShardContext(context.Background(), bytes.NewReader(data[:len(data)-5])); err == nil {
 		t.Fatal("truncated shard accepted")
 	}
 }

@@ -2,6 +2,7 @@ package release
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 
@@ -32,7 +33,7 @@ func TestSnapRoundTrip(t *testing.T) {
 	if err := Write(&buf, r); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(&buf)
+	got, err := ReadContext(context.Background(), &buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -161,28 +161,16 @@ func (s *Store) Versions(k Kind) ([]uint64, error) {
 // file is removed (best-effort) and previously saved versions are
 // untouched, so a reopened store keeps serving the last good release.
 func (s *Store) Save(r *Release) (uint64, error) {
-	return s.SaveContext(context.Background(), r)
-}
-
-// SaveContext is Save on a caller-supplied context. A context carrying an
-// active trace (an admin-triggered rebuild, a pipeline run) gets a
-// "release_store_save" child span whose attributes are the version number
-// written — never release contents.
-func (s *Store) SaveContext(ctx context.Context, r *Release) (uint64, error) {
-	ctx, sp := trace.StartChild(ctx, "release_store_save")
-	defer sp.End()
-	v, err := s.save(ctx, r)
+	v, err := s.save(r)
 	if err != nil {
 		s.saveFailures.Inc()
-		sp.SetStatus(trace.StatusError)
 		return 0, err
 	}
 	s.saves.Inc()
-	sp.Set(attrVersion.Int(int64(v)))
 	return v, nil
 }
 
-func (s *Store) save(ctx context.Context, r *Release) (uint64, error) {
+func (s *Store) save(r *Release) (uint64, error) {
 	if err := r.Validate(); err != nil {
 		return 0, err
 	}
@@ -195,27 +183,24 @@ func (s *Store) save(ctx context.Context, r *Release) (uint64, error) {
 	}
 	final := filepath.Join(s.dir, Fulls.file(next))
 	if err := faults.WriteAtomicFunc(s.fsys, final, func(w io.Writer) error {
-		return WriteContext(ctx, w, r)
+		return Write(w, r)
 	}); err != nil {
 		return 0, fmt.Errorf("release: saving version %d: %w", next, err)
 	}
 	return next, nil
 }
 
-// ErrStoreEmpty is returned by Load when the store holds no valid release.
+// ErrStoreEmpty is returned by LoadContext when the store holds no valid
+// release.
 var ErrStoreEmpty = errors.New("release: store holds no valid release")
 
-// Load opens the newest valid release, working backwards over corrupt or
-// truncated versions. skipped lists what recovery passed over, newest
-// first; each skip is also counted on release_store_recoveries_total and
-// logged. The error is ErrStoreEmpty when no version validates.
-func (s *Store) Load() (rel *Release, version uint64, skipped []Skipped, err error) {
-	return s.LoadContext(context.Background())
-}
-
-// LoadContext is Load on a caller-supplied context. A context carrying an
-// active trace (an admin reload request) gets a "release_store_load" child
-// span recording the version recovered and how many files were skipped.
+// LoadContext opens the newest valid release, working backwards over
+// corrupt or truncated versions. skipped lists what recovery passed over,
+// newest first; each skip is also counted on
+// release_store_recoveries_total and logged. The error is ErrStoreEmpty
+// when no version validates. A context carrying an active trace (an admin
+// reload request) gets a "release_store_load" child span recording the
+// version recovered and how many files were skipped.
 func (s *Store) LoadContext(ctx context.Context) (rel *Release, version uint64, skipped []Skipped, err error) {
 	ctx, sp := trace.StartChild(ctx, "release_store_load")
 	defer sp.End()
@@ -256,13 +241,8 @@ var (
 	attrSkipped = trace.NewKey("skipped")
 )
 
-// LoadVersion opens one specific version, validating its checksum.
-func (s *Store) LoadVersion(v uint64) (*Release, error) {
-	return s.LoadVersionContext(context.Background(), v)
-}
-
-// LoadVersionContext is LoadVersion on a caller-supplied context; see
-// LoadContext.
+// LoadVersionContext opens one specific version, validating its
+// checksum; see LoadContext.
 func (s *Store) LoadVersionContext(ctx context.Context, v uint64) (*Release, error) {
 	var rel *Release
 	if err := s.read(Fulls.file(v), func(f io.Reader) (err error) {

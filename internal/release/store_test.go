@@ -2,6 +2,7 @@ package release
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -53,7 +54,7 @@ func TestStoreSaveLoadRoundTrip(t *testing.T) {
 	if v1 != 1 || v2 != 2 {
 		t.Fatalf("versions = %d, %d, want 1, 2", v1, v2)
 	}
-	rel, v, skipped, err := s.Load()
+	rel, v, skipped, err := s.LoadContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func TestStoreSaveLoadRoundTrip(t *testing.T) {
 	if len(skipped) != 0 {
 		t.Errorf("clean store skipped %v", skipped)
 	}
-	old, err := s.LoadVersion(1)
+	old, err := s.LoadVersionContext(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestStoreSaveLoadRoundTrip(t *testing.T) {
 
 func TestStoreEmptyLoad(t *testing.T) {
 	s := openTestStore(t, t.TempDir(), nil)
-	if _, _, _, err := s.Load(); !errors.Is(err, ErrStoreEmpty) {
+	if _, _, _, err := s.LoadContext(context.Background()); !errors.Is(err, ErrStoreEmpty) {
 		t.Fatalf("err = %v, want ErrStoreEmpty", err)
 	}
 }
@@ -120,7 +121,7 @@ func TestStoreCrashMidPersistKeepsPreviousVersion(t *testing.T) {
 
 			// "Restart": reopen the store from disk and recover.
 			s2 := openTestStore(t, dir, fsys)
-			rel, v, skipped, err := s2.Load()
+			rel, v, skipped, err := s2.LoadContext(context.Background())
 			if err != nil {
 				t.Fatalf("recovery load: %v", err)
 			}
@@ -136,7 +137,7 @@ func TestStoreCrashMidPersistKeepsPreviousVersion(t *testing.T) {
 			if err != nil {
 				t.Fatalf("post-recovery save: %v", err)
 			}
-			rel, v, _, err = s2.Load()
+			rel, v, _, err = s2.LoadContext(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -180,7 +181,7 @@ func TestStoreRecoversPastCorruptNewestVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rel, v, skipped, err := s.Load()
+	rel, v, skipped, err := s.LoadContext(context.Background())
 	if err != nil {
 		t.Fatalf("recovery load: %v", err)
 	}
@@ -280,7 +281,7 @@ func TestStoreIgnoresForeignFiles(t *testing.T) {
 	if _, err := s.Save(storeRelease(t, 1)); err != nil {
 		t.Fatal(err)
 	}
-	rel, v, skipped, err := s.Load()
+	rel, v, skipped, err := s.LoadContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,22 +52,10 @@ step "fault injection (crash safety, reload degradation, panic containment, shed
 # failure-path suites by name keeps them un-skippable and makes this gate's
 # coverage explicit even if package lists change.
 #
-# run_named <pattern> <pkg> runs the named tests under -race. `go test -run`
-# passes with "[no tests to run]" when a pattern matches nothing, so a
-# renamed or moved test would silently leave the gate: every |-alternative
-# must first match a test that `go test -list` reports for the package.
-run_named() {
-    local pattern=$1 pkg=$2 listed alt
-    listed=$(go test -list '.' "$pkg" | grep -E '^(Test|Fuzz|Example)' || true)
-    IFS='|' read -ra alts <<< "$pattern"
-    for alt in "${alts[@]}"; do
-        if ! grep -Eq -- "$alt" <<< "$listed"; then
-            echo "ci: -run alternative '$alt' matches no test in $pkg" >&2
-            exit 1
-        fi
-    done
-    go test -race -run "$pattern" "$pkg"
-}
+# run_named (scripts/run_named.sh) runs named tests under -race and fails
+# when a pattern's alternative matches no test, so a renamed or moved test
+# cannot silently leave the gate.
+source scripts/run_named.sh
 go test -race ./internal/faults
 run_named 'TestStore|TestReadCorruptCorpus|TestDecodersBoundedAllocation' ./internal/release
 run_named 'TestHot|TestFailedReload|TestReload|TestPanicRecovery|TestChaos|TestLimiterSheds|TestDeadline' ./internal/server

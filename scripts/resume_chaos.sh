@@ -7,21 +7,27 @@
 #      fault-injection point (and on panics/timeouts mid-stage) and prove
 #      the resumed run converges to the byte-identical release with each
 #      ε-spend journaled exactly once.
+#      The experiment suite also runs TestOneRecipeOneRelease: the facade,
+#      a fresh and a resumed pipeline and the updater's first full publish
+#      must write one release. Each suite runs through run_named, so a
+#      renamed test fails the step instead of leaving it.
 #   2. A CLI-level drill through cmd/experiments: arm a fault, watch the
-#      run die mid-persist, resume, and assert the persisted release and
-#      the durable ε ledger came out right — twice, so the second resume
-#      also proves byte-identical idempotence (the release store refuses
-#      to append a duplicate version).
+#      run die at the sixth checkpoint rename (sim_shard_0's receipt
+#      commit), resume, and assert the persisted release and the durable ε
+#      ledger came out right — twice, so the second resume also proves
+#      byte-identical idempotence (the release store refuses to append a
+#      duplicate version).
 set -euo pipefail
 cd "$(dirname "$0")/.."
+source scripts/run_named.sh
 
 step() { printf '\n== %s ==\n' "$*"; }
 
 step "fault-point sweep + crash/resume suites (-race)"
-go test -race -run 'TestFaultPointSweep|TestStagePanicMidRunThenResume|TestStageTimeoutThenResume|TestOpenStoreSweepsTempDebris|TestSpendPersistedExactlyOnce' ./internal/pipeline
-go test -race -run 'TestPipelineCrashMidPersistThenResume|TestPipelineResumeAndPersistIdempotent' ./internal/experiment
-go test -race -run 'TestUpdaterCrashRecompute|TestUpdaterPublishFaultSweep|TestUpdaterBudgetExhaustion|TestUpdaterRefusesCorruptIntent|TestManagerRestartCannotRespend|TestManagerCrashDuringJournalWrite|TestJournal' ./internal/dynamic
-go test -race -run 'TestWriteAtomic' ./internal/faults
+run_named 'TestFaultPointSweep|TestStagePanicMidRunThenResume|TestStageTimeoutThenResume|TestOpenStoreSweepsTempDebris|TestSpendPersistedExactlyOnce' ./internal/pipeline
+run_named 'TestPipelineCrashMidPersistThenResume|TestPipelineResumeAndPersistIdempotent|TestOneRecipeOneRelease' ./internal/experiment
+run_named 'TestUpdaterCrashRecompute|TestUpdaterPublishFaultSweep|TestUpdaterBudgetExhaustion|TestUpdaterRefusesCorruptIntent|TestManagerRestartCannotRespend|TestManagerCrashDuringJournalWrite|TestJournal' ./internal/dynamic
+run_named 'TestWriteAtomic' ./internal/faults
 
 step "CLI crash/resume drill (cmd/experiments -exp release)"
 ckpt=$(mktemp -d)

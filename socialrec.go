@@ -75,45 +75,11 @@ type Config struct {
 	// heuristic) — tiny clusters get the largest noise for the least
 	// approximation benefit.
 	MinClusterSize int
-	// Seed makes clustering and noise reproducible. Two engines built
-	// with the same inputs and seed release identical recommendations.
+	// Seed makes clustering and noise reproducible: clustering runs at
+	// Seed and the Laplace noise draws from Seed+1, release.Recipe's rule
+	// for a first release. Two engines built with the same inputs and seed
+	// release identical recommendations.
 	Seed int64
-}
-
-// cluster runs the configured clustering pipeline over the public social
-// graph, each step under a span on ctx.
-func (cfg Config) cluster(ctx context.Context, social *graph.Social) (*community.Clustering, error) {
-	runs := cfg.LouvainRuns
-	if runs <= 0 {
-		runs = 10
-	}
-	var clusters *community.Clustering
-	switch cfg.Clusterer {
-	case "", "louvain":
-		_, sp := trace.Start(ctx, "cluster_louvain")
-		clusters, _ = community.BestOf(social, runs, cfg.Seed, community.Options{})
-		sp.End()
-	case "labelprop":
-		_, sp := trace.Start(ctx, "cluster_labelprop")
-		clusters = community.LabelPropagation(social, cfg.Seed, 0)
-		sp.End()
-	case "cnm":
-		_, sp := trace.Start(ctx, "cluster_cnm")
-		clusters = community.CNM(social)
-		sp.End()
-	default:
-		return nil, fmt.Errorf("socialrec: unknown clusterer %q (want louvain, labelprop or cnm)", cfg.Clusterer)
-	}
-	if cfg.MinClusterSize > 1 {
-		_, sp := trace.Start(ctx, "merge_small")
-		merged, err := community.MergeSmall(social, clusters, cfg.MinClusterSize)
-		sp.End()
-		if err != nil {
-			return nil, err
-		}
-		clusters = merged
-	}
-	return clusters, nil
 }
 
 // GraphBuilder accumulates the two input graphs.
@@ -240,11 +206,12 @@ func checkGraphs(social *graph.Social, prefs preferences, measure string) (simil
 
 // build is the one private-engine constructor behind NewEngineFromGraphs
 // and NewWeightedEngineFromGraphs: it checks the graphs and cfg, then,
-// under one engine_build root, clusters the public social graph and runs
-// release, the private release over the clustering. Only an unweighted
-// release (a *mechanism.Cluster) is kept for persisting.
+// under one engine_build root, clusters the public social graph through
+// cfg's release.Recipe and runs publish, the private release over the
+// clustering, on the recipe's noise. Only an unweighted release (a
+// *mechanism.Cluster) is kept for persisting.
 func build(social *graph.Social, prefs preferences, cfg Config,
-	release func(context.Context, *community.Clustering, dp.Epsilon, dp.NoiseSource) (core.Estimator, error)) (*Engine, error) {
+	publish func(context.Context, *community.Clustering, dp.Epsilon, dp.NoiseSource) (core.Estimator, error)) (*Engine, error) {
 	m, err := checkGraphs(social, prefs, cfg.Measure)
 	if err != nil {
 		return nil, err
@@ -256,13 +223,15 @@ func build(social *graph.Social, prefs preferences, cfg Config,
 	if err := eps.Validate(); err != nil {
 		return nil, err
 	}
+	recipe := release.Recipe{Measure: m.Name(), Eps: eps, LouvainRuns: cfg.LouvainRuns,
+		Clusterer: cfg.Clusterer, MinClusterSize: cfg.MinClusterSize, Seed: cfg.Seed}
 	ctx, sp := trace.Start(context.Background(), "engine_build")
 	defer sp.End()
-	clusters, err := cfg.cluster(ctx, social)
+	clusters, err := recipe.Cluster(ctx, social)
 	if err != nil {
 		return nil, err
 	}
-	est, err := release(ctx, clusters, eps, dp.SourceFor(eps, cfg.Seed+1))
+	est, err := publish(ctx, clusters, eps, recipe.Noise())
 	if err != nil {
 		return nil, err
 	}
@@ -314,7 +283,7 @@ func (e *Engine) Release() (*release.Release, error) {
 // (public) social graph it was built over. The social graph must have the
 // same user population; the release's similarity measure is restored.
 func LoadEngine(r io.Reader, social *graph.Social) (*Engine, error) {
-	rel, err := release.Read(r)
+	rel, err := release.ReadContext(context.Background(), r)
 	if err != nil {
 		return nil, err
 	}
