@@ -12,9 +12,9 @@
 //
 // -lenient quarantines malformed TSV rows (reported on stderr) instead of
 // failing on the first one. With -checkpoint-dir the offline precompute
-// (ingestion, sampling, similarity shards, release) runs through the
-// resumable stage orchestrator: an interrupted run resumes from the first
-// incomplete stage on the next invocation, and -fresh discards checkpoints.
+// (ingestion, sampling, similarity, release) runs through the resumable
+// stage orchestrator: an interrupted run resumes from the first incomplete
+// stage on the next invocation, and -fresh discards checkpoints.
 // Both paths evaluate the same sample of the same release: the sample is
 // drawn at -seed+200, and the release follows release.Recipe with -runs
 // Louvain restarts and -seed.
@@ -55,7 +55,6 @@ func main() {
 		seed       = flag.Int64("seed", 1, "seed")
 		lenient    = flag.Bool("lenient", false, "quarantine malformed TSV rows instead of failing on the first")
 		ckptDir    = flag.String("checkpoint-dir", "", "run the offline precompute through the resumable checkpoint pipeline, storing stage outputs here")
-		resume     = flag.Bool("resume", true, "reuse matching checkpoints in -checkpoint-dir")
 		fresh      = flag.Bool("fresh", false, "discard existing checkpoints before running")
 		runs       = flag.Int("runs", 10, "Louvain restarts")
 	)
@@ -91,7 +90,7 @@ func main() {
 	if *ckptDir != "" {
 		ds, evalUsers, sims, private = checkpointedPrecompute(
 			*socialPath, *prefsPath, m, dp.Epsilon(eps), *sample, *runs, *seed,
-			*lenient, *ckptDir, *resume, *fresh)
+			*lenient, *ckptDir, *fresh)
 	} else {
 		ds = loadDataset(context.Background(), *socialPath, *prefsPath, *lenient)
 		private, err = socialrec.NewEngineFromGraphs(ds.Social, ds.Prefs, socialrec.Config{
@@ -210,7 +209,7 @@ func loadDataset(ctx context.Context, socialPath, prefsPath string, lenient bool
 // private engine from the released (already-noised) averages. Checkpoints
 // are keyed by a content hash of both input files, so editing the data
 // invalidates them.
-func checkpointedPrecompute(socialPath, prefsPath string, m similarity.Measure, eps dp.Epsilon, sample, runs int, seed int64, lenient bool, ckptDir string, resume, fresh bool) (*dataset.Dataset, []int32, []similarity.Scores, *socialrec.Engine) {
+func checkpointedPrecompute(socialPath, prefsPath string, m similarity.Measure, eps dp.Epsilon, sample, runs int, seed int64, lenient bool, ckptDir string, fresh bool) (*dataset.Dataset, []int32, []similarity.Scores, *socialrec.Engine) {
 	h := fnv.New64a()
 	for _, p := range []string{socialPath, prefsPath} {
 		raw, err := os.ReadFile(p)
@@ -236,7 +235,6 @@ func checkpointedPrecompute(socialPath, prefsPath string, m similarity.Measure, 
 	}
 	res, err := pipe.Run(context.Background(), pipeline.Options{
 		CheckpointDir: ckptDir,
-		Resume:        resume,
 		Fresh:         fresh,
 		Config:        spec.Fingerprint(),
 		Logger:        slog.New(slog.NewTextHandler(os.Stderr, nil)),

@@ -17,17 +17,16 @@
 // -repeats, -sample and -runs trade fidelity for speed; the paper's own
 // settings are -repeats 10 and (for the big dataset) -sample 10000.
 //
-// The release experiment runs the offline path (load → sample → similarity
-// shards → merge → release → persist) through the resumable stage
+// The release experiment runs the offline path (load → sample →
+// similarity → release → persist) through the resumable stage
 // orchestrator; its release stage is release.Recipe.Build, so it writes
 // the bytes recserve's -prefs build writes for the same data, ε and seed.
 // With -checkpoint-dir, completed stages are checkpointed and a rerun
-// resumes from the first invalidated stage; -fresh discards checkpoints,
-// -resume=false ignores them. -faults arms a
-// deterministic fault-injection point (e.g. fs.rename) so crash/resume
-// drills are scriptable: the interrupted run exits non-zero, the resumed
-// run must produce the byte-identical release with the ε-spend journaled
-// exactly once.
+// resumes from the first invalidated stage; -fresh discards checkpoints.
+// -faults arms a deterministic fault-injection point (e.g. fs.rename) so
+// crash/resume drills are scriptable: the interrupted run exits non-zero,
+// the resumed run must produce the byte-identical release with the
+// ε-spend journaled exactly once.
 //
 // The stream experiment drives the online path instead: a deterministic
 // mutation stream is appended to a durable WAL in batches, and the
@@ -77,7 +76,6 @@ func main() {
 		preset     = flag.String("preset", "lastfm", "dataset preset for -exp release: lastfm, flixster or tiny")
 		epsArg     = flag.Float64("eps", 0.5, "release budget ε for -exp release")
 		ckptDir    = flag.String("checkpoint-dir", "", "checkpoint stage outputs here; reruns resume from the first invalidated stage")
-		resume     = flag.Bool("resume", true, "reuse matching checkpoints in -checkpoint-dir")
 		fresh      = flag.Bool("fresh", false, "discard existing checkpoints before running")
 		releaseDir = flag.String("release-dir", "", "persist the final release into a release store here")
 		faultPoint = flag.String("faults", "", "arm a fault-injection point for crash drills (fs.create, fs.write, fs.sync, fs.close, fs.rename, fs.syncdir, ...)")
@@ -181,21 +179,11 @@ func main() {
 	if want("decompose") {
 		run("Eq. 5: error decomposition", func() error {
 			for _, p := range []generator.Preset{generator.LastFMLike(*seed), generator.FlixsterLike(*seed)} {
-				ds, _, err := experiment.BuildDataset(p)
+				decs, err := experiment.Decompose(p, []dp.Epsilon{1.0, 0.1}, 50, opts)
 				if err != nil {
 					return err
 				}
-				clusters, _ := experiment.ClusterSocial(ds, *runs, *seed+100)
-				eval := experiment.SampleUsers(ds.Social.NumUsers(), opts.EvalSample, *seed+200)
-				r, err := experiment.NewRunner(ds, similarity.CommonNeighbors{}, clusters, eval)
-				if err != nil {
-					return err
-				}
-				for _, e := range []dp.Epsilon{1.0, 0.1} {
-					d, err := r.DecomposeError(e, *seed, 50)
-					if err != nil {
-						return err
-					}
+				for _, d := range decs {
 					fmt.Print(d.Format())
 				}
 			}
@@ -211,7 +199,6 @@ func main() {
 				runs:       *runs,
 				seed:       *seed,
 				ckptDir:    *ckptDir,
-				resume:     *resume,
 				fresh:      *fresh,
 				releaseDir: *releaseDir,
 				faultPoint: *faultPoint,
@@ -258,7 +245,6 @@ type releaseFlags struct {
 	runs       int
 	seed       int64
 	ckptDir    string
-	resume     bool
 	fresh      bool
 	releaseDir string
 	faultPoint string
@@ -300,10 +286,8 @@ func runReleasePipeline(f releaseFlags) error {
 
 	opts := pipeline.Options{
 		CheckpointDir: f.ckptDir,
-		Resume:        f.resume,
 		Fresh:         f.fresh,
 		Config:        spec.Fingerprint(),
-		Retries:       0,
 		Logger:        slog.New(slog.NewTextHandler(os.Stdout, nil)),
 	}
 	if f.faultPoint != "" {

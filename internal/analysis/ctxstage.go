@@ -6,10 +6,10 @@ import (
 )
 
 // CtxStage enforces that Run methods taking a context.Context actually
-// honor it. The pipeline orchestrator's cancellation, per-stage timeouts
-// and crash/resume discipline all flow through the ctx argument of
-// pipeline.Stage.Run; a stage that accepts the context but never consults
-// it cannot be timed out or cancelled, so a hung stage wedges the whole
+// honor it. The pipeline orchestrator has no timeout of its own: the
+// caller's deadline and cancellation reach a stage only through the ctx
+// argument of pipeline.Stage.Run. A stage that accepts the context but
+// never consults it cannot be cut off, so a hung stage wedges the whole
 // offline release path and the operator's Ctrl-C leaves half-written work
 // for the next resume to sort out. The analyzer flags any function or
 // method named Run whose first parameter is a context.Context that is
@@ -21,7 +21,7 @@ func (CtxStage) Name() string { return "ctxstage" }
 
 // Doc describes the invariant.
 func (CtxStage) Doc() string {
-	return "Run methods that accept a context.Context must use it (cancellation/timeouts are the pipeline's only way to interrupt a stage)"
+	return "Run methods that accept a context.Context must use it (the caller's cancellation and deadline are the pipeline's only way to interrupt a stage)"
 }
 
 // Run checks every non-test file.

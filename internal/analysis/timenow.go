@@ -8,11 +8,12 @@ import (
 // and friends) in non-test code. Every experiment in this repository is
 // reproducible because seeds are explicit configuration; a wall-clock seed
 // silently breaks replay of a paper figure, and — worse — a wall-clock
-// seed for privacy noise is partially predictable by an adversary who
-// knows roughly when the release was produced (the LaplaceSource contract
-// requires real entropy in production, not timestamps). Measuring elapsed
-// time with time.Now()/time.Since stays legal; only the conversion of the
-// current time into an integer usable as a seed is flagged.
+// seed for privacy noise is predictable by an adversary who knows roughly
+// when the release was produced, without even a search over the seed
+// space (no seed keeps the noise secret; see dp.NewLaplaceSource).
+// Measuring elapsed time with time.Now()/time.Since stays legal; only the
+// conversion of the current time into an integer usable as a seed is
+// flagged.
 type TimeNow struct{}
 
 // Name returns "timenow".
@@ -20,7 +21,7 @@ func (TimeNow) Name() string { return "timenow" }
 
 // Doc describes the invariant.
 func (TimeNow) Doc() string {
-	return "no time.Now().Unix*() seeds in non-test code; seeds are explicit configuration (experiments) or real entropy (production)"
+	return "no time.Now().Unix*() seeds in non-test code; seeds are explicit configuration"
 }
 
 // seedConversions are the time.Time methods that turn the current time

@@ -11,11 +11,3 @@ func BenchmarkLaplaceDraw(b *testing.B) {
 	}
 	_ = sink
 }
-
-func BenchmarkAccountantCharge(b *testing.B) {
-	a := NewAccountant()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = a.Charge("p", 0.001)
-	}
-}

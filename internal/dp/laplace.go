@@ -48,32 +48,26 @@ type NoiseSource interface {
 // pseudo-random generator. It is not safe for concurrent use; create one
 // source per goroutine.
 //
-// Two deployment caveats, inherited from every float64 Laplace sampler:
-// (1) the guarantee assumes the adversary cannot predict the noise, so
-// production deployments must seed from real entropy rather than the
-// reproducible seeds used in this repository's experiments; (2) Mironov
-// (CCS 2012) showed that the low-order bits of textbook floating-point
-// Laplace samples can leak — deployments handling genuinely hostile
-// adversaries should layer the snapping post-processor (Snap, or
+// Two deployment caveats: (1) the guarantee assumes the adversary cannot
+// predict the noise, and no seed gives that here (see NewLaplaceSource);
+// (2) Mironov (CCS 2012) showed that the low-order bits of textbook
+// floating-point Laplace samples can leak — deployments handling genuinely
+// hostile adversaries should layer the snapping post-processor (Snap, or
 // release.(*Release).Snap for persisted releases) on top: it composes as
 // post-processing, so the ε guarantee is unchanged.
 type LaplaceSource struct {
 	rng *rand.Rand
 }
 
-// NewLaplaceSource returns a Laplace noise source seeded deterministically.
-// Production callers should seed from entropy (e.g. crypto/rand via
-// NewSeededFromTime is deliberately not provided: callers own seeding policy
-// so experiments stay reproducible).
+// NewLaplaceSource returns a Laplace noise source seeded deterministically:
+// the same seed always yields the same stream. No seed makes the stream
+// unpredictable: math/rand reduces every seed modulo 2³¹−1, so an adversary
+// who sees a release can search every seed and replay its noise. Closing
+// that needs a secret key rather than a seed (ROADMAP.md, "Noise nobody can
+// replay"). There is deliberately no time- or entropy-seeded variant:
+// callers own seeding policy, and experiments stay reproducible.
 func NewLaplaceSource(seed int64) *LaplaceSource {
 	return &LaplaceSource{rng: rand.New(rand.NewSource(seed))}
-}
-
-// NewLaplaceSourceFrom returns a Laplace noise source drawing its uniforms
-// from the given rand source. Callers that derive many decorrelated streams
-// (e.g. one per user row in the NOE baseline) construct sources this way.
-func NewLaplaceSourceFrom(src rand.Source) *LaplaceSource {
-	return &LaplaceSource{rng: rand.New(src)}
 }
 
 // Laplace draws from Lap(scale) by inverse-CDF sampling.

@@ -31,11 +31,6 @@ import (
 // skipped.
 const intentMagic = "SOCUPD02"
 
-// budgetPartition is the accountant partition for preference edges. All
-// publishes touch the same (evolving) preference data, so they share one
-// partition and compose sequentially.
-const budgetPartition = "preference-edges"
-
 // intentKind records which artifact a journaled publish produces.
 type intentKind uint8
 

@@ -20,6 +20,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"socialrec/internal/community"
 	"socialrec/internal/dp"
@@ -50,9 +51,12 @@ import (
 // The journaled Seq doubles as the consumer's WAL replay mark.
 type Updater struct {
 	cfg  UpdaterConfig
-	acct *dp.Accountant
 	fsys faults.FS
 	logf func(format string, args ...any)
+	// spent holds the float64 bits of the journaled lifetime spend. Writes
+	// happen under mu, right after the journal write; Spent and Remaining
+	// read it without mu, so they never wait on an in-flight Advance.
+	spent atomic.Uint64
 
 	mu         sync.Mutex
 	st         *graphState
@@ -313,7 +317,6 @@ func OpenUpdater(cfg UpdaterConfig) (*Updater, error) {
 	}
 	u := &Updater{
 		cfg:     cfg,
-		acct:    dp.NewAccountant(),
 		fsys:    cfg.FS,
 		logf:    logf,
 		touched: make(map[int32]struct{}),
@@ -339,11 +342,7 @@ func OpenUpdater(cfg UpdaterConfig) (*Updater, error) {
 	if haveIntent {
 		// Recover the durable spend first; everything after can fail
 		// without the accounting regressing.
-		if intent.Spent > 0 {
-			if err := u.acct.Charge(budgetPartition, dp.Epsilon(intent.Spent)); err != nil {
-				return nil, fmt.Errorf("dynamic: recovering updater journal: %w", err)
-			}
-		}
+		u.spent.Store(math.Float64bits(intent.Spent))
 		u.releases = intent.Releases
 	}
 
@@ -411,14 +410,16 @@ func (u *Updater) replay(through uint64) error {
 	})
 }
 
-// Spent reports the privacy budget consumed (journaled) so far.
+// Spent reports the privacy budget consumed (journaled) so far. Every
+// publish shares the one preference graph, so spends compose sequentially
+// and add up.
 func (u *Updater) Spent() dp.Epsilon {
-	return u.acct.Spent()
+	return dp.Epsilon(math.Float64frombits(u.spent.Load()))
 }
 
 // Remaining reports the unspent budget.
 func (u *Updater) Remaining() dp.Epsilon {
-	r := float64(u.cfg.TotalBudget) - float64(u.acct.Spent())
+	r := float64(u.cfg.TotalBudget) - float64(u.Spent())
 	if r < 0 {
 		r = 0
 	}
@@ -515,26 +516,22 @@ func (u *Updater) Advance() (Decision, error) {
 	}
 	intent := intentState{
 		Releases: u.releases + 1,
-		Spent:    float64(u.acct.SpentOn(budgetPartition)) + float64(u.cfg.PerRelease),
+		Spent:    float64(u.Spent()) + float64(u.cfg.PerRelease),
 		PrevSeq:  u.pubSeq,
 		Seq:      u.appliedSeq,
 		Version:  next,
 		Kind:     kind,
 		Base:     u.lineage.Version(),
 	}
-	// Journal durably BEFORE charging or persisting: a crash from here on
-	// counts the release as spent even if it never lands, and OpenUpdater
-	// finishes it by recomputation. Under-counting is never possible.
+	// Journal durably BEFORE counting the spend or persisting: a crash
+	// from here on counts the release as spent even if it never lands, and
+	// OpenUpdater finishes it by recomputation. Under-counting is never
+	// possible.
 	if err := writeIntent(u.fsys, u.cfg.JournalPath, intent); err != nil {
 		return Decision{}, fmt.Errorf("dynamic: journaling publish intent: %w", err)
 	}
 	u.releases = intent.Releases
-	if err := u.acct.Charge(budgetPartition, u.cfg.PerRelease); err != nil {
-		// The journal already counts this spend; mirror it in memory
-		// failed, which should be impossible after canPublishLocked.
-		u.broken = err
-		return Decision{}, err
-	}
+	u.spent.Store(math.Float64bits(intent.Spent))
 	if err := u.finishPublish(intent); err != nil {
 		// The ε is journaled but the artifact did not land. In-process
 		// retry would need a fresh intent (double-counting), so the
@@ -550,7 +547,7 @@ func (u *Updater) Advance() (Decision, error) {
 }
 
 func (u *Updater) canPublishLocked() bool {
-	r := float64(u.cfg.TotalBudget) - float64(u.acct.Spent())
+	r := float64(u.cfg.TotalBudget) - float64(u.Spent())
 	return r >= float64(u.cfg.PerRelease)-1e-12
 }
 

@@ -7,7 +7,9 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
 	"testing"
+	"time"
 
 	"socialrec/internal/dp"
 	"socialrec/internal/faults"
@@ -183,6 +185,55 @@ func sortedNames(m map[string][]byte) []string {
 	}
 	sort.Strings(names)
 	return names
+}
+
+// TestUpdaterSpentReadsWithoutLock: Spent and Remaining answer while an
+// Advance holds the updater's lock, and read the spend race-free while a
+// publish writes it.
+func TestUpdaterSpentReadsWithoutLock(t *testing.T) {
+	e := newStreamEnv(t, nil)
+	e.seedPopulation()
+	u := e.mustOpen()
+
+	u.mu.Lock()
+	read := make(chan dp.Epsilon, 1)
+	go func() { read <- u.Spent() + u.Remaining() }()
+	select {
+	case got := <-read:
+		if got != 2.0 {
+			t.Errorf("spent + remaining = %v, want the 2.0 budget", float64(got))
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Spent and Remaining waited on the updater's lock")
+	}
+	u.mu.Unlock()
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if s := u.Spent(); s != 0 && s != 0.5 {
+				t.Errorf("Spent read %v during the first publish", float64(s))
+				return
+			}
+		}
+	}()
+	d, err := u.Advance()
+	close(stop)
+	wg.Wait()
+	if err != nil || !d.Published {
+		t.Fatalf("advance: %+v, %v", d, err)
+	}
+	if got := u.Spent(); got != 0.5 {
+		t.Fatalf("spent = %v, want 0.5", float64(got))
+	}
 }
 
 func TestUpdaterFullThenDelta(t *testing.T) {

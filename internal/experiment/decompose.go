@@ -7,7 +7,9 @@ import (
 
 	"socialrec/internal/core"
 	"socialrec/internal/dp"
+	"socialrec/internal/generator"
 	"socialrec/internal/metrics"
+	"socialrec/internal/similarity"
 )
 
 // ErrorDecomposition quantifies the two error sources of the framework's
@@ -36,6 +38,29 @@ type ErrorDecomposition struct {
 	// TopSignal is the mean true utility of the user's ideal top-N items
 	// — the magnitude the perturbation error competes against.
 	TopSignal []float64
+}
+
+// Decompose measures the decomposition of preset p's Common Neighbors
+// recommendations at each budget, over the clustering and evaluation sample
+// the figures use (o's zero values select the figures' defaults).
+func Decompose(p generator.Preset, eps []dp.Epsilon, n int, o Opts) ([]*ErrorDecomposition, error) {
+	ds, _, err := BuildDataset(p)
+	if err != nil {
+		return nil, err
+	}
+	clusters, _ := ClusterSocial(ds, o.louvainRuns(), o.Seed+100)
+	eval := SampleUsers(ds.Social.NumUsers(), o.evalSample(), o.Seed+200)
+	r, err := NewRunner(ds, similarity.CommonNeighbors{}, clusters, eval)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*ErrorDecomposition, len(eps))
+	for i, e := range eps {
+		if out[i], err = r.DecomposeError(e, o.Seed, n); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // DecomposeError measures the decomposition at the given budget.

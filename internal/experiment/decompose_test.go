@@ -2,10 +2,12 @@ package experiment
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
 	"socialrec/internal/dp"
+	"socialrec/internal/generator"
 )
 
 func TestDecomposeError(t *testing.T) {
@@ -45,6 +47,28 @@ func TestDecomposeError(t *testing.T) {
 		if !strings.Contains(out, needle) {
 			t.Errorf("format missing %q", needle)
 		}
+	}
+}
+
+// TestDecomposeDefaults: zero Opts read as the figures' defaults (10
+// Louvain restarts, a 400-user sample), as every other experiment reads
+// them, rather than panicking in BestOf or evaluating no user.
+func TestDecomposeDefaults(t *testing.T) {
+	p := generator.TinyTest(3)
+	eps := []dp.Epsilon{1}
+	got, err := Decompose(p, eps, 10, Opts{Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Decompose(p, eps, 10, Opts{LouvainRuns: 10, EvalSample: 400, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(got[0].ApproxNDCG); n != p.Social.NumUsers {
+		t.Fatalf("evaluated %d users, want all %d (the 400-user default caps at the population)", n, p.Social.NumUsers)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("zero Opts decomposed differently from the explicit defaults")
 	}
 }
 

@@ -1,8 +1,6 @@
 // Stage-graph decomposition of the offline release path for
 // internal/pipeline: load dataset → sample evaluation users → similarity
-// shards → merge → release → persist. Each similarity shard is its own
-// checkpointable unit, so a crash during the evaluation precompute resumes
-// mid-phase instead of from scratch. The release stage is one call of
+// → release → persist. The release stage is one call of
 // release.Recipe.Build, the function every other publish path runs, so a
 // pipeline release is byte-identical to the facade's for the same graphs,
 // ε and seed.
@@ -50,9 +48,6 @@ type ReleaseSpec struct {
 	// LouvainRuns is the best-of restart count; 0 selects the recipe's
 	// default of 10.
 	LouvainRuns int
-	// SimShards is how many checkpointable units the similarity precompute
-	// is split into; 0 selects 4.
-	SimShards int
 	// Seed drives sampling and the release: the evaluation sample is
 	// drawn at Seed+200, as Opts.Seed does for the figures, and the release
 	// follows release.Recipe's seed rule (clustering at Seed, noise at
@@ -85,13 +80,6 @@ func (s ReleaseSpec) recipe() release.Recipe {
 	return release.Recipe{Measure: s.measure().Name(), Eps: s.Eps, LouvainRuns: s.LouvainRuns, Seed: s.Seed}
 }
 
-func (s ReleaseSpec) simShards() int {
-	if s.SimShards > 0 {
-		return s.SimShards
-	}
-	return 4
-}
-
 // Fingerprint hashes every spec field that determines stage outputs; pass
 // it as pipeline.Options.Config so any configuration change re-runs the
 // pipeline from the first affected stage.
@@ -102,7 +90,6 @@ func (s ReleaseSpec) Fingerprint() uint64 {
 	h.Word(math.Float64bits(float64(s.Eps)))
 	h.Word(uint64(s.evalSample()))
 	h.Word(uint64(s.LouvainRuns))
-	h.Word(uint64(s.simShards()))
 	h.Word(uint64(s.Seed))
 	h.Word(math.Float64bits(s.SnapGrain))
 	return h.Sum()
@@ -137,7 +124,6 @@ func BuildReleasePipeline(spec ReleaseSpec) (*pipeline.Pipeline, error) {
 	if spec.Load == nil {
 		return nil, fmt.Errorf("experiment: ReleaseSpec.Load is required")
 	}
-	shards := spec.simShards()
 
 	stages := []pipeline.Stage{
 		&funcStage{
@@ -165,19 +151,10 @@ func BuildReleasePipeline(spec ReleaseSpec) (*pipeline.Pipeline, error) {
 				return nil
 			},
 		},
-	}
-
-	// Similarity precompute, sharded over the evaluation users: shard i
-	// computes rows i, i+shards, i+2·shards … so the shards stay balanced
-	// even when the sample is sorted by user id.
-	shardKeys := make([]pipeline.Key, shards)
-	for i := 0; i < shards; i++ {
-		i := i
-		shardKeys[i] = pipeline.Key(fmt.Sprintf("sim_shard_%d", i))
-		stages = append(stages, &funcStage{
-			name: fmt.Sprintf("sim_shard_%d", i), version: 1,
+		&funcStage{
+			name: "similarity", version: 1,
 			inputs:  []pipeline.Key{KeyDataset, KeyEvalUsers},
-			outputs: []pipeline.Port{simsPort(shardKeys[i])},
+			outputs: []pipeline.Port{simsPort(KeyEvalSims)},
 			run: func(ctx context.Context, st *pipeline.State) error {
 				ds, err := pipeline.Get[*dataset.Dataset](st, KeyDataset)
 				if err != nil {
@@ -187,68 +164,39 @@ func BuildReleasePipeline(spec ReleaseSpec) (*pipeline.Pipeline, error) {
 				if err != nil {
 					return err
 				}
-				var mine []int32
-				for k := i; k < len(users); k += shards {
-					mine = append(mine, users[k])
-				}
-				st.Put(shardKeys[i], similarity.ComputeAll(ds.Social, spec.measure(), mine, 0))
+				st.Put(KeyEvalSims, similarity.ComputeAll(ds.Social, spec.measure(), users, 0))
 				return ctx.Err()
 			},
-		})
-	}
-	stages = append(stages, &funcStage{
-		name: "sim_merge", version: 1,
-		inputs:  append([]pipeline.Key{KeyEvalUsers}, shardKeys...),
-		outputs: []pipeline.Port{simsPort(KeyEvalSims)},
-		run: func(ctx context.Context, st *pipeline.State) error {
-			users, err := pipeline.Get[[]int32](st, KeyEvalUsers)
-			if err != nil {
-				return err
-			}
-			merged := make([]similarity.Scores, len(users))
-			for i := 0; i < shards; i++ {
-				shard, err := pipeline.Get[[]similarity.Scores](st, shardKeys[i])
+		},
+		&funcStage{
+			name: "release", version: 1,
+			inputs:  []pipeline.Key{KeyDataset},
+			outputs: []pipeline.Port{releasePort(KeyRelease)},
+			run: func(ctx context.Context, st *pipeline.State) error {
+				ds, err := pipeline.Get[*dataset.Dataset](st, KeyDataset)
 				if err != nil {
 					return err
 				}
-				for j, sc := range shard {
-					merged[i+j*shards] = sc
+				rel, err := spec.recipe().Build(ctx, ds.Social, ds.Prefs)
+				if err != nil {
+					return err
 				}
-			}
-			st.Put(KeyEvalSims, merged)
-			return ctx.Err()
+				rel.Snap(spec.SnapGrain)
+				// Journal the spend into the stage receipt: this is what makes
+				// the ε durable exactly once across crash/resume sequences. The
+				// noise is seeded, so a re-run after a crash reproduces the
+				// identical draw — one release, not two.
+				st.RecordSpendCtx(ctx, telemetry.ReleaseEvent{
+					Mechanism:   "cluster",
+					Epsilon:     float64(spec.Eps),
+					Sensitivity: 1,
+					Values:      len(rel.Avg),
+				})
+				st.Put(KeyRelease, rel)
+				return ctx.Err()
+			},
 		},
-	})
-
-	stages = append(stages, &funcStage{
-		name: "release", version: 1,
-		inputs:  []pipeline.Key{KeyDataset},
-		outputs: []pipeline.Port{releasePort(KeyRelease)},
-		run: func(ctx context.Context, st *pipeline.State) error {
-			ds, err := pipeline.Get[*dataset.Dataset](st, KeyDataset)
-			if err != nil {
-				return err
-			}
-			rel, err := spec.recipe().Build(ctx, ds.Social, ds.Prefs)
-			if err != nil {
-				return err
-			}
-			rel.Snap(spec.SnapGrain)
-			// Journal the spend into the stage receipt: this is what makes
-			// the ε durable exactly once across crash/resume sequences. The
-			// noise is seeded, so a re-run after a crash reproduces the
-			// identical draw — one release, not two.
-			st.RecordSpendCtx(ctx, telemetry.ReleaseEvent{
-				Mechanism:   "cluster",
-				Epsilon:     float64(spec.Eps),
-				Sensitivity: 1,
-				Values:      len(rel.Avg),
-			})
-			st.Put(KeyRelease, rel)
-			return ctx.Err()
-		},
-	})
-
+	}
 	if spec.StoreDir != "" {
 		stages = append(stages, &funcStage{
 			name: "persist", version: 1,

@@ -9,7 +9,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"socialrec/internal/dataset"
 	"socialrec/internal/faults"
@@ -32,7 +31,6 @@ func tinySpec(seed int64, storeDir string) ReleaseSpec {
 		Eps:                0.5,
 		EvalSample:         30,
 		LouvainRuns:        3,
-		SimShards:          3,
 		Seed:               seed,
 		StoreDir:           storeDir,
 	}
@@ -41,9 +39,7 @@ func tinySpec(seed int64, storeDir string) ReleaseSpec {
 func quietOpts(dir string) pipeline.Options {
 	return pipeline.Options{
 		CheckpointDir: dir,
-		Resume:        true,
 		Metrics:       telemetry.NewRegistry(),
-		Sleep:         func(time.Duration) {},
 	}
 }
 

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -219,8 +220,8 @@ func TestStagePanicMidRunThenResume(t *testing.T) {
 	assertConverged(t, "after panic", dir, mustResume(t, dir, seed), wantFinal, wantBytes)
 }
 
-// TestStageTimeoutThenResume times a stage out mid-run, then resumes
-// without the timeout.
+// TestStageTimeoutThenResume cuts the release stage off mid-run with a
+// deadline on the run's own context, then resumes without one.
 func TestStageTimeoutThenResume(t *testing.T) {
 	const seed = 77
 	wantFinal, wantBytes := sweepBaseline(t, seed)
@@ -228,14 +229,22 @@ func TestStageTimeoutThenResume(t *testing.T) {
 
 	p := sweepPipeline(t, seed)
 	inner := p.stages[2].(*testStage).run
+	reached := false
 	p.stages[2].(*testStage).run = func(ctx context.Context, st *State) error {
-		<-ctx.Done() // hang until the per-stage timeout fires
+		reached = true
+		<-ctx.Done() // hang until the run's deadline passes
 		return ctx.Err()
 	}
-	opts := testOpts(dir)
-	opts.StageTimeout = 10 * time.Millisecond
-	if _, err := p.Run(context.Background(), opts); err == nil {
-		t.Fatalf("timed-out run should fail")
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	if _, err := p.Run(ctx, testOpts(dir)); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("timed-out run: err = %v, want deadline exceeded", err)
+	}
+	if !reached {
+		t.Fatalf("the deadline passed before the release stage started")
+	}
+	if _, err := os.Stat(filepath.Join(dir, "release.stage")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("timed-out stage left a receipt (stat err %v)", err)
 	}
 	p.stages[2].(*testStage).run = inner
 	assertConverged(t, "after timeout", dir, mustResume(t, dir, seed), wantFinal, wantBytes)

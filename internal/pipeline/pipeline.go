@@ -1,16 +1,14 @@
 // Package pipeline is a checkpointed, resumable stage-graph orchestrator
-// for the offline release path (the paper's Algorithm 1 and the experiment
-// harness around it): load dataset → similarity batch shards → Louvain
-// best-of-N runs → merge/pick → mechanism release → persist.
+// for the offline release path (the paper's Algorithm 1 and the evaluation
+// around it): load dataset → sample evaluation users → similarity → release
+// → persist.
 //
-// At the ROADMAP's millions-of-users scale those stages run for hours, and
-// a crash near the end of an all-or-nothing run loses everything. Each
-// stage here declares typed inputs and outputs; completed stage outputs
+// Each stage declares typed inputs and outputs; completed stage outputs
 // are checkpointed to disk as CRC'd, versioned artifacts written with the
 // same crash-safe discipline as internal/release.Store (same-directory
 // temp file + fsync + atomic rename + directory fsync, via
-// faults.WriteAtomicFunc). A resumed run fingerprints every stage over
-// (config, seed, external-input hashes, code-level stage version, upstream
+// faults.WriteAtomicFunc). A rerun fingerprints every stage over (config,
+// seed, external-input hashes, code-level stage version, upstream
 // fingerprints) and skips stages whose checkpoints match, re-running from
 // the first invalidated stage.
 //
@@ -59,14 +57,14 @@ type Port struct {
 
 // Stage is one unit of the offline pipeline. Implementations must be
 // deterministic functions of their declared inputs and fingerprint, and
-// Run must honor ctx — return promptly on cancellation — so per-stage
-// timeouts and operator interrupts work (sociolint's ctxstage analyzer
+// Run must honor ctx — return promptly on cancellation — so the caller's
+// deadline and operator interrupts work (sociolint's ctxstage analyzer
 // enforces the latter).
 type Stage interface {
 	// Name identifies the stage; it must be a valid telemetry name and
-	// unique within a pipeline. Each attempt runs under a trace span of
-	// this name (and so lands in the stage table under it), and the
-	// checkpoint receipt is stored as "<name>.stage".
+	// unique within a pipeline. The stage runs under a trace span of this
+	// name (and so lands in the stage table under it), and the checkpoint
+	// receipt is stored as "<name>.stage".
 	Name() string
 	// Version is the code-level stage version. Bumping it invalidates
 	// every existing checkpoint of this stage (and, through fingerprint

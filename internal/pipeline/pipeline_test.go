@@ -57,9 +57,7 @@ func int64Port(k Key) Port {
 func testOpts(dir string) Options {
 	return Options{
 		CheckpointDir: dir,
-		Resume:        true,
 		Metrics:       telemetry.NewRegistry(),
-		Sleep:         func(time.Duration) {},
 	}
 }
 
@@ -224,21 +222,31 @@ func TestResumeSkipsCompletedStages(t *testing.T) {
 	}
 }
 
+// TestResumeOffReRunsButRefreshesCheckpoints: a fresh run, the one way to
+// ignore matching checkpoints, re-runs every stage and rewrites their
+// checkpoints, so the next run resumes all of them to the same value.
 func TestResumeOffReRunsButRefreshesCheckpoints(t *testing.T) {
 	dir := t.TempDir()
 	runs := map[string]*int{}
 	p := chain(t, 21, runs)
-	opts := testOpts(dir)
-	if _, err := p.Run(context.Background(), opts); err != nil {
+	if _, err := p.Run(context.Background(), testOpts(dir)); err != nil {
 		t.Fatalf("first Run: %v", err)
 	}
-	opts.Resume = false
+	opts := testOpts(dir)
+	opts.Fresh = true
 	if _, err := p.Run(context.Background(), opts); err != nil {
-		t.Fatalf("second Run: %v", err)
+		t.Fatalf("fresh Run: %v", err)
+	}
+	res, err := p.Run(context.Background(), testOpts(dir))
+	if err != nil {
+		t.Fatalf("third Run: %v", err)
+	}
+	if res.Resumed() != 3 || finalValue(t, res) != 52 {
+		t.Fatalf("run after the fresh run resumed %d of 3 stages, final %d", res.Resumed(), finalValue(t, res))
 	}
 	for name, n := range runs {
 		if *n != 2 {
-			t.Errorf("stage %s ran %d times, want 2 (Resume off)", name, *n)
+			t.Errorf("stage %s ran %d times, want 2 (first and fresh runs)", name, *n)
 		}
 	}
 }
@@ -340,64 +348,37 @@ func TestCorruptArtifactForcesReRun(t *testing.T) {
 	}
 }
 
-func TestRetryWithCappedBackoff(t *testing.T) {
+// TestPermanentFailureAfterRetriesExhausted: the runner never retries, so
+// a stage's first error is permanent for the run. The run fails with the
+// stage's error, wrapped with the stage's name, and commits nothing.
+func TestPermanentFailureAfterRetriesExhausted(t *testing.T) {
+	cause := errors.New("always")
 	attempts := 0
 	p, err := New(&testStage{
-		name: "flaky", outputs: []Port{int64Port("x")},
-		run: func(ctx context.Context, st *State) error {
+		name: "doomed", outputs: []Port{int64Port("x")},
+		run: func(context.Context, *State) error {
 			attempts++
-			if attempts < 6 {
-				return errors.New("transient")
-			}
-			st.Put("x", int64(7))
-			return nil
+			return cause
 		},
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	var slept []time.Duration
-	opts := testOpts("")
-	opts.Retries = 5
-	opts.Backoff = 10 * time.Millisecond
-	opts.Sleep = func(d time.Duration) { slept = append(slept, d) }
-	res, err := p.Run(context.Background(), opts)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
+	dir := t.TempDir()
+	_, err = p.Run(context.Background(), testOpts(dir))
+	if !errors.Is(err, cause) || !strings.Contains(err.Error(), "stage doomed") {
+		t.Fatalf("err = %v, want the stage's error naming stage doomed", err)
 	}
-	if res.Stages[0].Attempts != 6 {
-		t.Fatalf("attempts = %d, want 6", res.Stages[0].Attempts)
+	if attempts != 1 {
+		t.Fatalf("attempts = %d, want 1", attempts)
 	}
-	want := []time.Duration{10, 20, 40, 80, 80} // ms, doubling capped at 8×base
-	for i := range want {
-		want[i] *= time.Millisecond
-	}
-	if len(slept) != len(want) {
-		t.Fatalf("slept %v, want %v", slept, want)
-	}
-	for i := range want {
-		if slept[i] != want[i] {
-			t.Fatalf("backoff[%d] = %v, want %v (all: %v)", i, slept[i], want[i], slept)
-		}
+	if _, err := os.Stat(filepath.Join(dir, "doomed.stage")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("failed stage left a receipt (stat err %v)", err)
 	}
 }
 
-func TestPermanentFailureAfterRetriesExhausted(t *testing.T) {
-	p, err := New(&testStage{
-		name: "doomed", outputs: []Port{int64Port("x")},
-		run: func(context.Context, *State) error { return errors.New("always") },
-	})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	opts := testOpts("")
-	opts.Retries = 2
-	_, err = p.Run(context.Background(), opts)
-	if err == nil || !strings.Contains(err.Error(), "failed after 3 attempt(s)") {
-		t.Fatalf("err = %v, want failure after 3 attempts", err)
-	}
-}
-
+// TestStageTimeout: a deadline on the run's own context cuts a stage off,
+// and the run fails with the deadline's error.
 func TestStageTimeout(t *testing.T) {
 	p, err := New(&testStage{
 		name: "slow", outputs: []Port{int64Port("x")},
@@ -409,10 +390,10 @@ func TestStageTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	opts := testOpts("")
-	opts.StageTimeout = 5 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+	defer cancel()
 	start := time.Now()
-	_, err = p.Run(context.Background(), opts)
+	_, err = p.Run(ctx, testOpts(""))
 	if err == nil || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want deadline exceeded", err)
 	}
@@ -422,30 +403,39 @@ func TestStageTimeout(t *testing.T) {
 }
 
 func TestTimeoutSwallowedByStageStillFails(t *testing.T) {
-	// A stage that ignores cancellation and returns nil must not commit.
+	// A stage that ignores the end of its context and returns nil must not
+	// commit.
+	ran := false
 	p, err := New(&testStage{
 		name: "ignorer", outputs: []Port{int64Port("x")},
 		run: func(ctx context.Context, st *State) error {
+			ran = true
 			<-ctx.Done()
 			st.Put("x", int64(1))
-			return nil // swallows the timeout
+			return nil // swallows the deadline
 		},
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	dir := t.TempDir()
-	opts := testOpts(dir)
-	opts.StageTimeout = 5 * time.Millisecond
-	_, err = p.Run(context.Background(), opts)
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	_, err = p.Run(ctx, testOpts(dir))
 	if err == nil || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want deadline exceeded", err)
+	}
+	if !ran {
+		t.Fatalf("the deadline passed before the stage started")
 	}
 	if _, err := os.Stat(filepath.Join(dir, "ignorer.stage")); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("timed-out stage left a receipt (stat err %v)", err)
 	}
 }
 
+// TestPanicContainedAndRetried: a panicking stage fails its run with an
+// error instead of crashing the process, and the caller's rerun (the only
+// retry there is) completes the stage.
 func TestPanicContainedAndRetried(t *testing.T) {
 	attempts := 0
 	p, err := New(&testStage{
@@ -462,14 +452,17 @@ func TestPanicContainedAndRetried(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	opts := testOpts("")
-	opts.Retries = 1
-	res, err := p.Run(context.Background(), opts)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
+	dir := t.TempDir()
+	_, err = p.Run(context.Background(), testOpts(dir))
+	if err == nil || !strings.Contains(err.Error(), "stage panicky: panicked") {
+		t.Fatalf("err = %v, want a contained panic naming stage panicky", err)
 	}
-	if res.Stages[0].Attempts != 2 {
-		t.Fatalf("attempts = %d, want 2", res.Stages[0].Attempts)
+	res, err := p.Run(context.Background(), testOpts(dir))
+	if err != nil {
+		t.Fatalf("rerun: %v", err)
+	}
+	if attempts != 2 || res.Resumed() != 0 {
+		t.Fatalf("attempts = %d, resumed = %d; want 2 runs of the stage and no resume", attempts, res.Resumed())
 	}
 }
 
@@ -488,14 +481,12 @@ func TestCancellationNotRetried(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	opts := testOpts("")
-	opts.Retries = 5
-	_, err = p.Run(ctx, opts)
+	_, err = p.Run(ctx, testOpts(""))
 	if err == nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want canceled", err)
 	}
 	if attempts != 1 {
-		t.Fatalf("attempts = %d, want 1 (no retries against a dead parent context)", attempts)
+		t.Fatalf("attempts = %d, want 1", attempts)
 	}
 }
 

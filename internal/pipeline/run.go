@@ -18,14 +18,11 @@ import (
 type Options struct {
 	// CheckpointDir is where stage outputs are checkpointed; "" disables
 	// checkpointing entirely (the pipeline still runs, nothing persists).
+	// Matching checkpoints there are always reused.
 	CheckpointDir string
 	// Fresh discards any existing checkpoints before running, forcing
 	// every stage to re-run.
 	Fresh bool
-	// Resume permits reusing matching checkpoints. With Resume false and
-	// Fresh false, existing checkpoints are left in place but ignored and
-	// overwritten as stages complete.
-	Resume bool
 	// Config fingerprints the run configuration (flags, seed, ε, dataset
 	// identity as the caller defines it). It is folded into every stage's
 	// fingerprint, so any config change invalidates all checkpoints.
@@ -34,19 +31,6 @@ type Options struct {
 	// faults.OS. Tests inject a faults.NewFS wrapper to simulate crashes
 	// mid-checkpoint.
 	FS faults.FS
-	// StageTimeout bounds each stage attempt via context; 0 means no
-	// timeout.
-	StageTimeout time.Duration
-	// Retries is how many times a failed stage attempt is retried (so a
-	// stage runs at most Retries+1 times). Context cancellation is never
-	// retried.
-	Retries int
-	// Backoff is the sleep before the first retry, doubling per retry and
-	// capped at 8×Backoff. 0 retries immediately.
-	Backoff time.Duration
-	// HeartbeatEvery logs (and counts) a progress heartbeat for a stage
-	// that has been running this long without completing; 0 disables.
-	HeartbeatEvery time.Duration
 	// Logger receives progress records; nil discards them. The supplied
 	// handler is wrapped with trace.NewSlogHandler, so every record carries
 	// the run's trace_id for correlation with /debug/traces.
@@ -54,9 +38,6 @@ type Options struct {
 	// Metrics receives the pipeline counters/gauges; nil selects
 	// telemetry.Default().
 	Metrics *telemetry.Registry
-	// Sleep replaces time.Sleep for backoff waits (tests); nil selects
-	// time.Sleep.
-	Sleep func(time.Duration)
 }
 
 // StageReport describes how one stage completed.
@@ -66,9 +47,6 @@ type StageReport struct {
 	// Resumed is true when the stage was skipped because its checkpoint
 	// matched; its outputs were loaded from disk.
 	Resumed bool
-	// Attempts is how many times Run was invoked (0 when resumed).
-	Attempts int
-	Duration time.Duration
 	// Spends are the ε-spends the stage recorded (from its receipt when
 	// resumed).
 	Spends []telemetry.ReleaseEvent
@@ -100,11 +78,9 @@ func (r *Result) Resumed() int {
 type pipelineMetrics struct {
 	run        *telemetry.Counter
 	resumed    *telemetry.Counter
-	retries    *telemetry.Counter
 	failures   *telemetry.Counter
 	ckptWrites *telemetry.Counter
 	ckptBad    *telemetry.Counter
-	heartbeats *telemetry.Counter
 	inflight   *telemetry.Gauge
 }
 
@@ -114,16 +90,12 @@ func newPipelineMetrics(reg *telemetry.Registry) *pipelineMetrics {
 			"pipeline stages executed (not resumed from checkpoint)"),
 		resumed: reg.NewCounter("pipeline_stages_resumed_total",
 			"pipeline stages skipped because a matching checkpoint existed"),
-		retries: reg.NewCounter("pipeline_stage_retries_total",
-			"pipeline stage attempts retried after a failure"),
 		failures: reg.NewCounter("pipeline_stage_failures_total",
 			"pipeline stages that failed permanently"),
 		ckptWrites: reg.NewCounter("pipeline_checkpoint_writes_total",
 			"checkpoint artifacts and receipts written durably"),
 		ckptBad: reg.NewCounter("pipeline_checkpoint_invalid_total",
 			"checkpoints ignored because they were corrupt, truncated or fingerprint-stale"),
-		heartbeats: reg.NewCounter("pipeline_heartbeats_total",
-			"heartbeat progress ticks emitted by long-running stages"),
 		inflight: reg.NewGauge("pipeline_stages_inflight",
 			"pipeline stages currently executing"),
 	}
@@ -179,11 +151,12 @@ func (h *Hasher) Sum() uint64 { return h.h.Sum64() }
 // Run executes the pipeline. With a checkpoint directory it resumes from
 // the first stage whose checkpoint is absent, corrupt or fingerprint-stale
 // and checkpoints every stage it runs; without one it simply executes the
-// stages in order. Run returns the first permanent stage error; state
-// already checkpointed remains durable, so a subsequent Run with Resume
-// picks up where this one stopped.
+// stages in order. Run returns the first stage error; state already
+// checkpointed remains durable, so rerunning picks up where this run
+// stopped. A stage that fails is not retried within the run: the caller's
+// rerun is the retry.
 func (p *Pipeline) Run(ctx context.Context, opts Options) (res *Result, err error) {
-	// The whole run is one trace: stage attempts become child spans, and a
+	// The whole run is one trace: stages become child spans, and a
 	// caller that passes an already-traced context (an admin request) gets
 	// the run folded into its own trace instead.
 	ctx, rootSpan := trace.Start(ctx, "pipeline_run")
@@ -199,10 +172,6 @@ func (p *Pipeline) Run(ctx context.Context, opts Options) (res *Result, err erro
 		logf = func(format string, args ...any) {
 			logger.InfoContext(ctx, fmt.Sprintf(format, args...))
 		}
-	}
-	sleep := opts.Sleep
-	if sleep == nil {
-		sleep = time.Sleep
 	}
 	reg := opts.Metrics
 	if reg == nil {
@@ -243,7 +212,7 @@ func (p *Pipeline) Run(ctx context.Context, opts Options) (res *Result, err erro
 			fps[out.Key] = artifactFingerprint(fp, out.Key)
 		}
 
-		if store != nil && opts.Resume && !opts.Fresh {
+		if store != nil {
 			if spends, ok := p.tryResume(store, stage, fp, res.State, met, logf); ok {
 				met.resumed.Inc()
 				res.Stages = append(res.Stages, StageReport{
@@ -254,7 +223,7 @@ func (p *Pipeline) Run(ctx context.Context, opts Options) (res *Result, err erro
 			}
 		}
 
-		report, err := p.runStage(ctx, stage, fp, res.State, store, opts, met, logf, sleep)
+		report, err := p.runStage(ctx, stage, fp, res.State, store, met, logf)
 		res.Stages = append(res.Stages, report)
 		if err != nil {
 			met.failures.Inc()
@@ -307,9 +276,8 @@ func (p *Pipeline) tryResume(store *Store, stage Stage, fp uint64, st *State, me
 	return rc.Spends, true
 }
 
-// runStage executes one stage with retries, timeout, heartbeat and
-// checkpointing.
-func (p *Pipeline) runStage(ctx context.Context, stage Stage, fp uint64, st *State, store *Store, opts Options, met *pipelineMetrics, logf func(string, ...any), sleep func(time.Duration)) (StageReport, error) {
+// runStage executes one stage and checkpoints its outputs.
+func (p *Pipeline) runStage(ctx context.Context, stage Stage, fp uint64, st *State, store *Store, met *pipelineMetrics, logf func(string, ...any)) (StageReport, error) {
 	report := StageReport{Stage: stage.Name(), Fingerprint: fp}
 	if store != nil {
 		// Invalidate any stale commit point before mutating artifacts, so
@@ -321,39 +289,8 @@ func (p *Pipeline) runStage(ctx context.Context, stage Stage, fp uint64, st *Sta
 	}
 
 	start := time.Now()
-	defer func() { report.Duration = time.Since(start) }()
-
-	var lastErr error
-	for attempt := 0; attempt <= opts.Retries; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return report, fmt.Errorf("pipeline: stage %s canceled: %w", stage.Name(), err)
-		}
-		if attempt > 0 {
-			met.retries.Inc()
-			backoff := opts.Backoff << (attempt - 1)
-			if max := 8 * opts.Backoff; backoff > max {
-				backoff = max
-			}
-			if backoff > 0 {
-				sleep(backoff)
-			}
-			logf("pipeline: stage %s retrying (attempt %d of %d): %v",
-				stage.Name(), attempt+1, opts.Retries+1, lastErr)
-		}
-		report.Attempts++
-		lastErr = p.attemptStage(ctx, stage, st, opts, met, logf)
-		if lastErr == nil {
-			break
-		}
-		if ctx.Err() != nil {
-			// The parent context died (operator interrupt, global
-			// deadline): do not burn retries against it.
-			return report, fmt.Errorf("pipeline: stage %s: %w", stage.Name(), lastErr)
-		}
-	}
-	if lastErr != nil {
-		return report, fmt.Errorf("pipeline: stage %s failed after %d attempt(s): %w",
-			stage.Name(), report.Attempts, lastErr)
+	if err := execute(ctx, stage, st, met); err != nil {
+		return report, fmt.Errorf("pipeline: stage %s: %w", stage.Name(), err)
 	}
 	report.Spends = st.drainSpends()
 	met.run.Inc()
@@ -397,48 +334,19 @@ func (p *Pipeline) runStage(ctx context.Context, stage Stage, fp uint64, st *Sta
 			}
 		}
 	}
-	logf("pipeline: stage %s completed in %s (%d attempt(s))",
-		stage.Name(), time.Since(start).Round(time.Millisecond), report.Attempts)
+	logf("pipeline: stage %s completed in %s", stage.Name(), time.Since(start).Round(time.Millisecond))
 	return report, nil
 }
 
-// attemptStage runs one attempt under the per-stage timeout with panic
-// containment and heartbeat progress.
-func (p *Pipeline) attemptStage(ctx context.Context, stage Stage, st *State, opts Options, met *pipelineMetrics, logf func(string, ...any)) (err error) {
-	runCtx := ctx
-	if opts.StageTimeout > 0 {
-		var cancel context.CancelFunc
-		runCtx, cancel = context.WithTimeout(ctx, opts.StageTimeout)
-		defer cancel()
-	}
-
-	stop := make(chan struct{})
-	if opts.HeartbeatEvery > 0 {
-		started := time.Now()
-		go func() {
-			tick := time.NewTicker(opts.HeartbeatEvery)
-			defer tick.Stop()
-			for {
-				select {
-				case <-stop:
-					return
-				case <-tick.C:
-					met.heartbeats.Inc()
-					logf("pipeline: stage %s still running (%s elapsed)",
-						stage.Name(), time.Since(started).Round(time.Second))
-				}
-			}
-		}()
-	}
-	defer close(stop)
-
+// execute runs a stage under its trace span with panic containment.
+func execute(ctx context.Context, stage Stage, st *State, met *pipelineMetrics) (err error) {
 	met.inflight.Add(1)
 	defer met.inflight.Add(-1)
-	// The attempt's span joins the run's causal tree and, as it ends, adds
+	// The stage's span joins the run's causal tree and, as it ends, adds
 	// its duration to the stage's row of the stage table. A failed or
-	// panicked attempt marks it errored, which forces the whole run trace
+	// panicked stage marks it errored, which forces the whole run trace
 	// through tail retention.
-	runCtx, tsp := trace.StartChild(runCtx, stage.Name())
+	ctx, tsp := trace.StartChild(ctx, stage.Name())
 	defer func() {
 		if err != nil {
 			tsp.SetStatus(trace.StatusError)
@@ -447,13 +355,13 @@ func (p *Pipeline) attemptStage(ctx context.Context, stage Stage, st *State, opt
 	}()
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("pipeline: stage %s panicked: %v", stage.Name(), r)
+			err = fmt.Errorf("panicked: %v", r)
 		}
 	}()
-	if err := stage.Run(runCtx, st); err != nil {
+	if err := stage.Run(ctx, st); err != nil {
 		return err
 	}
-	// A stage that swallowed its context's cancellation must still not
-	// commit: a timed-out attempt is a failed attempt.
-	return runCtx.Err()
+	// A stage that swallowed its context's end must still not commit: a
+	// stage cut off by the caller's deadline or cancellation failed.
+	return ctx.Err()
 }

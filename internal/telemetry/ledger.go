@@ -87,10 +87,10 @@ func (e *ReleaseEvent) UnmarshalJSON(data []byte) error {
 const maxLedgerEvents = 4096
 
 // Ledger is an append-only record of every release event in the process.
-// It is intentionally dumber than dp.Accountant: the accountant *enforces*
-// composition budgets inside one engine, while the ledger *observes* all
-// spending for export — an operator reading /metrics should see every ε
-// that left the building, whichever mechanism spent it.
+// It enforces nothing: the streaming Updater's journaled lifetime budget
+// refuses over-budget publishes, while the ledger *observes* all spending
+// for export — an operator reading /metrics should see every ε that left
+// the building, whichever mechanism spent it.
 type Ledger struct {
 	mu      sync.Mutex
 	events  []ReleaseEvent
@@ -158,7 +158,7 @@ type LedgerSnapshot struct {
 	// TotalEpsilon is the sum of all finite ε across mechanisms — the
 	// worst-case (sequential composition) bound on what the process
 	// spent. Releases over disjoint data compose in parallel and spend
-	// less; see dp.Accountant for the enforcing view.
+	// less.
 	TotalEpsilon float64 `json:"total_epsilon"`
 	// InfReleases counts ε = ∞ releases across mechanisms.
 	InfReleases int `json:"inf_releases"`

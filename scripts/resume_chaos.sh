@@ -4,19 +4,19 @@
 #
 # Two layers:
 #   1. Race-enabled test sweeps that kill the pipeline at every filesystem
-#      fault-injection point (and on panics/timeouts mid-stage) and prove
-#      the resumed run converges to the byte-identical release with each
-#      ε-spend journaled exactly once.
+#      fault-injection point (and on a panic or the run's deadline
+#      mid-stage) and prove the resumed run converges to the byte-identical
+#      release with each ε-spend journaled exactly once.
 #      The experiment suite also runs TestOneRecipeOneRelease: the facade,
 #      a fresh and a resumed pipeline and the updater's first full publish
 #      must write one release. Each suite runs through run_named, so a
 #      renamed test fails the step instead of leaving it.
 #   2. A CLI-level drill through cmd/experiments: arm a fault, watch the
-#      run die at the sixth checkpoint rename (sim_shard_0's receipt
-#      commit), resume, and assert the persisted release and the durable ε
-#      ledger came out right — twice, so the second resume also proves
-#      byte-identical idempotence (the release store refuses to append a
-#      duplicate version).
+#      run die at the sixth checkpoint rename (the similarity stage's
+#      receipt commit), resume, and assert the persisted release and the
+#      durable ε ledger came out right — twice, so the second resume also
+#      proves byte-identical idempotence (the release store refuses to
+#      append a duplicate version).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 source scripts/run_named.sh
