@@ -49,6 +49,14 @@ func TestCLIIntegration(t *testing.T) {
 	if !strings.Contains(out, "modularity:") {
 		t.Fatalf("communities output missing modularity:\n%s", out)
 	}
+	// Like every other -runs flag, a non-positive count means the paper's
+	// ten restarts, so it prints exactly what -runs 10 prints.
+	ten := run("./cmd/communities", "-social", social, "-runs", "10")
+	for _, runs := range []string{"0", "-3"} {
+		if got := run("./cmd/communities", "-social", social, "-runs", runs); got != ten {
+			t.Errorf("communities -runs %s printed\n%s\n-runs 10 printed\n%s", runs, got, ten)
+		}
+	}
 
 	out = run("./cmd/recommend", "-social", social, "-prefs", prefs,
 		"-epsilon", "0.5", "-n", "3", "-limit", "1")

@@ -22,7 +22,7 @@ import (
 func main() {
 	var (
 		socialPath = flag.String("social", "", "path to social edge TSV (required)")
-		runs       = flag.Int("runs", 10, "Louvain restarts; best modularity wins")
+		runs       = flag.Int("runs", 10, "Louvain restarts; best modularity wins (<= 0 means the paper's 10)")
 		seed       = flag.Int64("seed", 1, "seed for node orderings")
 		out        = flag.String("out", "", "optional path for the user→cluster TSV")
 		algorithm  = flag.String("algorithm", "louvain", "louvain or labelprop")
@@ -31,6 +31,9 @@ func main() {
 	flag.Parse()
 	if *socialPath == "" {
 		fatalf("-social is required")
+	}
+	if *runs <= 0 {
+		*runs = 10
 	}
 
 	f, err := os.Open(*socialPath)

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"socialrec/internal/generator"
 	"socialrec/internal/graph"
 )
 
@@ -48,6 +49,20 @@ func BenchmarkBestOf20K(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, _ = BestOf(g, 10, int64(i), Options{})
+	}
+}
+
+// BenchmarkBestOfFlixsterLike is the paper's best-of-10 on the social graph
+// of the Flixster-like(1) preset (40,000 users), the clustering that the
+// serve-flixster set-up of perfbench runs.
+func BenchmarkBestOfFlixsterLike(b *testing.B) {
+	g, _, err := generator.Social(generator.FlixsterLike(1).Social)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, _ = BestOf(g, 10, 1, Options{})
 	}
 }
 

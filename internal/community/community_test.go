@@ -1,6 +1,9 @@
 package community
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"math/rand"
 	"slices"
@@ -9,6 +12,7 @@ import (
 
 	"socialrec/internal/generator"
 	"socialrec/internal/graph"
+	"socialrec/internal/raceflag"
 )
 
 // twoCliques builds two k-cliques joined by a single bridge edge — the
@@ -423,17 +427,75 @@ func randomSocial(rng *rand.Rand, n, m int) *graph.Social {
 // equal modularity gains are common, so any run-to-run freedom in the
 // coarse graph's neighbour order (a map walk, say) shows up as a different
 // tie-break and a different assignment.
+//
+// The 300 first runs are also pinned, as one digest over their assignments
+// in graph order: a kernel change that moves any tie-break moves it.
 func TestBestOfSameSeedRepeatsAgree(t *testing.T) {
+	const pinned = "f60fe1fa82051bef"
+	all := sha256.New()
 	for gi := 0; gi < 300; gi++ {
 		rng := rand.New(rand.NewSource(int64(gi)))
 		n := 8 + rng.Intn(40)
 		g := randomSocial(rng, n, n+rng.Intn(3*n))
 		want, _ := BestOf(g, 10, 1, Options{})
+		_ = binary.Write(all, binary.LittleEndian, want.Assignment())
 		for r := 0; r < 10; r++ {
 			if got, _ := BestOf(g, 10, 1, Options{}); !slices.Equal(got.Assignment(), want.Assignment()) {
 				t.Fatalf("graph %d (%d nodes): repeat %d of BestOf(g, 10, 1) gave %v, first run %v",
 					gi, n, r+1, got.Assignment(), want.Assignment())
 			}
+		}
+	}
+	if got := hex.EncodeToString(all.Sum(nil))[:16]; got != pinned {
+		t.Errorf("digest of the 300 first runs' assignments %s, want %s", got, pinned)
+	}
+}
+
+// assignmentDigest is the first 16 hex digits of the SHA-256 of a's ids,
+// each as four little-endian bytes.
+func assignmentDigest(a []int32) string {
+	h := sha256.New()
+	_ = binary.Write(h, binary.LittleEndian, a)
+	return hex.EncodeToString(h.Sum(nil))[:16]
+}
+
+// TestLouvainPresetsPinned pins the clusterings the release bytes rest on,
+// on the social graphs of the two paper-scale presets: the assignment of
+// every seed of the paper's ten restarts, and the best-of-10 modularity bit
+// for bit. Any change to the Louvain kernel must leave all of them alone.
+func TestLouvainPresetsPinned(t *testing.T) {
+	for _, tc := range []struct {
+		preset   generator.Preset
+		seeds    [10]string // assignmentDigest of Louvain(g, Options{Seed: s}), s = 1..10
+		clusters int        // of BestOf(g, 10, 1)
+		q        uint64     // math.Float64bits of BestOf(g, 10, 1)'s modularity
+	}{
+		{generator.LastFMLike(1), [10]string{
+			"d623b1f4c4bcb9ca", "d623b1f4c4bcb9ca", "a828b9f182622bff", "d623b1f4c4bcb9ca", "ab1b26940b7df3e6",
+			"212bd62399ce6ed9", "d623b1f4c4bcb9ca", "d623b1f4c4bcb9ca", "d623b1f4c4bcb9ca", "212bd62399ce6ed9",
+		}, 24, 0x3fe2097b7baa88dc}, // Q = 0.5636575141291149
+		{generator.FlixsterLike(1), [10]string{
+			"e47b25dcf020f837", "7ff5ffee6c8e3bdc", "19918e21a4a44570", "ffc71f75a37adba9", "19918e21a4a44570",
+			"19918e21a4a44570", "19918e21a4a44570", "19918e21a4a44570", "e47b25dcf020f837", "1b15952ff64279d7",
+		}, 55, 0x3fe62128b8a95172}, // Q = 0.6915477377574872
+	} {
+		if raceflag.Enabled && tc.preset.Social.NumUsers > 10000 {
+			t.Logf("%s: skipped under -race", tc.preset.Name)
+			continue
+		}
+		g, _, err := generator.Social(tc.preset.Social)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s := int64(1); s <= 10; s++ {
+			if got := assignmentDigest(Louvain(g, Options{Seed: s}).Assignment()); got != tc.seeds[s-1] {
+				t.Errorf("%s: Louvain seed %d assignment digest %s, want %s", tc.preset.Name, s, got, tc.seeds[s-1])
+			}
+		}
+		c, q := BestOf(g, 10, 1, Options{})
+		if c.NumClusters() != tc.clusters || math.Float64bits(q) != tc.q {
+			t.Errorf("%s: BestOf(g, 10, 1) gave %d clusters, Q = %v (bits %#x); want %d clusters, bits %#x",
+				tc.preset.Name, c.NumClusters(), q, math.Float64bits(q), tc.clusters, tc.q)
 		}
 	}
 }

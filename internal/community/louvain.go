@@ -15,28 +15,15 @@ type Options struct {
 	// Seed seeds the node-order permutations. Runs with distinct seeds
 	// explore different local optima of modularity.
 	Seed int64
-	// MaxLevels bounds the coarsening hierarchy depth; 0 means unbounded
-	// (Louvain converges long before any practical bound is reached).
-	MaxLevels int
-	// MaxPasses bounds the local-moving sweeps per level; 0 means
-	// unbounded (sweeps stop as soon as no node moves).
-	MaxPasses int
 	// DisableRefinement turns off the multi-level refinement step of
 	// Rotta & Noack [29]. The paper's setup has refinement on; the
 	// ablation benchmarks turn it off.
 	DisableRefinement bool
-	// MinGain is the minimum modularity-gain for a node move to be taken;
-	// values ≤ 0 use a small default tolerance that guards against
-	// floating-point oscillation.
-	MinGain float64
 }
 
-func (o Options) minGain() float64 {
-	if o.MinGain > 0 {
-		return o.MinGain
-	}
-	return 1e-12
-}
+// minGain is how much a move's modularity gain must beat staying put by; it
+// guards against floating-point oscillation between equal gains.
+const minGain = 1e-12
 
 // Louvain detects communities in the social graph by greedy modularity
 // maximization [4]: repeated sweeps of local node moves followed by graph
@@ -48,8 +35,8 @@ func Louvain(g *graph.Social, opt Options) *Clustering {
 	return louvain(fromSocial(g), opt)
 }
 
-// louvain is Louvain over the level-0 weighted graph. It only reads base,
-// so concurrent runs may share one.
+// louvain is Louvain over the level-0 graph. It only reads base, so
+// concurrent runs may share one.
 func louvain(base *wgraph, opt Options) *Clustering {
 	rng := rand.New(rand.NewSource(opt.Seed))
 
@@ -62,11 +49,10 @@ func louvain(base *wgraph, opt Options) *Clustering {
 	var levels []level
 	cur := base
 	for {
-		assign := localMove(cur, initSingleton(cur.n), rng, opt)
+		assign := localMove(cur, initSingleton(cur.n), rng)
 		comms := compact(assign)
-		moved := comms < cur.n
 		levels = append(levels, level{g: cur, assign: assign})
-		if !moved || (opt.MaxLevels > 0 && len(levels) >= opt.MaxLevels) {
+		if comms == cur.n {
 			break
 		}
 		cur = aggregate(cur, assign, comms)
@@ -83,7 +69,7 @@ func louvain(base *wgraph, opt Options) *Clustering {
 			for u := 0; u < fine.g.n; u++ {
 				projected[u] = coarse.assign[fine.assign[u]]
 			}
-			levels[li].assign = localMove(fine.g, projected, rng, opt)
+			levels[li].assign = localMove(fine.g, projected, rng)
 			// Invalidate coarser levels: the finest assignment is now
 			// authoritative. (Only level 0 is read below.)
 			levels = levels[:li+1]
@@ -149,16 +135,21 @@ func BestOf(g *graph.Social, runs int, seed int64, opt Options) (*Clustering, fl
 	return cs[best], qs[best]
 }
 
-// wgraph is the weighted multigraph used internally during coarsening.
-// Self-loops hold intra-community weight after aggregation.
+// wgraph is the multigraph used during coarsening. Its weights are edge
+// counts: the social graph is unweighted and has no self-loops or repeated
+// edges, and aggregation only sums counts. Every weight, degree and Σ_tot is
+// therefore an integer of at most 2|E|, below 2³¹ because the CSR offsets
+// are int32, and float64 holds each exactly: the gains computed from them
+// are the same bits a float-weighted graph gives. No node lists itself as a
+// neighbour; self-loops hold intra-community weight after aggregation.
 type wgraph struct {
 	n     int
 	off   []int32
 	to    []int32
-	w     []float64
-	self  []float64 // self-loop weight per node (counted once)
-	wdeg  []float64 // weighted degree: Σ_j A_uj with self-loop counted twice
-	total float64   // m = ½ Σ wdeg
+	w     []int32 // edge counts; nil means every edge counts 1 (level 0)
+	self  []int32 // self-loop weight per node (counted once)
+	wdeg  []int32 // weighted degree: Σ_j A_uj with self-loop counted twice
+	total int     // m = ½ Σ wdeg
 }
 
 func fromSocial(g *graph.Social) *wgraph {
@@ -166,24 +157,17 @@ func fromSocial(g *graph.Social) *wgraph {
 	wg := &wgraph{
 		n:    n,
 		off:  make([]int32, n+1),
-		to:   make([]int32, 2*g.NumEdges()),
-		w:    make([]float64, 2*g.NumEdges()),
-		self: make([]float64, n),
-		wdeg: make([]float64, n),
+		to:   make([]int32, 0, 2*g.NumEdges()),
+		self: make([]int32, n),
+		wdeg: make([]int32, n),
 	}
-	var pos int32
 	for u := 0; u < n; u++ {
-		wg.off[u] = pos
-		for _, v := range g.Neighbors(u) {
-			wg.to[pos] = v
-			wg.w[pos] = 1
-			pos++
-		}
-		wg.wdeg[u] = float64(g.Degree(u))
-		wg.total += wg.wdeg[u]
+		wg.off[u] = int32(len(wg.to))
+		wg.to = append(wg.to, g.Neighbors(u)...)
+		wg.wdeg[u] = int32(g.Degree(u))
 	}
-	wg.off[n] = pos
-	wg.total /= 2
+	wg.off[n] = int32(len(wg.to))
+	wg.total = g.NumEdges()
 	return wg
 }
 
@@ -195,86 +179,126 @@ func initSingleton(n int) []int32 {
 	return a
 }
 
+// mover evaluates single-node moves on g: it keeps each community's Σ_tot
+// for the current assignment and, while one node is evaluated, its k_{u,in}
+// toward each neighbouring community.
+type mover struct {
+	g       *wgraph
+	m2      float64 // 2m
+	tot     []int32 // community → Σ_tot (sum of weighted degrees)
+	kin     []int32 // community → k_{u,in}; all zero between evaluations
+	touched []int32 // scratch as long as g's longest adjacency list
+}
+
+// newMover sizes the community tables for ids below comms and sums Σ_tot
+// over assign. It requires g.total > 0.
+func newMover(g *wgraph, assign []int32, comms int) *mover {
+	longest := int32(0)
+	for u := 0; u < g.n; u++ {
+		longest = max(longest, g.off[u+1]-g.off[u])
+	}
+	mv := &mover{
+		g:       g,
+		m2:      float64(2 * g.total),
+		tot:     make([]int32, comms),
+		kin:     make([]int32, comms),
+		touched: make([]int32, longest),
+	}
+	for u, c := range assign {
+		mv.tot[c] += g.wdeg[u]
+	}
+	return mv
+}
+
+// move takes u out of its community, puts it into the neighbouring
+// community with the largest modularity gain, and returns that community.
+// Staying put is the baseline: another community must beat its gain by more
+// than minGain, and among equal gains the first in u's adjacency order wins.
+func (mv *mover) move(assign []int32, u int32) int32 {
+	g, kin, tot := mv.g, mv.kin, mv.tot
+	// List u's neighbouring communities in order of first touch. Every edge
+	// writes its community into the next slot, and the slot is kept only if
+	// the community is new: a conditional count instead of a branch on the
+	// data, which mispredicts whenever u's neighbours span communities.
+	lo, hi := g.off[u], g.off[u+1]
+	touched, k := mv.touched[:hi-lo], 0
+	if g.w == nil {
+		for _, v := range g.to[lo:hi] {
+			c := assign[v]
+			touched[k] = c
+			if kin[c] == 0 {
+				k++
+			}
+			kin[c]++
+		}
+	} else {
+		w := g.w[lo:hi]
+		for i, v := range g.to[lo:hi] {
+			c := assign[v]
+			touched[k] = c
+			if kin[c] == 0 {
+				k++
+			}
+			kin[c] += w[i]
+		}
+	}
+	touched = touched[:k]
+	cu, ku := assign[u], g.wdeg[u]
+	tot[cu] -= ku
+	best := cu
+	bestGain := float64(kin[cu]) - float64(tot[cu])*float64(ku)/mv.m2
+	for _, c := range touched {
+		if c == cu {
+			continue
+		}
+		gain := float64(kin[c]) - float64(tot[c])*float64(ku)/mv.m2
+		if gain > bestGain+minGain {
+			best, bestGain = c, gain
+		}
+	}
+	for _, c := range touched {
+		kin[c] = 0
+	}
+	tot[best] += ku
+	assign[u] = best
+	return best
+}
+
 // localMove runs sweeps of greedy node moves until no node improves
-// modularity, starting from the given assignment. It returns the (not
-// necessarily compacted) assignment.
-func localMove(g *wgraph, assign []int32, rng *rand.Rand, opt Options) []int32 {
+// modularity, starting from the given assignment, whose ids must be below
+// g.n. It returns the (not necessarily compacted) assignment.
+func localMove(g *wgraph, assign []int32, rng *rand.Rand) []int32 {
 	if g.total == 0 {
 		return assign
 	}
-	tot := make([]float64, g.n) // community → Σ_tot (sum of weighted degrees)
-	for u := 0; u < g.n; u++ {
-		tot[assign[u]] += g.wdeg[u]
-	}
-	m2 := 2 * g.total
-	minGain := opt.minGain()
-
-	// neighW accumulates k_{u,in}(c) per candidate community during one
-	// node's evaluation.
-	neighW := make([]float64, g.n)
-	touched := make([]int32, 0, 64)
-
+	mv := newMover(g, assign, g.n)
 	order := rng.Perm(g.n)
-	for pass := 0; opt.MaxPasses == 0 || pass < opt.MaxPasses; pass++ {
+	for {
 		moves := 0
-		for _, ui := range order {
-			u := int32(ui)
-			cu := assign[u]
-			// Gather edge weight from u to each neighboring community.
-			touched = touched[:0]
-			for e := g.off[u]; e < g.off[u+1]; e++ {
-				v := g.to[e]
-				if v == u {
-					continue
-				}
-				c := assign[v]
-				if neighW[c] == 0 {
-					touched = append(touched, c)
-				}
-				neighW[c] += g.w[e]
-			}
-			// Remove u from its community for the evaluation.
-			tot[cu] -= g.wdeg[u]
-			// Staying put is the baseline.
-			best := cu
-			bestGain := neighW[cu] - tot[cu]*g.wdeg[u]/m2
-			for _, c := range touched {
-				if c == cu {
-					continue
-				}
-				gain := neighW[c] - tot[c]*g.wdeg[u]/m2
-				if gain > bestGain+minGain {
-					best, bestGain = c, gain
-				}
-			}
-			for _, c := range touched {
-				neighW[c] = 0
-			}
-			tot[best] += g.wdeg[u]
-			if best != cu {
-				assign[u] = best
+		for _, u := range order {
+			if cu := assign[u]; mv.move(assign, int32(u)) != cu {
 				moves++
 			}
 		}
 		if moves == 0 {
-			break
+			return assign
 		}
 	}
-	return assign
 }
 
-// compact renumbers communities to dense ids in place and returns the count.
+// compact renumbers communities to dense ids in place, in order of first
+// appearance, and returns the count. Every id must be below len(assign).
 func compact(assign []int32) int {
-	remap := make(map[int32]int32)
+	remap := make([]int32, len(assign)) // id → dense id + 1; 0 means unseen
+	comms := int32(0)
 	for i, a := range assign {
-		id, ok := remap[a]
-		if !ok {
-			id = int32(len(remap))
-			remap[a] = id
+		if remap[a] == 0 {
+			comms++
+			remap[a] = comms
 		}
-		assign[i] = id
+		assign[i] = remap[a] - 1
 	}
-	return len(remap)
+	return int(comms)
 }
 
 // aggregate contracts each community of g into a super-node. Inter-community
@@ -303,30 +327,32 @@ func aggregate(g *wgraph, assign []int32, comms int) *wgraph {
 	// dense scratch, node by node in id order, and record the pairs in
 	// (lower, higher) order.
 	type pair struct {
-		a, b int32
-		w    float64
+		a, b, w int32
 	}
 	var pairs []pair
 	var touched []int32
-	self := make([]float64, comms)
+	self := make([]int32, comms)
 	deg := make([]int32, comms)
-	acc := make([]float64, comms)
+	acc := make([]int32, comms)
 	for a := int32(0); int(a) < comms; a++ {
 		touched = touched[:0]
 		for _, u := range members[start[a]:start[a+1]] {
 			self[a] += g.self[u]
 			for e := g.off[u]; e < g.off[u+1]; e++ {
-				v := g.to[e]
+				v, w := g.to[e], int32(1)
+				if g.w != nil {
+					w = g.w[e]
+				}
 				switch b := assign[v]; {
 				case b == a:
 					if u < v {
-						self[a] += g.w[e]
+						self[a] += w
 					}
 				case b > a:
 					if acc[b] == 0 {
 						touched = append(touched, b)
 					}
-					acc[b] += g.w[e]
+					acc[b] += w
 				}
 			}
 		}
@@ -340,16 +366,17 @@ func aggregate(g *wgraph, assign []int32, comms int) *wgraph {
 	}
 
 	out := &wgraph{
-		n:    comms,
-		off:  make([]int32, comms+1),
-		self: self,
-		wdeg: make([]float64, comms),
+		n:     comms,
+		off:   make([]int32, comms+1),
+		self:  self,
+		wdeg:  make([]int32, comms),
+		total: g.total, // contraction keeps every unit of edge weight
 	}
 	for c := 0; c < comms; c++ {
 		out.off[c+1] = out.off[c] + deg[c]
 	}
 	out.to = make([]int32, out.off[comms])
-	out.w = make([]float64, out.off[comms])
+	out.w = make([]int32, out.off[comms])
 	copy(next, out.off[:comms])
 	// Pairs come in (lower, higher) order, so each row fills with its lower
 	// neighbours ascending, then its higher ones ascending.
@@ -366,8 +393,6 @@ func aggregate(g *wgraph, assign []int32, comms int) *wgraph {
 		for e := out.off[c]; e < out.off[c+1]; e++ {
 			out.wdeg[c] += out.w[e]
 		}
-		out.total += out.wdeg[c]
 	}
-	out.total /= 2
 	return out
 }

@@ -13,14 +13,14 @@ import (
 // each move can destabilize only its neighborhood, so the worklist stays
 // proportional to the blast radius of the mutations rather than |V|.
 //
-// Like localMove, every accepted move strictly increases modularity by at
-// least the minimum gain, so the repair terminates; a safety cap bounds
-// the worklist against pathological cascades. The result is compacted to
-// dense cluster ids.
+// Each node is evaluated exactly as Louvain's local moving evaluates it, so
+// every accepted move strictly increases modularity by more than minGain
+// and the repair terminates; a safety cap bounds the worklist against
+// pathological cascades. The result is compacted to dense cluster ids.
 //
 // Repair reads only the public social graph (as all clustering here
 // does), so it consumes no privacy budget.
-func Repair(g *graph.Social, base *Clustering, touched []int32, opt Options) (*Clustering, error) {
+func Repair(g *graph.Social, base *Clustering, touched []int32) (*Clustering, error) {
 	n := g.NumUsers()
 	nb := base.NumUsers()
 	if n < nb {
@@ -62,15 +62,7 @@ func Repair(g *graph.Social, base *Clustering, touched []int32, opt Options) (*C
 		push(int32(u))
 	}
 
-	tot := make([]float64, comms) // community → Σ of weighted degrees
-	for u := 0; u < n; u++ {
-		tot[assign[u]] += wg.wdeg[u]
-	}
-	m2 := 2 * wg.total
-	minGain := opt.minGain()
-	neighW := make([]float64, comms)
-	scratch := make([]int32, 0, 64)
-
+	mv := newMover(wg, assign, comms)
 	// Safety cap: local moves strictly improve modularity so this is never
 	// reached in practice, but a bound keeps the worst case linear-ish.
 	budget := 32*n + 1024
@@ -80,42 +72,10 @@ func Repair(g *graph.Social, base *Clustering, touched []int32, opt Options) (*C
 		}
 		u := queue[head]
 		queued[u] = false
-		cu := assign[u]
-		scratch = scratch[:0]
-		for e := wg.off[u]; e < wg.off[u+1]; e++ {
-			v := wg.to[e]
-			if v == u {
-				continue
-			}
-			c := assign[v]
-			if neighW[c] == 0 {
-				scratch = append(scratch, c)
-			}
-			neighW[c] += wg.w[e]
-		}
-		tot[cu] -= wg.wdeg[u]
-		best := cu
-		bestGain := neighW[cu] - tot[cu]*wg.wdeg[u]/m2
-		for _, c := range scratch {
-			if c == cu {
-				continue
-			}
-			gain := neighW[c] - tot[c]*wg.wdeg[u]/m2
-			if gain > bestGain+minGain {
-				best, bestGain = c, gain
-			}
-		}
-		for _, c := range scratch {
-			neighW[c] = 0
-		}
-		tot[best] += wg.wdeg[u]
-		if best != cu {
-			assign[u] = best
+		if cu := assign[u]; mv.move(assign, u) != cu {
 			// The move can destabilize u's neighborhood; re-examine it.
-			for e := wg.off[u]; e < wg.off[u+1]; e++ {
-				if v := wg.to[e]; v != u {
-					push(v)
-				}
+			for _, v := range wg.to[wg.off[u]:wg.off[u+1]] {
+				push(v)
 			}
 		}
 	}

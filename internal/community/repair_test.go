@@ -32,7 +32,7 @@ func ringOfCliques(t *testing.T, k, s int) *graph.Social {
 func TestRepairNoMutationsIsStable(t *testing.T) {
 	g := ringOfCliques(t, 4, 6)
 	base, _ := BestOf(g, 4, 11, Options{})
-	got, err := Repair(g, base, nil, Options{})
+	got, err := Repair(g, base, nil)
 	if err != nil {
 		t.Fatalf("repair: %v", err)
 	}
@@ -67,7 +67,7 @@ func TestRepairAbsorbsNewVertices(t *testing.T) {
 	}
 	g2 := b.Build()
 
-	got, err := Repair(g2, base, []int32{0, 1, 2, 3}, Options{})
+	got, err := Repair(g2, base, []int32{0, 1, 2, 3})
 	if err != nil {
 		t.Fatalf("repair: %v", err)
 	}
@@ -90,11 +90,11 @@ func TestRepairAbsorbsNewVertices(t *testing.T) {
 func TestRepairValidation(t *testing.T) {
 	g := ringOfCliques(t, 3, 5)
 	base, _ := BestOf(g, 2, 5, Options{})
-	if _, err := Repair(g, base, []int32{int32(g.NumUsers())}, Options{}); err == nil {
+	if _, err := Repair(g, base, []int32{int32(g.NumUsers())}); err == nil {
 		t.Fatal("out-of-range touched vertex accepted")
 	}
 	small := graph.NewSocialBuilder(3).Build()
-	if _, err := Repair(small, base, nil, Options{}); err == nil {
+	if _, err := Repair(small, base, nil); err == nil {
 		t.Fatal("shrunken graph accepted")
 	}
 }

@@ -659,7 +659,7 @@ func (u *Updater) planDelta(social *graph.Social, prefs *graph.Preference) (*del
 	// Map order is random; Repair's move order is not. Sort for
 	// determinism across recomputations.
 	sort.Slice(touched, func(i, j int) bool { return touched[i] < touched[j] })
-	repaired, err := community.Repair(social, base, touched, community.Options{})
+	repaired, err := community.Repair(social, base, touched)
 	if err != nil {
 		return nil, err
 	}
