@@ -39,6 +39,10 @@ func main() {
 	if *socialPath == "" || *prefsPath == "" || *victimTok == "" {
 		fatalf("-social, -prefs and -victim are required")
 	}
+	if *trials < 1 {
+		// The private rows are means over -trials releases.
+		fatalf("-trials must be at least 1")
+	}
 
 	m, err := similarity.ByName(*measureArg)
 	if err != nil {

@@ -11,21 +11,15 @@
 //	         -epsilon 0.5 -n 10 -sample 300
 //
 // -lenient quarantines malformed TSV rows (reported on stderr) instead of
-// failing on the first one. With -checkpoint-dir the offline precompute
-// (ingestion, sampling, similarity, release) runs through the resumable
-// stage orchestrator: an interrupted run resumes from the first incomplete
-// stage on the next invocation, and -fresh discards checkpoints.
-// Both paths evaluate the same sample of the same release: the sample is
-// drawn at -seed+200, and the release follows release.Recipe with -runs
-// Louvain restarts and -seed.
+// failing on the first one. The release is built in-process and follows
+// release.Recipe with -runs Louvain restarts and -seed; the evaluated
+// sample is drawn at -seed+200.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
-	"hash/fnv"
-	"log/slog"
 	"math"
 	"os"
 	"strconv"
@@ -33,12 +27,9 @@ import (
 	"socialrec"
 	"socialrec/internal/core"
 	"socialrec/internal/dataset"
-	"socialrec/internal/dp"
 	"socialrec/internal/experiment"
 	"socialrec/internal/mechanism"
 	"socialrec/internal/metrics"
-	"socialrec/internal/pipeline"
-	"socialrec/internal/release"
 	"socialrec/internal/similarity"
 	"socialrec/internal/telemetry"
 	"socialrec/internal/trace"
@@ -54,8 +45,6 @@ func main() {
 		measure    = flag.String("measure", "CN", "similarity measure: CN, GD, AA or KZ")
 		seed       = flag.Int64("seed", 1, "seed")
 		lenient    = flag.Bool("lenient", false, "quarantine malformed TSV rows instead of failing on the first")
-		ckptDir    = flag.String("checkpoint-dir", "", "run the offline precompute through the resumable checkpoint pipeline, storing stage outputs here")
-		fresh      = flag.Bool("fresh", false, "discard existing checkpoints before running")
 		runs       = flag.Int("runs", 10, "Louvain restarts")
 	)
 	flag.Parse()
@@ -63,8 +52,8 @@ func main() {
 		fatalf("-social and -prefs are required")
 	}
 	if *sample < 1 {
-		// The pipeline would read 0 as its default of 400 users, the
-		// direct path as none: neither evaluates what was asked.
+		// 0 would average the metrics over no users (NaN), and a
+		// negative count would panic in SampleUsers.
 		fatalf("-sample must be at least 1")
 	}
 	eps := math.Inf(1)
@@ -81,30 +70,17 @@ func main() {
 		fatalf("%v", err)
 	}
 
-	var (
-		ds        *dataset.Dataset
-		evalUsers []int32
-		sims      []similarity.Scores
-		private   *socialrec.Engine
-	)
-	if *ckptDir != "" {
-		ds, evalUsers, sims, private = checkpointedPrecompute(
-			*socialPath, *prefsPath, m, dp.Epsilon(eps), *sample, *runs, *seed,
-			*lenient, *ckptDir, *fresh)
-	} else {
-		ds = loadDataset(context.Background(), *socialPath, *prefsPath, *lenient)
-		private, err = socialrec.NewEngineFromGraphs(ds.Social, ds.Prefs, socialrec.Config{
-			Measure: *measure, Epsilon: eps, LouvainRuns: *runs, Seed: *seed,
-		})
-		if err != nil {
-			fatalf("%v", err)
-		}
-		// The pipeline's sampling stage draws the same sample.
-		evalUsers = experiment.SampleUsers(ds.Social.NumUsers(), *sample, *seed+200)
-		// Per-user scoring needs true utilities; recompute them via the
-		// measure (public data).
-		sims = similarity.ComputeAll(ds.Social, m, evalUsers, 0)
+	ds := loadDataset(*socialPath, *prefsPath, *lenient)
+	private, err := socialrec.NewEngineFromGraphs(ds.Social, ds.Prefs, socialrec.Config{
+		Measure: *measure, Epsilon: eps, LouvainRuns: *runs, Seed: *seed,
+	})
+	if err != nil {
+		fatalf("%v", err)
 	}
+	evalUsers := experiment.SampleUsers(ds.Social.NumUsers(), *sample, *seed+200)
+	// Per-user scoring needs true utilities; recompute them via the
+	// measure (public data).
+	sims := similarity.ComputeAll(ds.Social, m, evalUsers, 0)
 
 	exact, err := socialrec.NewExactEngineFromGraphs(ds.Social, ds.Prefs, *measure)
 	if err != nil {
@@ -168,10 +144,10 @@ func main() {
 
 // loadDataset reads and assembles the two graphs, honoring -lenient by
 // quarantining malformed rows (summarized on stderr) instead of aborting.
-// Reading the social graph is a graph_load span on ctx.
-func loadDataset(ctx context.Context, socialPath, prefsPath string, lenient bool) *dataset.Dataset {
+// Reading the social graph is a graph_load root span.
+func loadDataset(socialPath, prefsPath string, lenient bool) *dataset.Dataset {
 	opts := dataset.ReadOptions{Lenient: lenient}
-	_, loadSpan := trace.Start(ctx, "graph_load")
+	_, loadSpan := trace.Start(context.Background(), "graph_load")
 	sf, err := os.Open(socialPath)
 	if err != nil {
 		fatalf("%v", err)
@@ -202,70 +178,6 @@ func loadDataset(ctx context.Context, socialPath, prefsPath string, lenient bool
 		fatalf("%v", err)
 	}
 	return &dataset.Dataset{Name: socialPath, Social: social, Prefs: prefs}
-}
-
-// checkpointedPrecompute runs ingestion, sampling, similarity precompute
-// and the release through the resumable pipeline, then builds the
-// private engine from the released (already-noised) averages. Checkpoints
-// are keyed by a content hash of both input files, so editing the data
-// invalidates them.
-func checkpointedPrecompute(socialPath, prefsPath string, m similarity.Measure, eps dp.Epsilon, sample, runs int, seed int64, lenient bool, ckptDir string, fresh bool) (*dataset.Dataset, []int32, []similarity.Scores, *socialrec.Engine) {
-	h := fnv.New64a()
-	for _, p := range []string{socialPath, prefsPath} {
-		raw, err := os.ReadFile(p)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		h.Write(raw)
-	}
-	spec := experiment.ReleaseSpec{
-		Load: func(ctx context.Context) (*dataset.Dataset, error) {
-			return loadDataset(ctx, socialPath, prefsPath, lenient), nil
-		},
-		DatasetFingerprint: h.Sum64(),
-		Measure:            m,
-		Eps:                eps,
-		EvalSample:         sample,
-		LouvainRuns:        runs,
-		Seed:               seed,
-	}
-	pipe, err := experiment.BuildReleasePipeline(spec)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	res, err := pipe.Run(context.Background(), pipeline.Options{
-		CheckpointDir: ckptDir,
-		Fresh:         fresh,
-		Config:        spec.Fingerprint(),
-		Logger:        slog.New(slog.NewTextHandler(os.Stderr, nil)),
-	})
-	if err != nil {
-		fatalf("checkpointed precompute: %v (rerun with the same flags to resume)", err)
-	}
-	fmt.Fprintf(os.Stderr, "evaluate: pipeline: %d stage(s) run, %d resumed from checkpoint\n",
-		len(res.Stages)-res.Resumed(), res.Resumed())
-
-	ds, err := pipeline.Get[*dataset.Dataset](res.State, experiment.KeyDataset)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	evalUsers, err := pipeline.Get[[]int32](res.State, experiment.KeyEvalUsers)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	sims, err := pipeline.Get[[]similarity.Scores](res.State, experiment.KeyEvalSims)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	rel, err := pipeline.Get[*release.Release](res.State, experiment.KeyRelease)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	private, err := socialrec.EngineFromRelease(rel, ds.Social)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	return ds, evalUsers, sims, private
 }
 
 func fatalf(format string, args ...any) {

@@ -59,6 +59,7 @@ import (
 	"socialrec/internal/pipeline"
 	"socialrec/internal/release"
 	"socialrec/internal/similarity"
+	"socialrec/internal/splitmix"
 	"socialrec/internal/telemetry"
 	"socialrec/internal/wal"
 )
@@ -356,18 +357,6 @@ type streamFlags struct {
 	faultAfter uint64
 }
 
-// splitmix64 steps a 64-bit generator state. The drill needs a stream
-// that is a pure function of the seed so an interrupted run and its
-// resume regenerate the exact same mutations; math/rand is confined to
-// internal/dp (sociolint noisesource), hence the inline generator.
-func splitmix64(s *uint64) uint64 {
-	*s += 0x9e3779b97f4a7c15
-	z := *s
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
 // mutGen deterministically generates a valid mutation stream: dense user
 // and item growth first, then a mix of social edges and preference churn.
 // Regenerating and discarding the first k records reproduces the exact
@@ -379,12 +368,12 @@ func splitmix64(s *uint64) uint64 {
 // few clusters and publish deltas, while occasional wide spread or
 // population growth pushes past the full-release threshold.
 type mutGen struct {
-	state uint64
+	state uint64 // SplitMix64 state: the stream is a pure function of the seed
 	users int64
 	items int64
 }
 
-func (g *mutGen) next(n uint64) uint64 { return splitmix64(&g.state) % n }
+func (g *mutGen) next(n uint64) uint64 { return splitmix.Next(&g.state) % n }
 
 // user picks a mutation target: 85% from the core (first quarter of the
 // population, at least 8 users), 15% anywhere.

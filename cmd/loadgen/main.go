@@ -25,8 +25,8 @@
 // A batch response that lost rows without being labeled degraded is a
 // protocol violation (silent truncation) and always fails the run.
 //
-// loadgen uses its own SplitMix64 stream (math/rand is confined to
-// internal/dp) and takes its seed from -seed, never the clock, so a run
+// loadgen draws from a SplitMix64 stream (internal/splitmix; math/rand is
+// confined to internal/dp) seeded from -seed, never the clock, so a run
 // is reproducible.
 package main
 
@@ -45,6 +45,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"socialrec/internal/splitmix"
 )
 
 var logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
@@ -91,7 +93,7 @@ func main() {
 	}
 
 	zipf := newZipf(len(tokens), *zipfS)
-	rng := splitmix64{state: uint64(*seed)*0x9e3779b97f4a7c15 + 0x6a09e667f3bcc909}
+	rng := uint64(*seed)*splitmix.Gamma + 0x6a09e667f3bcc909
 
 	var (
 		st  stats
@@ -107,7 +109,7 @@ func main() {
 	for now := time.Now(); now.Before(deadline); now = time.Now() {
 		<-ticker.C
 		st.offered.Add(1)
-		isBatch := *batchFrac > 0 && rng.float64() < *batchFrac
+		isBatch := *batchFrac > 0 && splitmix.Float64(&rng) < *batchFrac
 		select {
 		case sem <- struct{}{}:
 		default:
@@ -120,7 +122,7 @@ func main() {
 		if isBatch {
 			users := make([]string, *batchSize)
 			for i := range users {
-				users[i] = tokens[zipf.sample(rng.float64())]
+				users[i] = tokens[zipf.sample(splitmix.Float64(&rng))]
 			}
 			go func() {
 				defer wg.Done()
@@ -128,7 +130,7 @@ func main() {
 				doBatch(client, *baseURL, users, *topN, &st)
 			}()
 		} else {
-			user := tokens[zipf.sample(rng.float64())]
+			user := tokens[zipf.sample(splitmix.Float64(&rng))]
 			go func() {
 				defer wg.Done()
 				defer func() { <-sem }()
@@ -377,17 +379,4 @@ func newZipf(n int, s float64) *zipf {
 // sample maps a uniform draw in [0, 1) to a rank in [0, n).
 func (z *zipf) sample(u float64) int {
 	return sort.SearchFloat64s(z.cdf, u)
-}
-
-// splitmix64 is the repository's standard deterministic stream (math/rand
-// stays confined to internal/dp).
-type splitmix64 struct{ state uint64 }
-
-func (r *splitmix64) float64() float64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	return float64(z>>11) / (1 << 53)
 }

@@ -92,8 +92,6 @@ func main() {
 		seed       = flag.Int64("seed", 1, "seed for clustering order and noise")
 		maxN       = flag.Int("max-n", 100, "largest list length a request may ask for")
 		minWeight  = flag.Float64("min-weight", 1, "discard raw preference edges below this weight")
-		loadRel    = flag.String("load-release", "", "serve from a persisted release file instead of raw preferences")
-		saveRel    = flag.String("save-release", "", "persist the sanitized release to this path after building")
 		releaseDir = flag.String("release-dir", "", "crash-safe versioned release store: builds save here; without -prefs the newest valid release is served from it")
 		simCache   = flag.Int("simcache", -1, "similarity LRU cache capacity; 0 disables, -1 selects the default 4096")
 		debugAddr  = flag.String("debug-addr", "", "optional second listen address for net/http/pprof and /debug/traces")
@@ -105,11 +103,11 @@ func main() {
 		shardID    = flag.Int("shard", -1, "serve one shard of the newest sharded generation in -release-dir (shard servers refuse users other shards own with 421)")
 	)
 	flag.Parse()
-	if *socialPath == "" || (*prefsPath == "" && *loadRel == "" && *releaseDir == "") {
-		fatal("recserve: -social and one of -prefs / -load-release / -release-dir are required")
+	if *socialPath == "" || (*prefsPath == "" && *releaseDir == "") {
+		fatal("recserve: -social and one of -prefs / -release-dir are required")
 	}
-	if *shardID >= 0 && (*prefsPath != "" || *loadRel != "" || *releaseDir == "") {
-		fatal("recserve: -shard serves from a sharded store generation; it requires -release-dir and excludes -prefs / -load-release")
+	if *shardID >= 0 && (*prefsPath != "" || *releaseDir == "") {
+		fatal("recserve: -shard serves from a sharded store generation; it requires -release-dir and excludes -prefs")
 	}
 	if *numShards > 0 && (*prefsPath == "" || *releaseDir == "") {
 		fatal("recserve: -shards splits a freshly built release; it requires -prefs and -release-dir")
@@ -162,31 +160,37 @@ func main() {
 		}
 	}
 
+	cacheCap := -1
+	if *simCache != 0 {
+		cacheCap = *simCache
+		if cacheCap < 0 {
+			cacheCap = 0 // simcache.New maps < 1 to its default
+		}
+	}
+
 	var (
-		engine       *socialrec.Engine
-		serveEngine  server.Engine
-		itemTok      []string
-		stats        dataset.Stats
-		version      uint64 = 1
-		startFull    *socialrec.Engine
-		startLineage release.Lineage
+		hot     *server.Hot
+		itemTok []string
+		stats   = dataset.Stats{Users: social.NumUsers(), SocialEdges: social.NumEdges()}
 	)
 	switch {
 	case *shardID >= 0:
 		// Serve one shard of the newest sharded generation: the raw
 		// preference data never enters this process, and users owned by
 		// other shards are refused with 421 instead of answered wrongly.
-		var shardEng *socialrec.ShardEngine
-		shardEng, version, err = loadShardEngineStore(context.Background(), store, social, *shardID)
+		shardEng, version, err := loadShardEngineStore(context.Background(), store, social, *shardID)
 		if err != nil {
 			fatal("recserve: loading shard from release store", "dir", store.Dir(), "shard", *shardID, "err", err)
 		}
-		engine, serveEngine = shardEng.Engine, shardEng
 		logger.Info("recserve: serving stored shard", "shard", *shardID, "version", version, "dir", store.Dir())
-		stats.Users = social.NumUsers()
-		stats.SocialEdges = social.NumEdges()
+		if cacheCap >= 0 {
+			shardEng.EnableSimilarityCache(cacheCap)
+		}
+		hot = server.NewHot(shardEng, version)
 	case *prefsPath != "":
+		var engine *socialrec.Engine
 		engine, itemTok, stats = buildEngine(social, userIDs, *prefsPath, *measure, eps, *seed, *minWeight)
+		var version uint64 = 1
 		if store != nil {
 			rel, err := engine.Release()
 			if err != nil {
@@ -203,54 +207,27 @@ func main() {
 				saveSharded(store, engine, social, *numShards)
 			}
 		}
-		if *saveRel != "" {
-			saveReleaseFile(engine, *saveRel)
+		if cacheCap >= 0 {
+			engine.EnableSimilarityCache(cacheCap)
 		}
-	case *loadRel != "":
-		// Serve a previously persisted release file: the raw preference
-		// data never enters this process.
-		engine, err = loadEngineFile(*loadRel, social)
-		if err != nil {
-			fatal("recserve: loading release", "path", *loadRel, "err", err)
-		}
-		stats.Users = social.NumUsers()
-		stats.SocialEdges = social.NumEdges()
+		hot = server.NewHot(engine, version)
 	default:
 		// Serve the newest valid full release plus its delta chain from
-		// the store, recovering past any corrupt or torn artifacts.
-		var base *release.Release
-		engine, base, startLineage, err = loadLineageStore(context.Background(), store, social)
-		if err == nil {
-			startFull, err = fullEngine(social, engine, base, startLineage)
-		}
+		// the store, recovering past any corrupt or torn artifacts: the
+		// raw preference data never enters this process.
+		hot, err = startFromStore(context.Background(), store, social, cacheCap)
 		if err != nil {
 			fatal("recserve: loading from release store", "dir", store.Dir(), "err", err)
 		}
-		version = startLineage.Version()
+		st := hot.Status()
 		//sociolint:ignore privflow versions and chain length are store metadata, not preference data
-		logger.Info("recserve: serving stored release", "version", version,
-			"full_version", startLineage.Full, "deltas", len(startLineage.Deltas), "dir", store.Dir())
-		stats.Users = social.NumUsers()
-		stats.SocialEdges = social.NumEdges()
+		logger.Info("recserve: serving stored release", "version", st.Version,
+			"full_version", st.FullVersion, "deltas", len(st.Deltas), "dir", store.Dir())
 	}
 
-	if serveEngine == nil {
-		serveEngine = engine
-	}
 	reg := telemetry.Default()
 	stopRuntime := telemetry.StartRuntimeCollector(reg, 0)
 	defer stopRuntime()
-	cacheCap := -1
-	if *simCache != 0 {
-		cacheCap = *simCache
-		if cacheCap < 0 {
-			cacheCap = 0 // simcache.New maps < 1 to its default
-		}
-	}
-	hot, err := startSlot(serveEngine, engine, startFull, startLineage, version, cacheCap)
-	if err != nil {
-		fatal("recserve: installing delta lineage", "err", err)
-	}
 	if cacheCap >= 0 {
 		registerCacheGauges(reg, hot)
 	}
@@ -270,7 +247,7 @@ func main() {
 	if *shardID >= 0 {
 		reload = makeShardReload(hot, store, social, *shardID, cacheCap)
 	} else {
-		reload = makeReload(hot, store, *loadRel, social, cacheCap)
+		reload = makeReload(hot, store, social, cacheCap)
 	}
 
 	srv, err := server.New(server.Config{
@@ -330,7 +307,7 @@ func main() {
 
 	logger.Info("recserve: serving", "users", social.NumUsers(), "addr", *addr,
 		//sociolint:ignore privflow cluster count and epsilon are public release parameters
-		"clusters", engine.NumClusters(), "epsilon", engine.Epsilon())
+		"clusters", hot.NumClusters(), "epsilon", hot.Epsilon())
 	if err := httpedge.Serve(context.Background(), *addr, mux, nil); err != nil {
 		fatal("recserve: serving", "err", err)
 	}
@@ -369,31 +346,6 @@ func buildEngine(social *graph.Social, userIDs map[string]int, prefsPath, measur
 	return engine, itemTok, ds.Summarize()
 }
 
-// saveReleaseFile persists the release to a plain file (the pre-store
-// format, still useful for shipping a single artifact between machines).
-func saveReleaseFile(engine *socialrec.Engine, path string) {
-	out, err := os.Create(path)
-	if err != nil {
-		fatal("recserve: creating release file", "err", err)
-	}
-	if err := engine.SaveRelease(out); err != nil {
-		fatal("recserve: saving release", "err", err)
-	}
-	if err := out.Close(); err != nil {
-		fatal("recserve: saving release", "err", err)
-	}
-	logger.Info("recserve: sanitized release written", "path", path)
-}
-
-func loadEngineFile(path string, social *graph.Social) (*socialrec.Engine, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer func() { _ = f.Close() }()
-	return socialrec.LoadEngine(f, social)
-}
-
 // loadLineageStore resolves the newest full generation plus its valid
 // delta chain from the store and builds the engine serving the composed
 // release. base is the bare full generation the chain was composed from,
@@ -429,64 +381,63 @@ func fullEngine(social *graph.Social, engine *socialrec.Engine, base *release.Re
 	return socialrec.EngineFromRelease(base, social)
 }
 
-// startSlot builds the serving slot at start-up. serve answers requests
-// and engine is the whole-population engine behind it; with a delta
-// lineage, full is the bare full generation's engine, and the lineage is
-// installed explicitly so full stays retained in memory: a later corrupt
-// delta rolls serving back to it instead of going dark. Every engine the
-// slot can serve gets the similarity cache before it is installed
-// (cacheCap < 0: none), so a rollback serves cached too.
-func startSlot(serve server.Engine, engine, full *socialrec.Engine, ln release.Lineage,
-	version uint64, cacheCap int) (*server.Hot, error) {
-	if cacheCap >= 0 {
-		engine.EnableSimilarityCache(cacheCap)
-		if full != nil && full != engine {
-			full.EnableSimilarityCache(cacheCap)
-		}
+// startFromStore builds the serving slot at start-up from the store's
+// newest lineage, installing it through the same step as a reload that
+// finds a new full generation (installFull), so the retained full
+// generation is in memory from the first request on.
+func startFromStore(ctx context.Context, store *release.Store, social *graph.Social, cacheCap int) (*server.Hot, error) {
+	engine, base, ln, err := loadLineageStore(ctx, store, social)
+	if err != nil {
+		return nil, err
 	}
-	hot := server.NewHot(serve, version)
-	if len(ln.Deltas) > 0 && full != nil {
-		hot.Swap(full, ln.Full)
-		if err := hot.ApplyDelta(serve, ln.Full, ln.Deltas); err != nil {
-			return nil, err
-		}
+	full, err := fullEngine(social, engine, base, ln)
+	if err != nil {
+		return nil, err
+	}
+	hot := new(server.Hot)
+	if err := installFull(hot, engine, full, ln, cacheCap); err != nil {
+		return nil, err
 	}
 	return hot, nil
 }
 
-// makeReload builds the closure shared by POST /admin/reload and SIGHUP: it
-// loads a fresh release from the store (or release file), re-enables the
-// similarity cache, and swaps it into the serving path. On failure the
-// last-good engine keeps serving and the slot is marked degraded, which
-// /readyz surfaces. The context is the triggering request's, so a reload's
-// spans and budget events attach to its trace (SIGHUP passes Background).
-// Returns nil when no reload source is configured (the server then answers
-// 501).
-func makeReload(hot *server.Hot, store *release.Store, loadRel string,
-	social *graph.Social, cacheCap int) func(context.Context) error {
-	if store == nil && loadRel == "" {
+// installFull installs a full generation and its delta chain in hot:
+// engine serves the composed chain, and full is the bare full
+// generation's engine (engine itself when the chain is empty), which the
+// slot retains so a later corrupt delta rolls serving back to it instead
+// of going dark. Both get the similarity cache (cacheCap < 0: none)
+// before Swap, because once installed they serve, and a rollback then
+// serves cached too. An error means the chain was refused after full was
+// swapped in, so full is serving.
+func installFull(hot *server.Hot, engine, full *socialrec.Engine, ln release.Lineage, cacheCap int) error {
+	if cacheCap >= 0 {
+		engine.EnableSimilarityCache(cacheCap)
+		if full != engine {
+			full.EnableSimilarityCache(cacheCap)
+		}
+	}
+	hot.Swap(full, ln.Full)
+	if len(ln.Deltas) == 0 {
 		return nil
 	}
-	var (
-		mu          sync.Mutex // serializes HTTP- and SIGHUP-triggered reloads
-		fileVersion = hot.Status().Version
-	)
+	return hot.ApplyDelta(engine, ln.Full, ln.Deltas)
+}
+
+// makeReload builds the closure shared by POST /admin/reload and SIGHUP: it
+// advances serving to the store's newest lineage (reloadFromStore). On
+// failure the last-good engine keeps serving and the slot is marked
+// degraded, which /readyz surfaces. The context is the triggering
+// request's, so a reload's spans and budget events attach to its trace
+// (SIGHUP passes Background). Returns nil without a store (the server then
+// answers 501).
+func makeReload(hot *server.Hot, store *release.Store, social *graph.Social, cacheCap int) func(context.Context) error {
+	if store == nil {
+		return nil
+	}
+	var mu sync.Mutex // serializes HTTP- and SIGHUP-triggered reloads
 	return func(ctx context.Context) error {
 		mu.Lock()
 		defer mu.Unlock()
-		if store == nil {
-			engine, err := loadEngineFile(loadRel, social)
-			if err != nil {
-				hot.Fail(err.Error())
-				return err
-			}
-			if cacheCap >= 0 {
-				engine.EnableSimilarityCache(cacheCap)
-			}
-			fileVersion++
-			hot.Swap(engine, fileVersion)
-			return nil
-		}
 		return reloadFromStore(ctx, hot, store, social, cacheCap)
 	}
 }
@@ -518,11 +469,11 @@ func reloadFromStore(ctx context.Context, hot *server.Hot, store *release.Store,
 		return fmt.Errorf("recserve: delta chain resolvable only to version %d (was serving %d); rolled back to full generation %d",
 			newV, st.Version, v)
 	}
-	if cacheCap >= 0 {
-		engine.EnableSimilarityCache(cacheCap)
-	}
 	if ln.Full == st.FullVersion {
 		// Same full generation, longer chain: validated delta application.
+		if cacheCap >= 0 {
+			engine.EnableSimilarityCache(cacheCap)
+		}
 		if err := hot.ApplyDelta(engine, st.Version, ln.Deltas); err != nil {
 			v := hot.Rollback(err.Error())
 			return fmt.Errorf("recserve: delta apply refused (%v); rolled back to full generation %d", err, v)
@@ -536,16 +487,9 @@ func reloadFromStore(ctx context.Context, hot *server.Hot, store *release.Store,
 		hot.Fail(err.Error())
 		return err
 	}
-	// The full engine gets its cache before Swap: once installed it serves.
-	if full != engine && cacheCap >= 0 {
-		full.EnableSimilarityCache(cacheCap)
-	}
-	hot.Swap(full, ln.Full)
-	if len(ln.Deltas) > 0 {
-		if err := hot.ApplyDelta(engine, ln.Full, ln.Deltas); err != nil {
-			v := hot.Rollback(err.Error())
-			return fmt.Errorf("recserve: delta apply refused (%v); serving full generation %d", err, v)
-		}
+	if err := installFull(hot, engine, full, ln, cacheCap); err != nil {
+		v := hot.Rollback(err.Error())
+		return fmt.Errorf("recserve: delta apply refused (%v); serving full generation %d", err, v)
 	}
 	return nil
 }

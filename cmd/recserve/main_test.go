@@ -77,18 +77,29 @@ func saveDeltaFixture(t *testing.T, store *release.Store, base uint64) uint64 {
 	return v
 }
 
-// loadStart resolves the store's lineage as main() does at start-up: the
-// serving engine plus the retained full generation's engine.
-func loadStart(t *testing.T, store *release.Store, social *graph.Social) (engine, full *socialrec.Engine, ln release.Lineage) {
+// loadStart builds the serving slot from the store's lineage as main()
+// does at start-up (cacheCap < 0: no similarity cache).
+func loadStart(t *testing.T, store *release.Store, social *graph.Social, cacheCap int) *server.Hot {
 	t.Helper()
-	engine, base, ln, err := loadLineageStore(context.Background(), store, social)
+	hot, err := startFromStore(context.Background(), store, social, cacheCap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if full, err = fullEngine(social, engine, base, ln); err != nil {
+	return hot
+}
+
+// servedRelease is the release behind the engine hot serves.
+func servedRelease(t *testing.T, hot *server.Hot) *release.Release {
+	t.Helper()
+	e, ok := hot.Engine().(*socialrec.Engine)
+	if !ok {
+		t.Fatalf("serving engine is a %T", hot.Engine())
+	}
+	rel, err := e.Release()
+	if err != nil {
 		t.Fatal(err)
 	}
-	return engine, full, ln
+	return rel
 }
 
 // releaseLoads counts the full-release decodes the process ledger has
@@ -140,20 +151,9 @@ func TestReloadFromStoreRollsBackOnCorruptDelta(t *testing.T) {
 	deltaV := saveDeltaFixture(t, store, fullV)
 
 	// Startup resolves full + delta, as main() does for -release-dir.
-	engine, full, ln := loadStart(t, store, social)
-	if ln.Full != fullV || len(ln.Deltas) != 1 || ln.Deltas[0] != deltaV {
-		t.Fatalf("startup lineage = %+v", ln)
-	}
-	if full == engine {
-		t.Fatal("full-generation engine not separately retained")
-	}
-	hot := server.NewHot(server.Engine(engine), ln.Version())
-	hot.Swap(full, ln.Full)
-	if err := hot.ApplyDelta(engine, ln.Full, ln.Deltas); err != nil {
-		t.Fatal(err)
-	}
+	hot := loadStart(t, store, social, -1)
 	st := hot.Status()
-	if st.Version != deltaV || st.FullVersion != fullV {
+	if st.Version != deltaV || st.FullVersion != fullV || len(st.Deltas) != 1 || st.Deltas[0] != deltaV || st.Degraded {
 		t.Fatalf("startup status = %+v", st)
 	}
 
@@ -207,11 +207,10 @@ func TestReloadFromStoreExtendsDeltaChain(t *testing.T) {
 	social := rollbackSocial(t)
 
 	fullV := saveFullFixture(t, store)
-	engine, full, ln := loadStart(t, store, social)
-	if full != engine || len(ln.Deltas) != 0 {
-		t.Fatalf("fresh store lineage = %+v", ln)
+	hot := loadStart(t, store, social, -1)
+	if st := hot.Status(); st.Version != fullV || st.FullVersion != fullV || len(st.Deltas) != 0 {
+		t.Fatalf("fresh store status = %+v", st)
 	}
-	hot := server.NewHot(server.Engine(engine), ln.Version())
 
 	deltaV := saveDeltaFixture(t, store, fullV)
 	loads := releaseLoads()
@@ -238,21 +237,18 @@ func TestStartReadsFullGenerationOnce(t *testing.T) {
 	saveDeltaFixture(t, store, saveDeltaFixture(t, store, fullV))
 
 	loads := releaseLoads()
-	engine, full, ln := loadStart(t, store, social)
+	hot := loadStart(t, store, social, -1)
 	if n := releaseLoads() - loads; n != 1 {
 		t.Errorf("start-up decoded %d full releases, want 1", n)
 	}
-	if ln.Full != fullV || len(ln.Deltas) != 2 || full == engine {
-		t.Fatalf("start-up lineage = %+v, separate full engine %v", ln, full != engine)
+	if st := hot.Status(); st.FullVersion != fullV || len(st.Deltas) != 2 {
+		t.Fatalf("start-up status = %+v", st)
 	}
-	served, err := engine.Release()
-	if err != nil {
-		t.Fatal(err)
+	served := servedRelease(t, hot)
+	if v := hot.Rollback("test"); v != fullV {
+		t.Fatalf("rolled back to %d, want full generation %d", v, fullV)
 	}
-	retained, err := full.Release()
-	if err != nil {
-		t.Fatal(err)
-	}
+	retained := servedRelease(t, hot)
 	// Cluster 1 is fresh in the deltas (30, 40); the full generation keeps
 	// its own row (3, 4).
 	if served.Avg[2] != 30 || retained.Avg[2] != 3 {
@@ -271,8 +267,7 @@ func TestReloadNewFullWithDeltasUnderReaders(t *testing.T) {
 	social := rollbackSocial(t)
 
 	saveFullFixture(t, store)
-	engine, _, ln := loadStart(t, store, social)
-	hot := server.NewHot(server.Engine(engine), ln.Version())
+	hot := loadStart(t, store, social, -1)
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -311,20 +306,17 @@ func TestReloadNewFullWithDeltasUnderReaders(t *testing.T) {
 	}
 }
 
-// TestStartSlotCachesRetainedFull: start-up over a delta lineage gives the
-// retained full generation its similarity cache too, so serving after a
-// rollback stays cached and the simcache gauges keep reading it.
+// TestStartSlotCachesRetainedFull: start-up over a delta lineage installs
+// through installFull, which gives the retained full generation its
+// similarity cache too, so serving after a rollback stays cached and the
+// simcache gauges keep reading it.
 func TestStartSlotCachesRetainedFull(t *testing.T) {
 	store := rollbackStore(t, t.TempDir())
 	social := rollbackSocial(t)
 	fullV := saveFullFixture(t, store)
 	saveDeltaFixture(t, store, fullV)
 
-	engine, full, ln := loadStart(t, store, social)
-	hot, err := startSlot(engine, engine, full, ln, ln.Version(), 16)
-	if err != nil {
-		t.Fatal(err)
-	}
+	hot := loadStart(t, store, social, 16)
 	served := func(stage string) {
 		t.Helper()
 		if _, err := hot.Recommend(0, 2); err != nil {

@@ -112,9 +112,6 @@ func (r *Runner) MaxInfluence() float64 {
 	return r.maxInfluence
 }
 
-// Truth returns the exact utility row of evaluation user index k.
-func (r *Runner) Truth(k int) []float64 { return r.truth[k] }
-
 // Result holds the per-evaluation-user NDCG@N scores of one mechanism run.
 type Result struct {
 	Mechanism string

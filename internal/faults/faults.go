@@ -20,17 +20,18 @@
 //     -chaos flag of cmd/recserve arm Plans on those points. A nil or
 //     unarmed registry costs one nil check / one mutex acquisition and
 //     injects nothing.
-//   - io.Reader / io.Writer wrappers (io.go): fail after N bytes, short
-//     writes, per-op delays, registry-driven flakiness.
 //   - An fs-like file abstraction (fs.go): the tiny slice of the os
 //     package the release store needs, with a real implementation (OS)
 //     and a fault-injecting wrapper (NewFS) that can fail opens, writes,
 //     syncs and renames on schedule — simulating crashes mid-persist
 //     without crashing the test process.
+//   - The crash-safe write discipline over that abstraction (atomic.go):
+//     WriteAtomicFunc and the SweepTmp debris sweeper, shared by every
+//     store that persists whole files.
 //
-// faults never touches math/rand: its deterministic stream is a local
-// SplitMix64, so arming a fault schedule can never perturb an engine's
-// seeded noise or clustering randomness.
+// faults never touches math/rand: each point's deterministic stream is a
+// SplitMix64 (internal/splitmix), so arming a fault schedule can never
+// perturb an engine's seeded noise or clustering randomness.
 package faults
 
 import (
@@ -39,6 +40,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"socialrec/internal/splitmix"
 )
 
 // ErrInjected is the sentinel all injected failures wrap; test code and
@@ -115,7 +118,7 @@ func (p InjectedPanic) String() string {
 // armed is one point's armed plan plus its deterministic decision state.
 type armed struct {
 	plan   Plan
-	rng    splitmix64
+	rng    uint64 // SplitMix64 state
 	checks uint64
 	fired  uint64
 }
@@ -144,7 +147,7 @@ func (r *Registry) Arm(p Point, plan Plan) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.pts[p] = &armed{plan: plan, rng: newSplitmix64(r.seed, string(p))}
+	r.pts[p] = &armed{plan: plan, rng: pointStream(r.seed, string(p))}
 }
 
 // Disarm removes the plan for a point.
@@ -225,7 +228,7 @@ func (r *Registry) Check(p Point) error {
 	a.checks++
 	fire := a.checks > a.plan.After &&
 		(a.plan.Times == 0 || a.fired < a.plan.Times) &&
-		(a.plan.Prob <= 0 || a.rng.float64() < a.plan.Prob)
+		(a.plan.Prob <= 0 || splitmix.Float64(&a.rng) < a.plan.Prob)
 	if fire {
 		a.fired++
 	}
@@ -249,15 +252,9 @@ func (r *Registry) Check(p Point) error {
 	return fmt.Errorf("%w: %s", ErrInjected, p)
 }
 
-// splitmix64 is a tiny deterministic PRNG (Steele, Lea & Flood's SplitMix64
-// finalizer). It exists so fault schedules never touch math/rand: the
-// repository confines math/rand to internal/dp, and fault injection must
-// not perturb any engine's seeded noise stream.
-type splitmix64 struct{ state uint64 }
-
-// newSplitmix64 derives an independent stream per (seed, point) pair via an
-// FNV-1a hash of the point name folded into the seed.
-func newSplitmix64(seed int64, point string) splitmix64 {
+// pointStream derives an independent SplitMix64 state per (seed, point)
+// pair via an FNV-1a hash of the point name folded into the seed.
+func pointStream(seed int64, point string) uint64 {
 	const (
 		fnvOffset = 14695981039346656037
 		fnvPrime  = 1099511628211
@@ -267,18 +264,5 @@ func newSplitmix64(seed int64, point string) splitmix64 {
 		h ^= uint64(point[i])
 		h *= fnvPrime
 	}
-	return splitmix64{state: h ^ uint64(seed)}
-}
-
-func (s *splitmix64) next() uint64 {
-	s.state += 0x9e3779b97f4a7c15
-	z := s.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// float64 returns a uniform value in [0, 1).
-func (s *splitmix64) float64() float64 {
-	return float64(s.next()>>11) / (1 << 53)
+	return h ^ uint64(seed)
 }

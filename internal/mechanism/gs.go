@@ -25,25 +25,19 @@ type GSConfig struct {
 	// notes this technically violates DP and favours GS; we reproduce the
 	// same favourable treatment).
 	GroupSizes []int
-	// SelectN is the N used when scoring candidate group sizes; 0 means
-	// 50, matching Fig. 4.
-	SelectN int
 	// Seed drives the *sampling* of rough estimates and all noise.
 	Seed int64
 }
+
+// gsSelectN is the N at which candidate group sizes are scored: Fig. 4
+// reports NDCG@50.
+const gsSelectN = 50
 
 func (c GSConfig) groupSizes() []int {
 	if len(c.GroupSizes) > 0 {
 		return c.GroupSizes
 	}
 	return []int{1, 2, 4, 8, 16, 32, 64, 128, 256, 512}
-}
-
-func (c GSConfig) selectN() int {
-	if c.SelectN > 0 {
-		return c.SelectN
-	}
-	return 50
 }
 
 // GS adapts the Group-and-Smooth approach of Kellaris & Papadopoulos [17] to
@@ -192,7 +186,7 @@ func NewGS(prefs *graph.Preference, evalUsers []int32, evalSims []similarity.Sco
 			return nil, fmt.Errorf("mechanism: group size %d < 1", m)
 		}
 		smooth(m, candidate)
-		score := metrics.MeanNDCGDense(candidate, truth, cfg.selectN())
+		score := metrics.MeanNDCGDense(candidate, truth, gsSelectN)
 		if score > bestScore {
 			bestScore = score
 			g.chosenM = m

@@ -19,16 +19,19 @@ type LRMConfig struct {
 	// min(|U|, 400). The paper used r = rank(W) (near |U|) via the
 	// authors' Matlab optimizer; see the package note on the substitution.
 	Rank int
-	// PowerIters and Oversample tune the randomized SVD; zero values
-	// select the defaults (2 and 10).
-	PowerIters int
-	Oversample int
 	// Seed drives the randomized SVD and the Laplace noise.
 	Seed int64
 	// MaxUsers guards against accidentally materializing a huge |U|×|U|
 	// workload matrix; 0 selects 5000.
 	MaxUsers int
 }
+
+// lrmPowerIters and lrmOversample are the randomized SVD's power
+// iterations and extra sketch columns (see linalg.RandomizedSVD).
+const (
+	lrmPowerIters = 2
+	lrmOversample = 10
+)
 
 func (c LRMConfig) rank(n int) int {
 	r := c.Rank
@@ -105,14 +108,7 @@ func NewLRM(social *graph.Social, prefs *graph.Preference, m similarity.Measure,
 	// Decompose W ≈ B·L with B = UΣ^½ and L = Σ^½Vᵀ.
 	rng := dp.NewRand(cfg.Seed)
 	r := cfg.rank(n)
-	pi, ov := cfg.PowerIters, cfg.Oversample
-	if pi <= 0 {
-		pi = 2
-	}
-	if ov <= 0 {
-		ov = 10
-	}
-	svd := linalg.RandomizedSVDOp(w, r, pi, ov, rng)
+	svd := linalg.RandomizedSVDOp(w, r, lrmPowerIters, lrmOversample, rng)
 	b := linalg.NewMatrix(n, r)
 	l := linalg.NewMatrix(r, n)
 	for j := 0; j < r; j++ {

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"socialrec/internal/httpedge"
+	"socialrec/internal/splitmix"
 	"socialrec/internal/telemetry"
 	"socialrec/internal/trace"
 )
@@ -26,15 +27,6 @@ type testWriter struct{ tb testing.TB }
 func (w testWriter) Write(p []byte) (int, error) {
 	w.tb.Logf("%s", p)
 	return len(p), nil
-}
-
-// splitmix64 is the repo-standard deterministic test stream.
-func splitmix64(state *uint64) uint64 {
-	*state += 0x9e3779b97f4a7c15
-	z := *state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }
 
 // fakeTarget is one scrapable fake process: a real registry and ledger
@@ -269,8 +261,8 @@ func TestFleetQuantilesMatchConcatenatedStream(t *testing.T) {
 	ref := refReg.NewHistogram("http_request_seconds", "ref", nil)
 	state := uint64(42)
 	for i := 0; i < 5000; i++ {
-		v := float64(splitmix64(&state)%10_000_000) / 1e6 // [0, 10) s
-		targets[int(splitmix64(&state)%uint64(len(targets)))].latency.Observe(v)
+		v := float64(splitmix.Next(&state)%10_000_000) / 1e6 // [0, 10) s
+		targets[int(splitmix.Next(&state)%uint64(len(targets)))].latency.Observe(v)
 		ref.Observe(v)
 	}
 	c := newTestCollector(t, Config{

@@ -15,6 +15,8 @@ package router
 import (
 	"fmt"
 	"sort"
+
+	"socialrec/internal/splitmix"
 )
 
 // Ring is a consistent-hash ring over a fixed set of named nodes. It is
@@ -63,7 +65,7 @@ func NewRing(nodes []string, vnodes int) (*Ring, error) {
 			// Weyl-step the vnode index into the node's hash, then mix:
 			// without the finalizer, similar names (and vnode indices)
 			// land in a narrow band and the ring degenerates.
-			h := mix64(base + uint64(v)*0x9e3779b97f4a7c15)
+			h := splitmix.Mix(base + uint64(v)*splitmix.Gamma)
 			r.points = append(r.points, ringPoint{hash: h, node: int32(i)})
 		}
 	}
@@ -112,8 +114,11 @@ func (r *Ring) Ordered(key string) []string {
 }
 
 // at returns the index of the first point at or clockwise of key's hash.
+// FNV-1a alone leaves keys that differ in their last byte within
+// ~255·fnvPrime of each other, which would put sequential user keys on
+// one arc; the SplitMix64 finalizer spreads them over the whole circle.
 func (r *Ring) at(key string) int {
-	h := mix64(fnv1a(key))
+	h := splitmix.Mix(fnv1a(key))
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	if i == len(r.points) {
 		i = 0
@@ -133,14 +138,4 @@ func fnv1a(s string) uint64 {
 		h = (h ^ uint64(s[i])) * fnvPrime
 	}
 	return h
-}
-
-// mix64 is the SplitMix64 finalizer: FNV-1a alone leaves strings that
-// differ in their last byte within ~255*fnvPrime of each other, which
-// would make sequential user keys map to one ring arc. The finalizer's
-// avalanche spreads them over the full 64-bit circle.
-func mix64(z uint64) uint64 {
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }

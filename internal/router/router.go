@@ -20,6 +20,7 @@ import (
 	"socialrec/internal/faults"
 	"socialrec/internal/httpedge"
 	"socialrec/internal/release"
+	"socialrec/internal/splitmix"
 	"socialrec/internal/telemetry"
 	"socialrec/internal/trace"
 )
@@ -204,7 +205,7 @@ func New(cfg Config) (*Router, error) {
 		replicas: make([][]*replica, len(cfg.Shards)),
 		rings:    make([]*Ring, len(cfg.Shards)),
 		lat:      make([]*latencyTrack, len(cfg.Shards)),
-		rng:      lockedRand{state: uint64(cfg.Seed)*0x9e3779b97f4a7c15 + 0x6a09e667f3bcc909},
+		rng:      lockedRand{state: uint64(cfg.Seed)*splitmix.Gamma + 0x6a09e667f3bcc909},
 	}
 	rt.drainCtx, rt.drainCancel = context.WithCancel(context.Background())
 	for s, urls := range cfg.Shards {
@@ -1147,11 +1148,6 @@ type lockedRand struct {
 
 func (r *lockedRand) float64() float64 {
 	r.mu.Lock()
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	r.mu.Unlock()
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	return float64(z>>11) / (1 << 53)
+	defer r.mu.Unlock()
+	return splitmix.Float64(&r.state)
 }

@@ -18,7 +18,8 @@ import (
 // serving" rather than an outage.
 //
 // Hot itself implements Engine by delegation, so it can be wired into
-// Config.Engine unchanged.
+// Config.Engine unchanged. The zero Hot holds no engine: Swap must install
+// one before any request can reach it.
 type Hot struct {
 	slot atomic.Pointer[hotSlot]
 }
@@ -47,8 +48,9 @@ type hotSlot struct {
 
 // HotStatus is a point-in-time view of the serving slot.
 type HotStatus struct {
-	// Version identifies the release generation being served (the release
-	// store's version number, or a load counter for file-based serving).
+	// Version identifies the release generation being served: the release
+	// store's version number, or 1 for a release built in-process without
+	// a store.
 	Version uint64
 	// LoadedAt is when the serving engine was installed.
 	LoadedAt time.Time

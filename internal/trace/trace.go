@@ -62,6 +62,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"socialrec/internal/splitmix"
 	"socialrec/internal/telemetry"
 )
 
@@ -142,7 +143,7 @@ type Tracer struct {
 	maxChildren int
 	process     string // static process identity stamped on exports
 
-	ids atomic.Uint64 // splitmix64 state; IDs need uniqueness, not secrecy
+	ids atomic.Uint64 // SplitMix64 state; IDs need uniqueness, not secrecy
 
 	started   atomic.Uint64 // spans started
 	roots     atomic.Uint64 // root spans started
@@ -237,16 +238,13 @@ func SetDefault(t *Tracer) {
 	}
 }
 
-// nextID draws the next 64 pseudo-random bits (splitmix64; the stream is
-// for uniqueness, not secrecy or privacy noise — privacy noise must flow
-// through dp.NoiseSource, which sociolint enforces).
+// nextID draws the next 64 pseudo-random bits (SplitMix64 over an atomic
+// state; the stream is for uniqueness, not secrecy or privacy noise —
+// privacy noise must flow through dp.NoiseSource, which sociolint
+// enforces).
 func (t *Tracer) nextID() uint64 {
 	for {
-		z := t.ids.Add(0x9e3779b97f4a7c15)
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		z ^= z >> 31
-		if z != 0 {
+		if z := splitmix.Mix(t.ids.Add(splitmix.Gamma)); z != 0 {
 			return z
 		}
 	}
