@@ -114,4 +114,21 @@ func TestCLIIntegration(t *testing.T) {
 			t.Errorf("attack -trials %s: err %v, output\n%s\nwant exit 1 with a -trials message", trials, err, out)
 		}
 	}
+
+	// experiments refuses, before doing any work, an experiment it does
+	// not know and a flag the selected experiment would ignore.
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-exp", "bogus"}, `unknown -exp "bogus"`},
+		{[]string{"-exp", "table1", "-preset", "tiny"}, "-exp table1 does not read -preset"},
+	} {
+		cmd := exec.Command("go", append([]string{"run", "./cmd/experiments"}, tc.args...)...)
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), tc.want) {
+			t.Errorf("experiments %v: err %v, output\n%s\nwant exit 1 with %q", tc.args, err, out, tc.want)
+		}
+	}
 }

@@ -15,14 +15,16 @@
 //	experiments -exp stream             # crash-safe streaming update drill
 //
 // -repeats, -sample and -runs trade fidelity for speed; the paper's own
-// settings are -repeats 10 and (for the big dataset) -sample 10000.
+// settings are -repeats 10 and (for the big dataset) -sample 10000. An
+// unknown -exp, or a flag the selected experiment does not read, exits 1
+// before any work.
 //
 // The release experiment runs the offline path (load → sample →
-// similarity → release → persist) through the resumable stage
-// orchestrator; its release stage is release.Recipe.Build, so it writes
-// the bytes recserve's -prefs build writes for the same data, ε and seed.
-// With -checkpoint-dir, completed stages are checkpointed and a rerun
-// resumes from the first invalidated stage; -fresh discards checkpoints.
+// similarity → release → persist) as resumable checkpointed steps
+// (experiment.RunRelease); its release step is release.Recipe.Build, so it
+// writes the bytes recserve's -prefs build writes for the same data, ε and
+// seed. With -checkpoint-dir, completed steps are checkpointed and a rerun
+// resumes from the first invalidated step; -fresh discards checkpoints.
 // -faults arms a deterministic fault-injection point (e.g. fs.rename) so
 // crash/resume drills are scriptable: the interrupted run exits non-zero,
 // the resumed run must produce the byte-identical release with the
@@ -48,6 +50,7 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"socialrec/internal/dataset"
@@ -75,7 +78,7 @@ func main() {
 		csvDir  = flag.String("csv-dir", "", "also write tidy CSVs (fig1.csv, ...) into this directory")
 
 		preset     = flag.String("preset", "lastfm", "dataset preset for -exp release: lastfm, flixster or tiny")
-		epsArg     = flag.Float64("eps", 0.5, "release budget ε for -exp release")
+		epsArg     = flag.Float64("eps", 0.5, "release budget ε for -exp release; ε per publish for -exp stream")
 		ckptDir    = flag.String("checkpoint-dir", "", "checkpoint stage outputs here; reruns resume from the first invalidated stage")
 		fresh      = flag.Bool("fresh", false, "discard existing checkpoints before running")
 		releaseDir = flag.String("release-dir", "", "persist the final release into a release store here")
@@ -87,6 +90,10 @@ func main() {
 		streamBatch   = flag.Int("stream-batch", 40, "mutations per batch for -exp stream")
 	)
 	flag.Parse()
+	if err := checkFlags(*exp); err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+		os.Exit(1)
+	}
 
 	writeCSV := func(name string, emit func(io.Writer) error) error {
 		if *csvDir == "" {
@@ -235,7 +242,35 @@ func main() {
 
 	fmt.Println("=== pipeline stage timings ===")
 	fmt.Print(telemetry.Stages().Table())
-	fmt.Printf("\n=== privacy budget ledger ===\n%s", telemetry.Budget().Snapshot())
+	fmt.Printf("\n=== privacy budget ledger ===\n%s\n", telemetry.Budget().Snapshot())
+}
+
+// groupFlags lists, per experiment group, the flags its experiments read
+// besides -exp. The figures group is every paper table and figure.
+var groupFlags = map[string][]string{
+	"figures": {"repeats", "sample", "runs", "seed", "lrm-rank", "csv-dir"},
+	"release": {"preset", "eps", "sample", "runs", "seed", "checkpoint-dir", "fresh", "release-dir", "faults", "fault-after"},
+	"stream":  {"stream-dir", "stream-batches", "stream-batch", "eps", "runs", "seed", "faults", "fault-after"},
+}
+
+// checkFlags refuses an unknown experiment and any flag set on the command
+// line that the selected experiment would ignore.
+func checkFlags(exp string) error {
+	group := exp
+	switch exp {
+	case "all", "table1", "clusters", "fig1", "fig2", "fig3", "fig4", "decompose":
+		group = "figures"
+	case "release", "stream":
+	default:
+		return fmt.Errorf("unknown -exp %q (want all, table1, fig1, fig2, fig3, fig4, clusters, decompose, release or stream)", exp)
+	}
+	var err error
+	flag.Visit(func(f *flag.Flag) {
+		if err == nil && f.Name != "exp" && !slices.Contains(groupFlags[group], f.Name) {
+			err = fmt.Errorf("-exp %s does not read -%s", exp, f.Name)
+		}
+	})
+	return err
 }
 
 // releaseFlags carries the -exp release configuration.
@@ -252,8 +287,8 @@ type releaseFlags struct {
 	faultAfter uint64
 }
 
-// runReleasePipeline executes the offline release path through the
-// checkpointed stage orchestrator.
+// runReleasePipeline executes the offline release path as checkpointed
+// steps.
 func runReleasePipeline(f releaseFlags) error {
 	var p generator.Preset
 	switch f.preset {
@@ -280,15 +315,9 @@ func runReleasePipeline(f releaseFlags) error {
 		Seed:               f.seed,
 		StoreDir:           f.releaseDir,
 	}
-	pipe, err := experiment.BuildReleasePipeline(spec)
-	if err != nil {
-		return err
-	}
-
 	opts := pipeline.Options{
 		CheckpointDir: f.ckptDir,
 		Fresh:         f.fresh,
-		Config:        spec.Fingerprint(),
 		Logger:        slog.New(slog.NewTextHandler(os.Stdout, nil)),
 	}
 	if f.faultPoint != "" {
@@ -297,7 +326,7 @@ func runReleasePipeline(f releaseFlags) error {
 		opts.FS = faults.NewFS(faults.OS{}, reg)
 	}
 
-	res, err := pipe.Run(context.Background(), opts)
+	res, err := experiment.RunRelease(context.Background(), spec, opts)
 	if err != nil {
 		// An injected fault aborted the run exactly where a crash would;
 		// exit non-zero so crash/resume drills can script around it.
@@ -305,18 +334,11 @@ func runReleasePipeline(f releaseFlags) error {
 	}
 
 	fmt.Printf("stages: %d run, %d resumed from checkpoint\n", len(res.Stages)-res.Resumed(), res.Resumed())
-	rel, err := pipeline.Get[*release.Release](res.State, experiment.KeyRelease)
-	if err != nil {
-		return err
-	}
+	rel := res.Release
 	fmt.Printf("release: eps=%g measure=%s clusters=%d items=%d\n",
 		rel.Epsilon, rel.Measure, rel.Clusters.NumClusters(), rel.NumItems)
 	if f.releaseDir != "" {
-		v, err := pipeline.Get[uint64](res.State, experiment.KeyVersion)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("persisted as version %d in %s\n", v, f.releaseDir)
+		fmt.Printf("persisted as version %d in %s\n", res.Version, f.releaseDir)
 	}
 	if f.ckptDir != "" {
 		store, _, err := pipeline.OpenStore(f.ckptDir, nil)
@@ -333,7 +355,7 @@ func runReleasePipeline(f releaseFlags) error {
 
 	// Exercise the checkpoint-fed evaluation path: score the release's own
 	// averages without recomputing similarities or clusterings.
-	runner, err := experiment.RunnerFromState(res.State, similarity.CommonNeighbors{})
+	runner, err := experiment.RunnerFromState(res, similarity.CommonNeighbors{})
 	if err != nil {
 		return err
 	}

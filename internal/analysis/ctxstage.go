@@ -6,14 +6,14 @@ import (
 )
 
 // CtxStage enforces that Run methods taking a context.Context actually
-// honor it. The pipeline orchestrator has no timeout of its own: the
-// caller's deadline and cancellation reach a stage only through the ctx
-// argument of pipeline.Stage.Run. A stage that accepts the context but
-// never consults it cannot be cut off, so a hung stage wedges the whole
-// offline release path and the operator's Ctrl-C leaves half-written work
-// for the next resume to sort out. The analyzer flags any function or
-// method named Run whose first parameter is a context.Context that is
-// blank, unnamed, or never referenced in the body.
+// honor it. Offline work has no timeout of its own: the pipeline's steps,
+// for one, see the caller's deadline and cancellation only through the
+// context pipeline.Step hands their compute function. Work that accepts
+// the context but never consults it cannot be cut off, so a hung step
+// wedges the whole offline release path and the operator's Ctrl-C leaves
+// half-written work for the next resume to sort out. The analyzer flags
+// any function or method named Run whose first parameter is a
+// context.Context that is blank, unnamed, or never referenced in the body.
 type CtxStage struct{}
 
 // Name returns "ctxstage".
@@ -21,7 +21,7 @@ func (CtxStage) Name() string { return "ctxstage" }
 
 // Doc describes the invariant.
 func (CtxStage) Doc() string {
-	return "Run methods that accept a context.Context must use it (the caller's cancellation and deadline are the pipeline's only way to interrupt a stage)"
+	return "Run methods that accept a context.Context must use it (the caller's cancellation and deadline are the only way to interrupt offline work such as a pipeline step)"
 }
 
 // Run checks every non-test file.

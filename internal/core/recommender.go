@@ -281,9 +281,6 @@ type Recommender struct {
 	// BatchSize bounds how many dense utility vectors are held in memory
 	// at once; 0 means a default of 256.
 	BatchSize int
-	// Workers bounds similarity-computation parallelism; 0 means
-	// GOMAXPROCS.
-	Workers int
 
 	// At most one of the two sources is set, by CacheSimilarity; with
 	// neither, similarity is computed per batch. similaritySource supplies
@@ -397,7 +394,7 @@ func (r *Recommender) RecommendContext(ctx context.Context, users []int32, n int
 				sims[i] = r.similaritySource(u)
 			}
 		default:
-			sims = similarity.ComputeAll(r.social, r.measure, batch, r.Workers)
+			sims = similarity.ComputeAll(r.social, r.measure, batch, 0)
 		}
 		simTrace.End()
 		avgTrace := trace.StartLeaf(ctx, "cluster_average", attrUsers.Int(int64(len(batch))))

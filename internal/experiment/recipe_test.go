@@ -11,7 +11,6 @@ import (
 	"socialrec/internal/dataset"
 	"socialrec/internal/dynamic"
 	"socialrec/internal/generator"
-	"socialrec/internal/pipeline"
 	"socialrec/internal/release"
 	"socialrec/internal/telemetry"
 	"socialrec/internal/wal"
@@ -56,24 +55,14 @@ func TestOneRecipeOneRelease(t *testing.T) {
 			}
 			ckpt := t.TempDir()
 			for _, path := range []string{"pipeline", "pipeline resumed"} {
-				p, err := BuildReleasePipeline(spec)
-				if err != nil {
-					t.Fatal(err)
-				}
-				opts := quietOpts(ckpt)
-				opts.Config = spec.Fingerprint()
-				res, err := p.Run(ctx, opts)
+				res, err := RunRelease(ctx, spec, quietOpts(ckpt))
 				if err != nil {
 					t.Fatalf("%s: %v", path, err)
 				}
 				if path == "pipeline resumed" && res.Resumed() != len(res.Stages) {
 					t.Fatalf("resumed run re-ran %d of %d stages", len(res.Stages)-res.Resumed(), len(res.Stages))
 				}
-				rel, err := pipeline.Get[*release.Release](res.State, KeyRelease)
-				if err != nil {
-					t.Fatal(err)
-				}
-				digest(path, rel)
+				digest(path, res.Release)
 			}
 
 			dir := t.TempDir()

@@ -1,9 +1,8 @@
-// Stage-graph decomposition of the offline release path for
-// internal/pipeline: load dataset → sample evaluation users → similarity
-// → release → persist. The release stage is one call of
-// release.Recipe.Build, the function every other publish path runs, so a
-// pipeline release is byte-identical to the facade's for the same graphs,
-// ε and seed.
+// The offline release path as five checkpointed internal/pipeline steps:
+// load dataset → sample evaluation users → similarity → release → persist.
+// The release step is one call of release.Recipe.Build, the function every
+// other publish path runs, so a pipeline release is byte-identical to the
+// facade's for the same graphs, ε and seed.
 package experiment
 
 import (
@@ -20,15 +19,6 @@ import (
 	"socialrec/internal/release"
 	"socialrec/internal/similarity"
 	"socialrec/internal/telemetry"
-)
-
-// Pipeline state keys published by the release stages.
-const (
-	KeyDataset   pipeline.Key = "dataset"
-	KeyEvalUsers pipeline.Key = "eval_users"
-	KeyEvalSims  pipeline.Key = "eval_sims"
-	KeyRelease   pipeline.Key = "released"
-	KeyVersion   pipeline.Key = "release_version"
 )
 
 // ReleaseSpec configures the checkpointed release pipeline.
@@ -80,9 +70,9 @@ func (s ReleaseSpec) recipe() release.Recipe {
 	return release.Recipe{Measure: s.measure().Name(), Eps: s.Eps, LouvainRuns: s.LouvainRuns, Seed: s.Seed}
 }
 
-// Fingerprint hashes every spec field that determines stage outputs; pass
-// it as pipeline.Options.Config so any configuration change re-runs the
-// pipeline from the first affected stage.
+// Fingerprint hashes every spec field that determines step values;
+// RunRelease folds it into every step's fingerprint, so any configuration
+// change re-runs the pipeline from the first affected step.
 func (s ReleaseSpec) Fingerprint() uint64 {
 	h := pipeline.NewHasher()
 	h.Word(s.DatasetFingerprint)
@@ -95,128 +85,87 @@ func (s ReleaseSpec) Fingerprint() uint64 {
 	return h.Sum()
 }
 
-// funcStage adapts a closure to pipeline.Stage.
-type funcStage struct {
-	name    string
-	version int
-	fp      uint64
-	inputs  []pipeline.Key
-	outputs []pipeline.Port
-	run     func(ctx context.Context, st *pipeline.State) error
+// ReleaseRun is what RunRelease computed or resumed, with the run's report.
+type ReleaseRun struct {
+	pipeline.Result
+	Dataset   *dataset.Dataset
+	EvalUsers []int32
+	EvalSims  []similarity.Scores
+	Release   *release.Release
+	// Version is the release's store version; 0 without a StoreDir.
+	Version uint64
 }
 
-func (s *funcStage) Name() string             { return s.name }
-func (s *funcStage) Version() int             { return s.version }
-func (s *funcStage) Fingerprint() uint64      { return s.fp }
-func (s *funcStage) Inputs() []pipeline.Key   { return s.inputs }
-func (s *funcStage) Outputs() []pipeline.Port { return s.outputs }
-func (s *funcStage) Run(ctx context.Context, st *pipeline.State) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return s.run(ctx, st)
-}
-
-// BuildReleasePipeline assembles the checkpointed offline path. Stage
-// versions are bumped when a stage's algorithm changes incompatibly;
-// everything else is invalidated through ReleaseSpec.Fingerprint.
-func BuildReleasePipeline(spec ReleaseSpec) (*pipeline.Pipeline, error) {
+// RunRelease runs the checkpointed offline path. opts.Config is set from
+// spec.Fingerprint. Step versions are bumped when a step's algorithm
+// changes incompatibly; everything else is invalidated through the spec's
+// fingerprint.
+func RunRelease(ctx context.Context, spec ReleaseSpec, opts pipeline.Options) (out *ReleaseRun, err error) {
 	if spec.Load == nil {
 		return nil, fmt.Errorf("experiment: ReleaseSpec.Load is required")
 	}
+	opts.Config = spec.Fingerprint()
+	run, err := pipeline.Start(ctx, opts)
+	if err != nil {
+		return nil, err
+	}
+	defer func() { run.End(err) }()
 
-	stages := []pipeline.Stage{
-		&funcStage{
-			name: "load_dataset", version: 1, fp: spec.DatasetFingerprint,
-			outputs: []pipeline.Port{datasetPort(KeyDataset)},
-			run: func(ctx context.Context, st *pipeline.State) error {
-				ds, err := spec.Load(ctx)
-				if err != nil {
-					return err
-				}
-				st.Put(KeyDataset, ds)
-				return nil
-			},
-		},
-		&funcStage{
-			name: "sample_eval", version: 1,
-			inputs:  []pipeline.Key{KeyDataset},
-			outputs: []pipeline.Port{usersPort(KeyEvalUsers)},
-			run: func(ctx context.Context, st *pipeline.State) error {
-				ds, err := pipeline.Get[*dataset.Dataset](st, KeyDataset)
-				if err != nil {
-					return err
-				}
-				st.Put(KeyEvalUsers, SampleUsers(ds.Social.NumUsers(), spec.evalSample(), spec.Seed+200))
-				return nil
-			},
-		},
-		&funcStage{
-			name: "similarity", version: 1,
-			inputs:  []pipeline.Key{KeyDataset, KeyEvalUsers},
-			outputs: []pipeline.Port{simsPort(KeyEvalSims)},
-			run: func(ctx context.Context, st *pipeline.State) error {
-				ds, err := pipeline.Get[*dataset.Dataset](st, KeyDataset)
-				if err != nil {
-					return err
-				}
-				users, err := pipeline.Get[[]int32](st, KeyEvalUsers)
-				if err != nil {
-					return err
-				}
-				st.Put(KeyEvalSims, similarity.ComputeAll(ds.Social, spec.measure(), users, 0))
-				return ctx.Err()
-			},
-		},
-		&funcStage{
-			name: "release", version: 1,
-			inputs:  []pipeline.Key{KeyDataset},
-			outputs: []pipeline.Port{releasePort(KeyRelease)},
-			run: func(ctx context.Context, st *pipeline.State) error {
-				ds, err := pipeline.Get[*dataset.Dataset](st, KeyDataset)
-				if err != nil {
-					return err
-				}
-				rel, err := spec.recipe().Build(ctx, ds.Social, ds.Prefs)
-				if err != nil {
-					return err
-				}
-				rel.Snap(spec.SnapGrain)
-				// Journal the spend into the stage receipt: this is what makes
-				// the ε durable exactly once across crash/resume sequences. The
-				// noise is seeded, so a re-run after a crash reproduces the
-				// identical draw — one release, not two.
-				st.RecordSpendCtx(ctx, telemetry.ReleaseEvent{
-					Mechanism:   "cluster",
-					Epsilon:     float64(spec.Eps),
-					Sensitivity: 1,
-					Values:      len(rel.Avg),
-				})
-				st.Put(KeyRelease, rel)
-				return ctx.Err()
-			},
-		},
+	out = &ReleaseRun{}
+	var dsFP, usersFP, relFP uint64
+	if out.Dataset, dsFP, err = pipeline.Step(run, pipeline.Spec[*dataset.Dataset]{
+		Name: "load_dataset", Key: "dataset", Version: 1, Fingerprint: spec.DatasetFingerprint,
+		Encode: encodeDataset, Decode: decodeDataset,
+	}, spec.Load); err != nil {
+		return nil, err
+	}
+	if out.EvalUsers, usersFP, err = pipeline.Step(run, pipeline.Spec[[]int32]{
+		Name: "sample_eval", Key: "eval_users", Version: 1, Encode: encodeUsers, Decode: decodeUsers,
+	}, func(context.Context) ([]int32, error) {
+		return SampleUsers(out.Dataset.Social.NumUsers(), spec.evalSample(), spec.Seed+200), nil
+	}, dsFP); err != nil {
+		return nil, err
+	}
+	if out.EvalSims, _, err = pipeline.Step(run, pipeline.Spec[[]similarity.Scores]{
+		Name: "similarity", Key: "eval_sims", Version: 1, Encode: encodeSims, Decode: decodeSims,
+	}, func(context.Context) ([]similarity.Scores, error) {
+		return similarity.ComputeAll(out.Dataset.Social, spec.measure(), out.EvalUsers, 0), nil
+	}, dsFP, usersFP); err != nil {
+		return nil, err
+	}
+	if out.Release, relFP, err = pipeline.Step(run, pipeline.Spec[*release.Release]{
+		Name: "release", Key: "released", Version: 1, Encode: encodeRelease, Decode: decodeRelease,
+	}, func(ctx context.Context) (*release.Release, error) {
+		rel, err := spec.recipe().Build(ctx, out.Dataset.Social, out.Dataset.Prefs)
+		if err != nil {
+			return nil, err
+		}
+		rel.Snap(spec.SnapGrain)
+		// Journal the spend into the step's receipt: this is what makes
+		// the ε durable exactly once across crash/resume sequences. The
+		// noise is seeded, so a re-run after a crash reproduces the
+		// identical draw — one release, not two.
+		run.RecordSpend(ctx, telemetry.ReleaseEvent{
+			Mechanism:   "cluster",
+			Epsilon:     float64(spec.Eps),
+			Sensitivity: 1,
+			Values:      len(rel.Avg),
+		})
+		return rel, nil
+	}, dsFP); err != nil {
+		return nil, err
 	}
 	if spec.StoreDir != "" {
-		stages = append(stages, &funcStage{
-			name: "persist", version: 1,
-			inputs:  []pipeline.Key{KeyRelease},
-			outputs: []pipeline.Port{versionPort(KeyVersion)},
-			run: func(ctx context.Context, st *pipeline.State) error {
-				rel, err := pipeline.Get[*release.Release](st, KeyRelease)
-				if err != nil {
-					return err
-				}
-				v, err := persistRelease(spec.StoreDir, rel)
-				if err != nil {
-					return err
-				}
-				st.Put(KeyVersion, v)
-				return ctx.Err()
-			},
-		})
+		if out.Version, _, err = pipeline.Step(run, pipeline.Spec[uint64]{
+			Name: "persist", Key: "release_version", Version: 1, Encode: encodeVersion, Decode: decodeVersion,
+		}, func(context.Context) (uint64, error) {
+			return persistRelease(spec.StoreDir, out.Release)
+		}, relFP); err != nil {
+			return nil, err
+		}
 	}
-	return pipeline.New(stages...)
+	out.Result = run.Result
+	return out, nil
 }
 
 // persistRelease appends rel to the store at dir unless the newest stored
@@ -244,196 +193,145 @@ func persistRelease(dir string, rel *release.Release) (uint64, error) {
 }
 
 // RunnerFromState builds an evaluation Runner from a (possibly resumed)
-// release-pipeline state, reusing the checkpointed similarity vectors and
-// the release's clustering instead of recomputing them. Score the release
+// release run, reusing the checkpointed similarity vectors and the
+// release's clustering instead of recomputing them. Score the release
 // itself with Runner.EvaluateRelease.
-func RunnerFromState(st *pipeline.State, m similarity.Measure) (*Runner, error) {
-	ds, err := pipeline.Get[*dataset.Dataset](st, KeyDataset)
-	if err != nil {
-		return nil, err
-	}
-	users, err := pipeline.Get[[]int32](st, KeyEvalUsers)
-	if err != nil {
-		return nil, err
-	}
-	sims, err := pipeline.Get[[]similarity.Scores](st, KeyEvalSims)
-	if err != nil {
-		return nil, err
-	}
-	rel, err := pipeline.Get[*release.Release](st, KeyRelease)
-	if err != nil {
-		return nil, err
-	}
-	return NewRunnerWithSims(ds, m, rel.Clusters, users, sims)
+func RunnerFromState(run *ReleaseRun, m similarity.Measure) (*Runner, error) {
+	return NewRunnerWithSims(run.Dataset, m, run.Release.Clusters, run.EvalUsers, run.EvalSims)
 }
 
 // Checkpoint codecs: each writes its value's fields into the artifact's
-// frame in a fixed order, so encoding is deterministic as pipeline.Port
+// frame in a fixed order, so encoding is deterministic as pipeline.Spec
 // requires.
 
-// datasetPort round-trips a *dataset.Dataset:
+// encodeDataset writes a *dataset.Dataset:
 //
 //	name    string
 //	users   u32
 //	social  []i32   undirected edges once each, u < v, as u,v pairs
 //	items   u32
 //	prefs   []i32   preference edges as user,item pairs
-func datasetPort(k pipeline.Key) pipeline.Port {
-	return pipeline.Port{
-		Key: k,
-		Encode: func(w *frame.Writer, v any) error {
-			ds, ok := v.(*dataset.Dataset)
-			if !ok {
-				return fmt.Errorf("experiment: dataset codec got %T", v)
+func encodeDataset(w *frame.Writer, ds *dataset.Dataset) error {
+	nu := ds.Social.NumUsers()
+	social := make([]int32, 0, 2*ds.Social.NumEdges())
+	for u := 0; u < nu; u++ {
+		for _, v := range ds.Social.Neighbors(u) {
+			if int(v) > u {
+				social = append(social, int32(u), v)
 			}
-			nu := ds.Social.NumUsers()
-			social := make([]int32, 0, 2*ds.Social.NumEdges())
-			for u := 0; u < nu; u++ {
-				for _, v := range ds.Social.Neighbors(u) {
-					if int(v) > u {
-						social = append(social, int32(u), v)
-					}
-				}
-			}
-			prefs := make([]int32, 0, 2*ds.Prefs.NumEdges())
-			for u := 0; u < ds.Prefs.NumUsers(); u++ {
-				for _, it := range ds.Prefs.Items(u) {
-					prefs = append(prefs, int32(u), it)
-				}
-			}
-			w.String(ds.Name)
-			w.U32(uint32(nu))
-			w.I32s(social)
-			w.U32(uint32(ds.Prefs.NumItems()))
-			w.I32s(prefs)
-			return nil
-		},
-		Decode: func(r *frame.Reader) (any, error) {
-			name := r.String("name")
-			nu := int(r.U32("users"))
-			social := r.I32s("social edges")
-			ni := int(r.U32("items"))
-			prefs := r.I32s("preference edges")
-			if err := r.Err(); err != nil {
-				return nil, err
-			}
-			if len(social)%2 != 0 || len(prefs)%2 != 0 {
-				return nil, fmt.Errorf("experiment: dataset edge list has an odd length")
-			}
-			sb := graph.NewSocialBuilder(nu)
-			for i := 0; i < len(social); i += 2 {
-				if err := sb.AddEdge(int(social[i]), int(social[i+1])); err != nil {
-					return nil, err
-				}
-			}
-			pb := graph.NewPreferenceBuilder(nu, ni)
-			for i := 0; i < len(prefs); i += 2 {
-				if err := pb.AddEdge(int(prefs[i]), int(prefs[i+1])); err != nil {
-					return nil, err
-				}
-			}
-			return &dataset.Dataset{Name: name, Social: sb.Build(), Prefs: pb.Build()}, nil
-		},
+		}
 	}
+	prefs := make([]int32, 0, 2*ds.Prefs.NumEdges())
+	for u := 0; u < ds.Prefs.NumUsers(); u++ {
+		for _, it := range ds.Prefs.Items(u) {
+			prefs = append(prefs, int32(u), it)
+		}
+	}
+	w.String(ds.Name)
+	w.U32(uint32(nu))
+	w.I32s(social)
+	w.U32(uint32(ds.Prefs.NumItems()))
+	w.I32s(prefs)
+	return nil
 }
 
-// usersPort round-trips a []int32 of user ids.
-func usersPort(k pipeline.Key) pipeline.Port {
-	return pipeline.Port{
-		Key: k,
-		Encode: func(w *frame.Writer, v any) error {
-			s, ok := v.([]int32)
-			if !ok {
-				return fmt.Errorf("experiment: users codec got %T", v)
-			}
-			w.I32s(s)
-			return nil
-		},
-		Decode: func(r *frame.Reader) (any, error) {
-			s := r.I32s("users")
-			return s, r.Err()
-		},
+// decodeDataset reads what encodeDataset wrote.
+func decodeDataset(r *frame.Reader) (*dataset.Dataset, error) {
+	name := r.String("name")
+	nu := int(r.U32("users"))
+	social := r.I32s("social edges")
+	ni := int(r.U32("items"))
+	prefs := r.I32s("preference edges")
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
+	if len(social)%2 != 0 || len(prefs)%2 != 0 {
+		return nil, fmt.Errorf("experiment: dataset edge list has an odd length")
+	}
+	sb := graph.NewSocialBuilder(nu)
+	for i := 0; i < len(social); i += 2 {
+		if err := sb.AddEdge(int(social[i]), int(social[i+1])); err != nil {
+			return nil, err
+		}
+	}
+	pb := graph.NewPreferenceBuilder(nu, ni)
+	for i := 0; i < len(prefs); i += 2 {
+		if err := pb.AddEdge(int(prefs[i]), int(prefs[i+1])); err != nil {
+			return nil, err
+		}
+	}
+	return &dataset.Dataset{Name: name, Social: sb.Build(), Prefs: pb.Build()}, nil
 }
 
-// simsPort round-trips a []similarity.Scores: a u32 count, then each
-// entry's users ([]i32) and values ([]f64).
-func simsPort(k pipeline.Key) pipeline.Port {
-	return pipeline.Port{
-		Key: k,
-		Encode: func(w *frame.Writer, v any) error {
-			sims, ok := v.([]similarity.Scores)
-			if !ok {
-				return fmt.Errorf("experiment: sims codec got %T", v)
-			}
-			w.U32(uint32(len(sims)))
-			for _, s := range sims {
-				w.I32s(s.Users)
-				w.F64s(s.Vals)
-			}
-			return nil
-		},
-		Decode: func(r *frame.Reader) (any, error) {
-			sims := []similarity.Scores{}
-			for n := r.U32("sims"); n > 0 && r.Err() == nil; n-- {
-				s := similarity.Scores{Users: r.I32s("sim users"), Vals: r.F64s("sim values")}
-				if len(s.Users) != len(s.Vals) {
-					return nil, fmt.Errorf("experiment: similarity users and values differ in length")
-				}
-				sims = append(sims, s)
-			}
-			if err := r.Err(); err != nil {
-				return nil, err
-			}
-			return sims, nil
-		},
-	}
+// encodeUsers writes a []int32 of user ids.
+func encodeUsers(w *frame.Writer, users []int32) error {
+	w.I32s(users)
+	return nil
 }
 
-// releasePort reuses the production release body (release.WriteBody), so
+// decodeUsers reads what encodeUsers wrote.
+func decodeUsers(r *frame.Reader) ([]int32, error) {
+	users := r.I32s("users")
+	return users, r.Err()
+}
+
+// encodeSims writes a []similarity.Scores: a u32 count, then each entry's
+// users ([]i32) and values ([]f64).
+func encodeSims(w *frame.Writer, sims []similarity.Scores) error {
+	w.U32(uint32(len(sims)))
+	for _, s := range sims {
+		w.I32s(s.Users)
+		w.F64s(s.Vals)
+	}
+	return nil
+}
+
+// decodeSims reads what encodeSims wrote.
+func decodeSims(r *frame.Reader) ([]similarity.Scores, error) {
+	sims := []similarity.Scores{}
+	for n := r.U32("sims"); n > 0 && r.Err() == nil; n-- {
+		s := similarity.Scores{Users: r.I32s("sim users"), Vals: r.F64s("sim values")}
+		if len(s.Users) != len(s.Vals) {
+			return nil, fmt.Errorf("experiment: similarity users and values differ in length")
+		}
+		sims = append(sims, s)
+	}
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	return sims, nil
+}
+
+// encodeRelease reuses the production release body (release.WriteBody), so
 // the checkpointed fields are exactly the ones a release.Store persists.
 // Like a store save or load, checkpointing the sanitized release is
 // post-processing, recorded at ε = 0.
-func releasePort(k pipeline.Key) pipeline.Port {
-	return pipeline.Port{
-		Key: k,
-		Encode: func(w *frame.Writer, v any) error {
-			rel, ok := v.(*release.Release)
-			if !ok {
-				return fmt.Errorf("experiment: release codec got %T", v)
-			}
-			if err := release.WriteBody(w, rel); err != nil {
-				return err
-			}
-			telemetry.Budget().Record(telemetry.ReleaseEvent{Mechanism: "release_persist", Values: len(rel.Avg)})
-			return nil
-		},
-		Decode: func(r *frame.Reader) (any, error) {
-			rel, err := release.ReadBody(r)
-			if err != nil {
-				return nil, err
-			}
-			telemetry.Budget().Record(telemetry.ReleaseEvent{Mechanism: "release_load", Values: len(rel.Avg)})
-			return rel, nil
-		},
+func encodeRelease(w *frame.Writer, rel *release.Release) error {
+	if err := release.WriteBody(w, rel); err != nil {
+		return err
 	}
+	telemetry.Budget().Record(telemetry.ReleaseEvent{Mechanism: "release_persist", Values: len(rel.Avg)})
+	return nil
 }
 
-// versionPort round-trips a store version (u64).
-func versionPort(k pipeline.Key) pipeline.Port {
-	return pipeline.Port{
-		Key: k,
-		Encode: func(w *frame.Writer, v any) error {
-			ver, ok := v.(uint64)
-			if !ok {
-				return fmt.Errorf("experiment: version codec got %T", v)
-			}
-			w.U64(ver)
-			return nil
-		},
-		Decode: func(r *frame.Reader) (any, error) {
-			v := r.U64("version")
-			return v, r.Err()
-		},
+// decodeRelease reads what encodeRelease wrote.
+func decodeRelease(r *frame.Reader) (*release.Release, error) {
+	rel, err := release.ReadBody(r)
+	if err != nil {
+		return nil, err
 	}
+	telemetry.Budget().Record(telemetry.ReleaseEvent{Mechanism: "release_load", Values: len(rel.Avg)})
+	return rel, nil
+}
+
+// encodeVersion writes a store version (u64).
+func encodeVersion(w *frame.Writer, v uint64) error {
+	w.U64(v)
+	return nil
+}
+
+// decodeVersion reads what encodeVersion wrote.
+func decodeVersion(r *frame.Reader) (uint64, error) {
+	v := r.U64("version")
+	return v, r.Err()
 }

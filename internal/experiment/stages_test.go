@@ -3,6 +3,9 @@ package experiment
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"hash/fnv"
 	"math"
 	"os"
 	"path/filepath"
@@ -58,22 +61,16 @@ func releaseBytes(t *testing.T, rel *release.Release) []byte {
 	return buf.Bytes()
 }
 
-// TestPipelineMatchesMonolithicPath proves stage-graph decomposition did
+// TestPipelineMatchesMonolithicPath proves the step decomposition did
 // not change the computation: sampling and similarity equal the direct
 // path, and the released bytes equal the spec's release.Recipe built
 // directly.
 func TestPipelineMatchesMonolithicPath(t *testing.T) {
 	const seed = 11
 	spec := tinySpec(seed, "")
-	p, err := BuildReleasePipeline(spec)
+	res, err := RunRelease(context.Background(), spec, quietOpts(""))
 	if err != nil {
-		t.Fatalf("BuildReleasePipeline: %v", err)
-	}
-	opts := quietOpts("")
-	opts.Config = spec.Fingerprint()
-	res, err := p.Run(context.Background(), opts)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("RunRelease: %v", err)
 	}
 
 	ds, _, err := BuildDataset(generator.TinyTest(seed))
@@ -81,20 +78,12 @@ func TestPipelineMatchesMonolithicPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantUsers := SampleUsers(ds.Social.NumUsers(), spec.evalSample(), seed+200)
-	gotUsers, err := pipeline.Get[[]int32](res.State, KeyEvalUsers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gotUsers, wantUsers) {
-		t.Fatalf("eval users diverge: got %v want %v", gotUsers, wantUsers)
+	if !reflect.DeepEqual(res.EvalUsers, wantUsers) {
+		t.Fatalf("eval users diverge: got %v want %v", res.EvalUsers, wantUsers)
 	}
 
 	wantSims := similarity.ComputeAll(ds.Social, similarity.CommonNeighbors{}, wantUsers, 0)
-	gotSims, err := pipeline.Get[[]similarity.Scores](res.State, KeyEvalSims)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gotSims, wantSims) {
+	if !reflect.DeepEqual(res.EvalSims, wantSims) {
 		t.Fatalf("similarity vectors diverge")
 	}
 
@@ -102,11 +91,7 @@ func TestPipelineMatchesMonolithicPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel, err := pipeline.Get[*release.Release](res.State, KeyRelease)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(releaseBytes(t, rel), releaseBytes(t, want)) {
+	if !bytes.Equal(releaseBytes(t, res.Release), releaseBytes(t, want)) {
 		t.Fatalf("pipeline release diverges from the recipe built directly")
 	}
 }
@@ -120,17 +105,11 @@ func TestPipelineResumeAndPersistIdempotent(t *testing.T) {
 	ckpt := t.TempDir()
 	storeDir := filepath.Join(t.TempDir(), "releases")
 	spec := tinySpec(seed, storeDir)
-	opts := quietOpts(ckpt)
-	opts.Config = spec.Fingerprint()
 
-	run := func() *pipeline.Result {
-		p, err := BuildReleasePipeline(spec)
+	run := func() *ReleaseRun {
+		res, err := RunRelease(context.Background(), spec, quietOpts(ckpt))
 		if err != nil {
-			t.Fatalf("BuildReleasePipeline: %v", err)
-		}
-		res, err := p.Run(context.Background(), opts)
-		if err != nil {
-			t.Fatalf("Run: %v", err)
+			t.Fatalf("RunRelease: %v", err)
 		}
 		return res
 	}
@@ -139,23 +118,10 @@ func TestPipelineResumeAndPersistIdempotent(t *testing.T) {
 	if got, want := res2.Resumed(), len(res2.Stages); got != want {
 		t.Fatalf("second run resumed %d of %d stages", got, want)
 	}
-
-	rel1, err := pipeline.Get[*release.Release](res1.State, KeyRelease)
-	if err != nil {
-		t.Fatal(err)
+	if res1.Version != 1 || res2.Version != 1 {
+		t.Fatalf("store versions %d and %d, want 1 and 1", res1.Version, res2.Version)
 	}
-	rel2, err := pipeline.Get[*release.Release](res2.State, KeyRelease)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b1, b2 bytes.Buffer
-	if err := release.Write(&b1, rel1); err != nil {
-		t.Fatal(err)
-	}
-	if err := release.Write(&b2, rel2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
+	if !bytes.Equal(releaseBytes(t, res1.Release), releaseBytes(t, res2.Release)) {
 		t.Fatalf("resumed release is not byte-identical")
 	}
 
@@ -208,15 +174,9 @@ func TestPipelineCrashMidPersistThenResume(t *testing.T) {
 	storeDir := filepath.Join(t.TempDir(), "releases")
 	spec := tinySpec(seed, storeDir)
 	run := func(ckpt string, fsys faults.FS) error {
-		t.Helper()
-		p, err := BuildReleasePipeline(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
 		opts := quietOpts(ckpt)
-		opts.Config = spec.Fingerprint()
 		opts.FS = fsys
-		_, err = p.Run(context.Background(), opts)
+		_, err := RunRelease(context.Background(), spec, opts)
 		return err
 	}
 
@@ -277,23 +237,13 @@ func TestPipelineCrashMidPersistThenResume(t *testing.T) {
 func TestRunnerFromState(t *testing.T) {
 	const seed = 11
 	spec := tinySpec(seed, "")
-	p, err := BuildReleasePipeline(spec)
+	res, err := RunRelease(context.Background(), spec, quietOpts(""))
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := quietOpts("")
-	opts.Config = spec.Fingerprint()
-	res, err := p.Run(context.Background(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromState, err := RunnerFromState(res.State, similarity.CommonNeighbors{})
+	fromState, err := RunnerFromState(res, similarity.CommonNeighbors{})
 	if err != nil {
 		t.Fatalf("RunnerFromState: %v", err)
-	}
-	rel, err := pipeline.Get[*release.Release](res.State, KeyRelease)
-	if err != nil {
-		t.Fatal(err)
 	}
 
 	ds, _, err := BuildDataset(generator.TinyTest(seed))
@@ -310,7 +260,7 @@ func TestRunnerFromState(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r1, err := fromState.EvaluateRelease(rel, []int{10})
+	r1, err := fromState.EvaluateRelease(res.Release, []int{10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,9 +280,8 @@ func TestDatasetCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	port := datasetPort(KeyDataset)
-	data := portBytes(t, port, ds)
-	ds2 := portValue(t, port, data).(*dataset.Dataset)
+	data := codecBytes(t, encodeDataset, ds)
+	ds2 := codecValue(t, decodeDataset, data)
 	if ds2.Name != ds.Name ||
 		ds2.Social.NumUsers() != ds.Social.NumUsers() ||
 		ds2.Social.NumEdges() != ds.Social.NumEdges() ||
@@ -349,17 +298,17 @@ func TestDatasetCodecRoundTrip(t *testing.T) {
 		}
 	}
 	// Deterministic encoding: same value, same bytes.
-	if !bytes.Equal(data, portBytes(t, port, ds2)) {
+	if !bytes.Equal(data, codecBytes(t, encodeDataset, ds2)) {
 		t.Fatalf("dataset encoding is not deterministic")
 	}
 }
 
-// portBytes encodes v through port into a standalone frame.
-func portBytes(t *testing.T, port pipeline.Port, v any) []byte {
+// codecBytes encodes v with encode into a standalone frame.
+func codecBytes[T any](t *testing.T, encode func(*frame.Writer, T) error, v T) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w := frame.NewWriter(&buf, "SOCTSTv1")
-	if err := port.Encode(w, v); err != nil {
+	if err := encode(w, v); err != nil {
 		t.Fatalf("encode: %v", err)
 	}
 	if err := w.Close(); err != nil {
@@ -368,11 +317,11 @@ func portBytes(t *testing.T, port pipeline.Port, v any) []byte {
 	return buf.Bytes()
 }
 
-// portValue decodes a frame portBytes wrote.
-func portValue(t *testing.T, port pipeline.Port, data []byte) any {
+// codecValue decodes a frame codecBytes wrote.
+func codecValue[T any](t *testing.T, decode func(*frame.Reader) (T, error), data []byte) T {
 	t.Helper()
 	r := frame.NewReader(bytes.NewReader(data), "SOCTSTv1")
-	v, err := port.Decode(r)
+	v, err := decode(r)
 	if err == nil {
 		err = r.Close()
 	}
@@ -380,4 +329,84 @@ func portValue(t *testing.T, port pipeline.Port, data []byte) any {
 		t.Fatalf("decode: %v", err)
 	}
 	return v
+}
+
+// TestReleaseCheckpointsPinned pins the checkpoint bytes and the
+// filesystem calls of `experiments -exp release -preset tiny -seed 7
+// -sample 30 -runs 3 -release-dir D` (ε 0.5): a checkpoint directory
+// written by one build must resume under the next, and the crash drills
+// count on each fault point's call sequence.
+func TestReleaseCheckpointsPinned(t *testing.T) {
+	preset := generator.TinyTest(7)
+	h := fnv.New64a()
+	h.Write([]byte(preset.Name))
+	spec := ReleaseSpec{
+		Load: func(context.Context) (*dataset.Dataset, error) {
+			ds, _, err := BuildDataset(preset)
+			return ds, err
+		},
+		DatasetFingerprint: h.Sum64(),
+		Eps:                0.5,
+		EvalSample:         30,
+		LouvainRuns:        3,
+		Seed:               7,
+		StoreDir:           filepath.Join(t.TempDir(), "releases"),
+	}
+	points := []faults.Point{
+		faults.PointFSOpen, faults.PointFSCreate, faults.PointFSRead, faults.PointFSWrite, faults.PointFSSync,
+		faults.PointFSClose, faults.PointFSRename, faults.PointFSRemove, faults.PointFSReadDir, faults.PointFSSyncDir,
+	}
+	ckpt := t.TempDir()
+	for _, pass := range []struct {
+		name   string
+		checks []uint64 // per point, in points' order
+	}{
+		{"fresh", []uint64{15, 10, 0, 24, 10, 10, 10, 5, 1, 10}},
+		{"resume", []uint64{10, 0, 61, 0, 0, 10, 0, 0, 1, 0}},
+	} {
+		reg := faults.New(1)
+		for _, p := range points {
+			reg.Arm(p, faults.Plan{After: 1 << 60}) // count every check, fire none
+		}
+		opts := quietOpts(ckpt)
+		opts.FS = faults.NewFS(faults.OS{}, reg)
+		if _, err := RunRelease(context.Background(), spec, opts); err != nil {
+			t.Fatalf("%s run: %v", pass.name, err)
+		}
+		for i, p := range points {
+			if got := reg.Checks(p); got != pass.checks[i] {
+				t.Errorf("%s run: %s checked %d times, want %d", pass.name, p, got, pass.checks[i])
+			}
+		}
+	}
+
+	want := map[string]string{
+		"dataset.art":         "4c2fcc21a15a8a6c9545b2a28b89ddaceb6004aadbca9b67134fc0d7a80b2b74",
+		"eval_users.art":      "4bb5d517bdb809e820e8b2422a6bf9d9cc101f71fb757b0163fcf9a68651d493",
+		"eval_sims.art":       "6ecd041e3e281394a13b957a5a46b9eefe4e28393bc724049b9e5c20aab1a1da",
+		"released.art":        "9ac11f85de1c8ab941c612c9093867e5ff2c293062a8e9fdeaa1bcfc923e307d",
+		"release_version.art": "c8235db0f57bbcb6760fac2788bae90decd98518cb7299c07f35c60f5e8451cb",
+		"load_dataset.stage":  "7a689d6f4a179d314236224569da3e4fafeeba67987a52ada665cb30619fc848",
+		"sample_eval.stage":   "22e228ff8b8edb8c68245a6bd0b12ff24a5beba42e9379fec624368c6968df1a",
+		"similarity.stage":    "336bcd8b30a4df09ff5fdbf4e6a7bf892fdc74514d38e18d5bd226db2936d430",
+		"release.stage":       "7d01eebf87a9b572819bd47da9739c33ff360dee26d8bb1dd2bd4bba3dbfd06c",
+		"persist.stage":       "53736fcce0ede09ff0858c901c8d4cd387d305c0ecb39692958a46f089af4f9d",
+	}
+	entries, err := os.ReadDir(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != len(want) {
+		t.Errorf("checkpoint dir holds %d files, want %d", len(entries), len(want))
+	}
+	for name, digest := range want {
+		data, err := os.ReadFile(filepath.Join(ckpt, name))
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		if sum := sha256.Sum256(data); hex.EncodeToString(sum[:]) != digest {
+			t.Errorf("%s SHA-256 %x, want %s", name, sum, digest)
+		}
+	}
 }

@@ -14,14 +14,14 @@ import (
 	"socialrec/internal/telemetry"
 )
 
-// Checkpoint file layout. Each completed stage leaves one artifact file
-// per output plus one receipt file; the receipt is written last and is the
-// stage's commit point. Every file is one internal/frame frame written
+// Checkpoint file layout. Each completed step leaves one artifact file
+// plus one receipt file; the receipt is written last and is the step's
+// commit point. Every file is one internal/frame frame written
 // through frame.WriteFile, so a crash at any moment leaves either the
 // previous checkpoint intact or the new one fully durable — never a torn
 // file under a final name.
 //
-//	<key>.art      one stage output (SaveArtifact lists its fields)
+//	<key>.art      one step's value (SaveArtifact lists its fields)
 //	<stage>.stage  stage receipt (SaveReceipt lists its fields)
 //	*.tmp          in-progress atomic writes; swept on open
 const (
@@ -31,25 +31,24 @@ const (
 	receiptSuffix  = ".stage"
 )
 
-// Artifact is one checkpointed stage output.
+// Artifact is the header of one checkpointed step value; the step's
+// Spec codes the value that follows it.
 type Artifact struct {
 	Stage       string
-	Key         Key
+	Key         string
 	Version     int
 	Fingerprint uint64
-	// Value is the output itself, encoded and decoded by its Port.
-	Value any
 }
 
-// Receipt is a stage's commit record: it exists if and only if every
-// output artifact of the stage became durable, and it carries the stage's
-// ε-spends so the checkpoint directory doubles as a persistent budget
-// journal.
+// Receipt is a step's commit record: it exists if and only if the step's
+// artifact became durable, and it carries the step's ε-spends so the
+// checkpoint directory doubles as a persistent budget journal. Outputs
+// lists the artifact's key, the one entry a step writes.
 type Receipt struct {
 	Stage       string
 	Version     int
 	Fingerprint uint64
-	Outputs     []Key
+	Outputs     []string
 	Spends      []telemetry.ReleaseEvent
 }
 
@@ -108,53 +107,51 @@ func (s *Store) Clear() error {
 	return nil
 }
 
-// SaveArtifact durably writes one artifact, encoding a.Value with out:
+// SaveArtifact durably writes one artifact, its value written by encode:
 //
-//	stage    string   producing stage
+//	stage    string   producing step
 //	key      string
-//	version  u32      stage code version
-//	fp       u64      artifact fingerprint: chain(stage fp, key)
-//	value    out.Encode's fields
-func (s *Store) SaveArtifact(a Artifact, out Port) error {
-	return frame.WriteFile(s.fsys, filepath.Join(s.dir, string(a.Key)+artifactSuffix), artifactMagic, func(w *frame.Writer) error {
+//	version  u32      step code version
+//	fp       u64      artifact fingerprint: chain(step fp, key)
+//	value    the step's Encode fields
+func (s *Store) SaveArtifact(a Artifact, encode func(*frame.Writer) error) error {
+	return frame.WriteFile(s.fsys, filepath.Join(s.dir, a.Key+artifactSuffix), artifactMagic, func(w *frame.Writer) error {
 		w.String(a.Stage)
-		w.String(string(a.Key))
+		w.String(a.Key)
 		w.U32(uint32(a.Version))
 		w.U64(a.Fingerprint)
-		return out.Encode(w, a.Value)
+		return encode(w)
 	})
 }
 
-// LoadArtifact reads, validates and decodes the artifact of out.Key. Any
-// failure — missing file, bad magic, truncation, CRC mismatch, an
-// undecodable value — is an error; the runner treats all of them as
-// "checkpoint absent".
-func (s *Store) LoadArtifact(out Port) (*Artifact, error) {
+// LoadArtifact reads and validates the artifact of key, decoding its value
+// with decode. Any failure — missing file, bad magic, truncation, CRC
+// mismatch, an undecodable value — is an error; the runner treats all of
+// them as "checkpoint absent".
+func (s *Store) LoadArtifact(key string, decode func(*frame.Reader) error) (*Artifact, error) {
 	a := &Artifact{}
-	err := frame.ReadFile(s.fsys, filepath.Join(s.dir, string(out.Key)+artifactSuffix), artifactMagic, func(r *frame.Reader) error {
+	err := frame.ReadFile(s.fsys, filepath.Join(s.dir, key+artifactSuffix), artifactMagic, func(r *frame.Reader) error {
 		a.Stage = r.String("stage")
-		a.Key = Key(r.String("key"))
+		a.Key = r.String("key")
 		a.Version = int(r.U32("version"))
 		a.Fingerprint = r.U64("fingerprint")
 		if err := r.Err(); err != nil {
 			return err
 		}
-		var err error
-		a.Value, err = out.Decode(r)
-		return err
+		return decode(r)
 	})
 	if err != nil {
-		return nil, fmt.Errorf("pipeline: artifact %s: %w", out.Key, err)
+		return nil, fmt.Errorf("pipeline: artifact %s: %w", key, err)
 	}
-	if a.Key != out.Key {
-		return nil, fmt.Errorf("pipeline: artifact %s: header names another key", out.Key)
+	if a.Key != key {
+		return nil, fmt.Errorf("pipeline: artifact %s: header names another key", key)
 	}
 	return a, nil
 }
 
-// SaveReceipt durably writes a stage receipt. Callers must only invoke it
-// after every artifact the receipt lists is durable: the receipt is the
-// stage's commit point.
+// SaveReceipt durably writes a step receipt. Callers must only invoke it
+// after the artifact the receipt lists is durable: the receipt is the
+// step's commit point.
 //
 //	stage    string
 //	version  u32
@@ -169,7 +166,7 @@ func (s *Store) SaveReceipt(rc Receipt) error {
 		w.U64(rc.Fingerprint)
 		w.U32(uint32(len(rc.Outputs)))
 		for _, k := range rc.Outputs {
-			w.String(string(k))
+			w.String(k)
 		}
 		w.U32(uint32(len(rc.Spends)))
 		for _, ev := range rc.Spends {
@@ -190,7 +187,7 @@ func (s *Store) LoadReceipt(stage string) (*Receipt, error) {
 		rc.Version = int(r.U32("version"))
 		rc.Fingerprint = r.U64("fingerprint")
 		for n := r.U32("outputs"); n > 0 && r.Err() == nil; n-- {
-			rc.Outputs = append(rc.Outputs, Key(r.String("output key")))
+			rc.Outputs = append(rc.Outputs, r.String("output key"))
 		}
 		for n := r.U32("spends"); n > 0 && r.Err() == nil; n-- {
 			rc.Spends = append(rc.Spends, telemetry.ReleaseEvent{

@@ -15,69 +15,58 @@ import (
 	"socialrec/internal/telemetry"
 )
 
-// sweepPipeline builds a release-shaped pipeline whose last stage draws
-// seeded Laplace noise and spends ε, mirroring the offline path: the
-// "release" output is the bytes that would leave the trust boundary, so the
-// crash/resume invariant under test is exactly the paper-level one — the
-// published noisy values must be identical whether or not the run crashed,
-// and the ε must be journaled exactly once.
-func sweepPipeline(t *testing.T, seed int64) *Pipeline {
-	t.Helper()
-	p, err := New(
-		&testStage{
-			name: "load", version: 1, fp: uint64(seed),
-			outputs: []Port{int64Port("count")},
-			run: func(ctx context.Context, st *State) error {
-				st.Put("count", seed*3)
-				return nil
-			},
-		},
-		&testStage{
-			name: "aggregate", version: 1,
-			inputs:  []Key{"count"},
-			outputs: []Port{int64Port("sum")},
-			run: func(ctx context.Context, st *State) error {
-				v, err := Get[int64](st, "count")
-				if err != nil {
-					return err
-				}
-				st.Put("sum", v+17)
-				return nil
-			},
-		},
-		&testStage{
-			name: "release", version: 1,
-			inputs:  []Key{"sum"},
-			outputs: []Port{int64Port("release")},
-			run: func(ctx context.Context, st *State) error {
-				v, err := Get[int64](st, "sum")
-				if err != nil {
-					return err
-				}
-				// Seeded noise: a re-run reproduces the identical draw, so
-				// re-releasing after a crash is the same single release.
-				noise := dp.NewRand(seed + 1).NormFloat64()
-				st.Put("release", v+int64(math.Round(noise*1000)))
-				st.RecordSpend(telemetry.ReleaseEvent{Mechanism: "test", Epsilon: 0.25, Sensitivity: 1, Values: 1})
-				return nil
-			},
-		},
-	)
+// sweep is a release-shaped pipeline whose last step draws seeded Laplace
+// noise and spends ε, mirroring the offline path: the "release" value is
+// the bytes that would leave the trust boundary, so the crash/resume
+// invariant under test is exactly the paper-level one — the published
+// noisy values must be identical whether or not the run crashed, and the
+// ε must be journaled exactly once.
+type sweep struct {
+	seed int64
+	// wrap, when set, runs in place of the release step's computation,
+	// which it may call.
+	wrap func(ctx context.Context, compute func(context.Context) (int64, error)) (int64, error)
+}
+
+// run runs the pipeline and returns the release value.
+func (s sweep) run(ctx context.Context, opts Options) (release int64, err error) {
+	r, err := Start(ctx, opts)
 	if err != nil {
-		t.Fatalf("New: %v", err)
+		return 0, err
 	}
-	return p
+	defer func() { r.End(err) }()
+	count, countFP, err := Step(r, int64Spec("load", "count", uint64(s.seed)), func(context.Context) (int64, error) {
+		return s.seed * 3, nil
+	})
+	if err != nil {
+		return 0, err
+	}
+	sum, sumFP, err := Step(r, int64Spec("aggregate", "sum", 0), func(context.Context) (int64, error) {
+		return count + 17, nil
+	}, countFP)
+	if err != nil {
+		return 0, err
+	}
+	compute := func(ctx context.Context) (int64, error) {
+		// Seeded noise: a re-run reproduces the identical draw, so
+		// re-releasing after a crash is the same single release.
+		noise := dp.NewRand(s.seed + 1).NormFloat64()
+		r.RecordSpend(ctx, telemetry.ReleaseEvent{Mechanism: "test", Epsilon: 0.25, Sensitivity: 1, Values: 1})
+		return sum + int64(math.Round(noise*1000)), nil
+	}
+	step := compute
+	if s.wrap != nil {
+		step = func(ctx context.Context) (int64, error) { return s.wrap(ctx, compute) }
+	}
+	release, _, err = Step(r, int64Spec("release", "release", 0), step, sumFP)
+	return release, err
 }
 
 // assertConverged checks the post-resume invariants: the release value and
 // its checkpoint bytes equal the uninterrupted baseline, and the durable
 // ledger records the ε-spend exactly once.
-func assertConverged(t *testing.T, label, dir string, res *Result, wantFinal int64, wantBytes []byte) {
+func assertConverged(t *testing.T, label, dir string, got, wantFinal int64, wantBytes []byte) {
 	t.Helper()
-	got, err := Get[int64](res.State, "release")
-	if err != nil {
-		t.Fatalf("%s: release value: %v", label, err)
-	}
 	if got != wantFinal {
 		t.Fatalf("%s: release = %d, want %d (resume not deterministic)", label, got, wantFinal)
 	}
@@ -118,13 +107,9 @@ func assertConverged(t *testing.T, label, dir string, res *Result, wantFinal int
 func sweepBaseline(t *testing.T, seed int64) (int64, []byte) {
 	t.Helper()
 	dir := t.TempDir()
-	res, err := sweepPipeline(t, seed).Run(context.Background(), testOpts(dir))
+	v, err := sweep{seed: seed}.run(context.Background(), testOpts(dir))
 	if err != nil {
 		t.Fatalf("baseline run: %v", err)
-	}
-	v, err := Get[int64](res.State, "release")
-	if err != nil {
-		t.Fatalf("baseline release: %v", err)
 	}
 	data, err := os.ReadFile(filepath.Join(dir, "release.art"))
 	if err != nil {
@@ -165,7 +150,7 @@ func TestFaultPointSweep(t *testing.T) {
 				// Interrupted run: the injected fault aborts it mid-checkpoint.
 				opts := testOpts(dir)
 				opts.FS = faults.NewFS(faults.OS{}, reg)
-				_, runErr := sweepPipeline(t, seed).Run(context.Background(), opts)
+				_, runErr := sweep{seed: seed}.run(context.Background(), opts)
 				if reg.Fired(point) == 0 {
 					// The whole run completed before occurrence k of this
 					// point: the sweep is exhaustive, stop.
@@ -191,15 +176,13 @@ func TestStagePanicMidRunThenResume(t *testing.T) {
 	wantFinal, wantBytes := sweepBaseline(t, seed)
 	dir := t.TempDir()
 
-	p := sweepPipeline(t, seed)
-	inner := p.stages[2].(*testStage).run
-	p.stages[2].(*testStage).run = func(ctx context.Context, st *State) error {
-		if err := inner(ctx, st); err != nil {
-			return err
+	panicky := sweep{seed: seed, wrap: func(ctx context.Context, compute func(context.Context) (int64, error)) (int64, error) {
+		if _, err := compute(ctx); err != nil {
+			return 0, err
 		}
 		panic(faults.InjectedPanic{Point: "stage.release"})
-	}
-	if _, err := p.Run(context.Background(), testOpts(dir)); err == nil {
+	}}
+	if _, err := panicky.run(context.Background(), testOpts(dir)); err == nil {
 		t.Fatalf("panicking run should fail")
 	}
 	// The spend happened in-process but the receipt never committed, so the
@@ -227,17 +210,15 @@ func TestStageTimeoutThenResume(t *testing.T) {
 	wantFinal, wantBytes := sweepBaseline(t, seed)
 	dir := t.TempDir()
 
-	p := sweepPipeline(t, seed)
-	inner := p.stages[2].(*testStage).run
 	reached := false
-	p.stages[2].(*testStage).run = func(ctx context.Context, st *State) error {
+	hung := sweep{seed: seed, wrap: func(ctx context.Context, _ func(context.Context) (int64, error)) (int64, error) {
 		reached = true
 		<-ctx.Done() // hang until the run's deadline passes
-		return ctx.Err()
-	}
+		return 0, ctx.Err()
+	}}
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
-	if _, err := p.Run(ctx, testOpts(dir)); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := hung.run(ctx, testOpts(dir)); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("timed-out run: err = %v, want deadline exceeded", err)
 	}
 	if !reached {
@@ -246,17 +227,16 @@ func TestStageTimeoutThenResume(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "release.stage")); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("timed-out stage left a receipt (stat err %v)", err)
 	}
-	p.stages[2].(*testStage).run = inner
 	assertConverged(t, "after timeout", dir, mustResume(t, dir, seed), wantFinal, wantBytes)
 }
 
-func mustResume(t *testing.T, dir string, seed int64) *Result {
+func mustResume(t *testing.T, dir string, seed int64) int64 {
 	t.Helper()
-	res, err := sweepPipeline(t, seed).Run(context.Background(), testOpts(dir))
+	release, err := sweep{seed: seed}.run(context.Background(), testOpts(dir))
 	if err != nil {
 		t.Fatalf("resume run in %s: %v", dir, err)
 	}
-	return res
+	return release
 }
 
 func itoa(n int) string {

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"socialrec/internal/faults"
+	"socialrec/internal/frame"
 	"socialrec/internal/telemetry"
 )
 
@@ -59,7 +60,8 @@ func (*memFile) Sync() error  { return nil }
 func (*memFile) Close() error { return nil }
 
 // FuzzStoreLoad: LoadArtifact and LoadReceipt never panic, and whatever
-// they accept comes back unchanged after a save and a second load. Each
+// they accept comes back unchanged after a save and a second load. The
+// artifact's value is an int64Spec value. Each
 // input is tried as both files, once as the whole file and once as a frame
 // body under the file's magic and a valid checksum, so the field decoding
 // meets fuzzed bytes too. Spend floats compare bit for bit, so a NaN must
@@ -70,14 +72,27 @@ func FuzzStoreLoad(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	port := int64Port("x")
+	spec := int64Spec("a", "x", 0)
+	save := func(s *Store, a Artifact, v int64) error {
+		return s.SaveArtifact(a, func(w *frame.Writer) error { return spec.Encode(w, v) })
+	}
+	load := func(s *Store) (a *Artifact, v int64, err error) {
+		a, err = s.LoadArtifact("x", func(r *frame.Reader) (err error) {
+			v, err = spec.Decode(r)
+			return err
+		})
+		return a, v, err
+	}
 	artPath := filepath.Join("ckpt", "x"+artifactSuffix)
 	rcPath := filepath.Join("ckpt", "s"+receiptSuffix)
-	for _, a := range []Artifact{
-		{Stage: "a", Key: "x", Version: 1, Fingerprint: 42, Value: int64(7)},
-		{Key: "x", Value: int64(-1)},
+	for _, a := range []struct {
+		Artifact
+		v int64
+	}{
+		{Artifact{Stage: "a", Key: "x", Version: 1, Fingerprint: 42}, 7},
+		{Artifact{Key: "x"}, -1},
 	} {
-		if err := s.SaveArtifact(a, port); err != nil {
+		if err := save(s, a.Artifact, a.v); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(m[artPath])
@@ -85,7 +100,7 @@ func FuzzStoreLoad(f *testing.F) {
 	}
 	for _, rc := range []Receipt{
 		{Stage: "s"},
-		{Stage: "s", Version: 2, Fingerprint: 9, Outputs: []Key{"x", "y"},
+		{Stage: "s", Version: 2, Fingerprint: 9, Outputs: []string{"x", "y"},
 			Spends: []telemetry.ReleaseEvent{{Mechanism: "cluster", Epsilon: 0.5, Sensitivity: 1, Values: 12}}},
 	} {
 		if err := s.SaveReceipt(rc); err != nil {
@@ -110,16 +125,16 @@ func FuzzStoreLoad(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, file := range files(artifactMagic, data) {
 			s := &Store{dir: "ckpt", fsys: memFS{artPath: file}}
-			a, err := s.LoadArtifact(port)
+			a, v, err := load(s)
 			if err != nil {
 				continue
 			}
-			if err := s.SaveArtifact(*a, port); err != nil {
+			if err := save(s, *a, v); err != nil {
 				t.Fatal(err)
 			}
-			again, err := s.LoadArtifact(port)
-			if err != nil || !reflect.DeepEqual(again, a) {
-				t.Fatalf("accepted artifact %+v read back as %+v (err=%v)", a, again, err)
+			again, againV, err := load(s)
+			if err != nil || !reflect.DeepEqual(again, a) || againV != v {
+				t.Fatalf("accepted artifact %+v (value %d) read back as %+v (value %d, err=%v)", a, v, again, againV, err)
 			}
 		}
 		for _, file := range files(receiptMagic, data) {

@@ -3,7 +3,6 @@ package pipeline
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -16,38 +15,15 @@ import (
 	"socialrec/internal/telemetry"
 )
 
-// testStage is a configurable stage for tests.
-type testStage struct {
-	name    string
-	version int
-	fp      uint64
-	inputs  []Key
-	outputs []Port
-	run     func(ctx context.Context, st *State) error
-}
-
-func (s *testStage) Name() string        { return s.name }
-func (s *testStage) Version() int        { return s.version }
-func (s *testStage) Fingerprint() uint64 { return s.fp }
-func (s *testStage) Inputs() []Key       { return s.inputs }
-func (s *testStage) Outputs() []Port     { return s.outputs }
-func (s *testStage) Run(ctx context.Context, st *State) error {
-	return s.run(ctx, st)
-}
-
-// int64Port is a deterministic codec for int64 values.
-func int64Port(k Key) Port {
-	return Port{
-		Key: k,
-		Encode: func(w *frame.Writer, v any) error {
-			i, ok := v.(int64)
-			if !ok {
-				return fmt.Errorf("want int64, got %T", v)
-			}
-			w.U64(uint64(i))
+// int64Spec is a test step of an int64 value with a deterministic codec.
+func int64Spec(name, key string, fp uint64) Spec[int64] {
+	return Spec[int64]{
+		Name: name, Key: key, Version: 1, Fingerprint: fp,
+		Encode: func(w *frame.Writer, v int64) error {
+			w.U64(uint64(v))
 			return nil
 		},
-		Decode: func(r *frame.Reader) (any, error) {
+		Decode: func(r *frame.Reader) (int64, error) {
 			return int64(r.U64("value")), r.Err()
 		},
 	}
@@ -61,160 +37,141 @@ func testOpts(dir string) Options {
 	}
 }
 
-// chain builds the canonical three-stage test pipeline:
-// source (emits seed) → double → add_ten. runs counts executions per stage.
-func chain(t *testing.T, seed int64, runs map[string]*int) *Pipeline {
+// chain is the canonical three-step test pipeline: source (emits seed) →
+// double → add_ten, where add_ten spends ε = 0.5.
+type chain struct {
+	seed          int64
+	doubleVersion int            // double's code version; 0 selects 1
+	runs          map[string]int // executions per step
+}
+
+func newChain(seed int64) *chain { return &chain{seed: seed, runs: map[string]int{}} }
+
+// run runs the chain and returns add_ten's value.
+func (c *chain) run(ctx context.Context, opts Options) (final int64, res *Result, err error) {
+	r, err := Start(ctx, opts)
+	if err != nil {
+		return 0, nil, err
+	}
+	defer func() { r.End(err) }()
+	base, baseFP, err := Step(r, int64Spec("source", "base", uint64(c.seed)), func(context.Context) (int64, error) {
+		c.runs["source"]++
+		return c.seed, nil
+	})
+	if err != nil {
+		return 0, nil, err
+	}
+	double := int64Spec("double", "doubled", 0)
+	if c.doubleVersion != 0 {
+		double.Version = c.doubleVersion
+	}
+	doubled, doubledFP, err := Step(r, double, func(context.Context) (int64, error) {
+		c.runs["double"]++
+		return 2 * base, nil
+	}, baseFP)
+	if err != nil {
+		return 0, nil, err
+	}
+	final, _, err = Step(r, int64Spec("add_ten", "final", 0), func(ctx context.Context) (int64, error) {
+		c.runs["add_ten"]++
+		r.RecordSpend(ctx, telemetry.ReleaseEvent{Mechanism: "test", Epsilon: 0.5, Sensitivity: 1, Values: 1})
+		return doubled + 10, nil
+	}, doubledFP)
+	if err != nil {
+		return 0, nil, err
+	}
+	return final, &r.Result, nil
+}
+
+// checkRuns requires every chain step to have run want times.
+func (c *chain) checkRuns(t *testing.T, want int) {
 	t.Helper()
-	bump := func(name string) {
-		if runs != nil {
-			if _, ok := runs[name]; !ok {
-				c := 0
-				runs[name] = &c
-			}
-			*runs[name]++
+	for _, name := range []string{"source", "double", "add_ten"} {
+		if n := c.runs[name]; n != want {
+			t.Errorf("stage %s ran %d times, want %d", name, n, want)
 		}
 	}
-	p, err := New(
-		&testStage{
-			name: "source", version: 1, fp: uint64(seed),
-			outputs: []Port{int64Port("base")},
-			run: func(ctx context.Context, st *State) error {
-				bump("source")
-				st.Put("base", seed)
-				return nil
-			},
-		},
-		&testStage{
-			name: "double", version: 1,
-			inputs:  []Key{"base"},
-			outputs: []Port{int64Port("doubled")},
-			run: func(ctx context.Context, st *State) error {
-				bump("double")
-				v, err := Get[int64](st, "base")
-				if err != nil {
-					return err
-				}
-				st.Put("doubled", 2*v)
-				return nil
-			},
-		},
-		&testStage{
-			name: "add_ten", version: 1,
-			inputs:  []Key{"doubled"},
-			outputs: []Port{int64Port("final")},
-			run: func(ctx context.Context, st *State) error {
-				bump("add_ten")
-				v, err := Get[int64](st, "doubled")
-				if err != nil {
-					return err
-				}
-				st.Put("final", v+10)
-				st.RecordSpend(telemetry.ReleaseEvent{Mechanism: "test", Epsilon: 0.5, Sensitivity: 1, Values: 1})
-				return nil
-			},
-		},
-	)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	return p
 }
 
-func finalValue(t *testing.T, res *Result) int64 {
-	t.Helper()
-	v, err := Get[int64](res.State, "final")
+// oneStep runs a pipeline of the single step name, computing with compute.
+func oneStep(ctx context.Context, opts Options, name string, compute func(context.Context) (int64, error)) (*Result, error) {
+	r, err := Start(ctx, opts)
 	if err != nil {
-		t.Fatalf("final value: %v", err)
+		return nil, err
 	}
-	return v
+	_, _, err = Step(r, int64Spec(name, "x", 0), compute)
+	r.End(err)
+	if err != nil {
+		return nil, err
+	}
+	return &r.Result, nil
 }
 
-func TestNewValidation(t *testing.T) {
-	ok := &testStage{name: "a", outputs: []Port{int64Port("x")},
-		run: func(context.Context, *State) error { return nil }}
+// TestStepValidation: a step name or key that is not a valid telemetry
+// name is rejected before the step computes or touches the checkpoint
+// directory, because both become file names.
+func TestStepValidation(t *testing.T) {
 	cases := []struct {
-		name   string
-		stages []Stage
-		want   string
+		name, key, want string
 	}{
-		{"empty", nil, "no stages"},
-		{"bad name", []Stage{&testStage{name: "Bad-Name"}}, "invalid stage name"},
-		{"dup stage", []Stage{ok, &testStage{name: "a"}}, "duplicate stage name"},
-		{"negative version", []Stage{&testStage{name: "a", version: -1}}, "negative version"},
-		{"unknown input", []Stage{&testStage{name: "a", inputs: []Key{"ghost"}}}, "not produced"},
-		{"dup output", []Stage{ok, &testStage{name: "b", outputs: []Port{int64Port("x")}}}, "produced by both"},
-		{"bad key", []Stage{&testStage{name: "a", outputs: []Port{int64Port("UPPER")}}}, "not a valid name"},
-		{"nil codec", []Stage{&testStage{name: "a", outputs: []Port{{Key: "x"}}}}, "missing its codec"},
+		{"Bad-Name", "x", "invalid stage name"},
+		{"a", "UPPER", "not a valid name"},
+		{"a", "", "not a valid name"},
 	}
 	for _, tc := range cases {
-		_, err := New(tc.stages...)
+		dir := t.TempDir()
+		r, err := Start(context.Background(), testOpts(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		computed := false
+		_, _, err = Step(r, int64Spec(tc.name, tc.key, 0), func(context.Context) (int64, error) {
+			computed = true
+			return 1, nil
+		})
+		r.End(err)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: err = %v, want containing %q", tc.name, err, tc.want)
+			t.Errorf("%q/%q: err = %v, want containing %q", tc.name, tc.key, err, tc.want)
+		}
+		if names, _ := os.ReadDir(dir); computed || len(names) != 0 {
+			t.Errorf("%q/%q: rejected step computed (%v) or wrote %d file(s)", tc.name, tc.key, computed, len(names))
 		}
 	}
 }
 
 func TestRunWithoutCheckpoints(t *testing.T) {
-	runs := map[string]*int{}
-	p := chain(t, 21, runs)
-	opts := testOpts("")
-	res, err := p.Run(context.Background(), opts)
+	c := newChain(21)
+	final, res, err := c.run(context.Background(), testOpts(""))
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("run: %v", err)
 	}
-	if got := finalValue(t, res); got != 52 {
-		t.Fatalf("final = %d, want 52", got)
+	if final != 52 {
+		t.Fatalf("final = %d, want 52", final)
 	}
 	if res.Resumed() != 0 {
 		t.Fatalf("resumed %d stages without a checkpoint dir", res.Resumed())
 	}
-	for name, n := range runs {
-		if *n != 1 {
-			t.Errorf("stage %s ran %d times, want 1", name, *n)
-		}
-	}
-}
-
-func TestStageMustPublishDeclaredOutputs(t *testing.T) {
-	p, err := New(&testStage{
-		name: "lazy", outputs: []Port{int64Port("x")},
-		run: func(context.Context, *State) error { return nil },
-	})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	for _, dir := range []string{"", t.TempDir()} {
-		_, err = p.Run(context.Background(), testOpts(dir))
-		if err == nil || !strings.Contains(err.Error(), "did not publish") {
-			t.Errorf("dir=%q: err = %v, want did-not-publish", dir, err)
-		}
-	}
+	c.checkRuns(t, 1)
 }
 
 func TestResumeSkipsCompletedStages(t *testing.T) {
 	dir := t.TempDir()
-	runs := map[string]*int{}
-	p := chain(t, 21, runs)
-
-	res1, err := p.Run(context.Background(), testOpts(dir))
+	c := newChain(21)
+	final1, _, err := c.run(context.Background(), testOpts(dir))
 	if err != nil {
-		t.Fatalf("first Run: %v", err)
+		t.Fatalf("first run: %v", err)
 	}
-	res2, err := p.Run(context.Background(), testOpts(dir))
+	final2, res2, err := c.run(context.Background(), testOpts(dir))
 	if err != nil {
-		t.Fatalf("second Run: %v", err)
+		t.Fatalf("second run: %v", err)
 	}
-	if got, want := finalValue(t, res2), finalValue(t, res1); got != want {
-		t.Fatalf("resumed final = %d, want %d", got, want)
+	if final2 != final1 {
+		t.Fatalf("resumed final = %d, want %d", final2, final1)
 	}
 	if res2.Resumed() != 3 {
 		t.Fatalf("resumed %d stages, want 3", res2.Resumed())
 	}
-	for name, n := range runs {
-		if *n != 1 {
-			t.Errorf("stage %s ran %d times across both runs, want 1", name, *n)
-		}
-	}
+	c.checkRuns(t, 1)
 	// Resumed reports carry the persisted spends.
 	last := res2.Stages[2]
 	if !last.Resumed || len(last.Spends) != 1 || last.Spends[0].Epsilon != 0.5 {
@@ -227,64 +184,53 @@ func TestResumeSkipsCompletedStages(t *testing.T) {
 // checkpoints, so the next run resumes all of them to the same value.
 func TestResumeOffReRunsButRefreshesCheckpoints(t *testing.T) {
 	dir := t.TempDir()
-	runs := map[string]*int{}
-	p := chain(t, 21, runs)
-	if _, err := p.Run(context.Background(), testOpts(dir)); err != nil {
-		t.Fatalf("first Run: %v", err)
+	c := newChain(21)
+	if _, _, err := c.run(context.Background(), testOpts(dir)); err != nil {
+		t.Fatalf("first run: %v", err)
 	}
 	opts := testOpts(dir)
 	opts.Fresh = true
-	if _, err := p.Run(context.Background(), opts); err != nil {
-		t.Fatalf("fresh Run: %v", err)
+	if _, _, err := c.run(context.Background(), opts); err != nil {
+		t.Fatalf("fresh run: %v", err)
 	}
-	res, err := p.Run(context.Background(), testOpts(dir))
+	final, res, err := c.run(context.Background(), testOpts(dir))
 	if err != nil {
-		t.Fatalf("third Run: %v", err)
+		t.Fatalf("third run: %v", err)
 	}
-	if res.Resumed() != 3 || finalValue(t, res) != 52 {
-		t.Fatalf("run after the fresh run resumed %d of 3 stages, final %d", res.Resumed(), finalValue(t, res))
+	if res.Resumed() != 3 || final != 52 {
+		t.Fatalf("run after the fresh run resumed %d of 3 stages, final %d", res.Resumed(), final)
 	}
-	for name, n := range runs {
-		if *n != 2 {
-			t.Errorf("stage %s ran %d times, want 2 (first and fresh runs)", name, *n)
-		}
-	}
+	c.checkRuns(t, 2) // the first and the fresh run
 }
 
 func TestFreshDiscardsCheckpoints(t *testing.T) {
 	dir := t.TempDir()
-	runs := map[string]*int{}
-	p := chain(t, 21, runs)
-	if _, err := p.Run(context.Background(), testOpts(dir)); err != nil {
-		t.Fatalf("first Run: %v", err)
+	c := newChain(21)
+	if _, _, err := c.run(context.Background(), testOpts(dir)); err != nil {
+		t.Fatalf("first run: %v", err)
 	}
 	opts := testOpts(dir)
 	opts.Fresh = true
-	res, err := p.Run(context.Background(), opts)
+	_, res, err := c.run(context.Background(), opts)
 	if err != nil {
-		t.Fatalf("fresh Run: %v", err)
+		t.Fatalf("fresh run: %v", err)
 	}
 	if res.Resumed() != 0 {
 		t.Fatalf("fresh run resumed %d stages", res.Resumed())
 	}
-	for name, n := range runs {
-		if *n != 2 {
-			t.Errorf("stage %s ran %d times, want 2", name, *n)
-		}
-	}
+	c.checkRuns(t, 2)
 }
 
 func TestVersionBumpInvalidatesStageAndDownstream(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := chain(t, 21, nil).Run(context.Background(), testOpts(dir)); err != nil {
-		t.Fatalf("first Run: %v", err)
+	if _, _, err := newChain(21).run(context.Background(), testOpts(dir)); err != nil {
+		t.Fatalf("first run: %v", err)
 	}
-	runs := map[string]*int{}
-	p := chain(t, 21, runs)
-	p.stages[1].(*testStage).version = 2 // bump "double"
-	res, err := p.Run(context.Background(), testOpts(dir))
+	c := newChain(21)
+	c.doubleVersion = 2
+	_, res, err := c.run(context.Background(), testOpts(dir))
 	if err != nil {
-		t.Fatalf("second Run: %v", err)
+		t.Fatalf("second run: %v", err)
 	}
 	if !res.Stages[0].Resumed {
 		t.Errorf("source should have been resumed")
@@ -292,7 +238,7 @@ func TestVersionBumpInvalidatesStageAndDownstream(t *testing.T) {
 	if res.Stages[1].Resumed || res.Stages[2].Resumed {
 		t.Errorf("double and add_ten should have re-run: %+v", res.Stages[1:])
 	}
-	if _, ran := runs["source"]; ran {
+	if c.runs["source"] != 0 {
 		t.Errorf("source ran despite valid checkpoint")
 	}
 }
@@ -301,14 +247,13 @@ func TestConfigChangeInvalidatesEverything(t *testing.T) {
 	dir := t.TempDir()
 	opts := testOpts(dir)
 	opts.Config = 1
-	if _, err := chain(t, 21, nil).Run(context.Background(), opts); err != nil {
-		t.Fatalf("first Run: %v", err)
+	if _, _, err := newChain(21).run(context.Background(), opts); err != nil {
+		t.Fatalf("first run: %v", err)
 	}
-	runs := map[string]*int{}
 	opts.Config = 2
-	res, err := chain(t, 21, runs).Run(context.Background(), opts)
+	_, res, err := newChain(21).run(context.Background(), opts)
 	if err != nil {
-		t.Fatalf("second Run: %v", err)
+		t.Fatalf("second run: %v", err)
 	}
 	if res.Resumed() != 0 {
 		t.Fatalf("config change resumed %d stages, want 0", res.Resumed())
@@ -317,8 +262,8 @@ func TestConfigChangeInvalidatesEverything(t *testing.T) {
 
 func TestCorruptArtifactForcesReRun(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := chain(t, 21, nil).Run(context.Background(), testOpts(dir)); err != nil {
-		t.Fatalf("first Run: %v", err)
+	if _, _, err := newChain(21).run(context.Background(), testOpts(dir)); err != nil {
+		t.Fatalf("first run: %v", err)
 	}
 	// Flip a payload byte in the "doubled" artifact; CRC validation must
 	// reject it and re-run "double" (and, because add_ten's checkpoint is
@@ -332,18 +277,18 @@ func TestCorruptArtifactForcesReRun(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	runs := map[string]*int{}
-	res, err := chain(t, 21, runs).Run(context.Background(), testOpts(dir))
+	c := newChain(21)
+	final, _, err := c.run(context.Background(), testOpts(dir))
 	if err != nil {
-		t.Fatalf("second Run: %v", err)
+		t.Fatalf("second run: %v", err)
 	}
-	if got := finalValue(t, res); got != 52 {
-		t.Fatalf("final = %d, want 52", got)
+	if final != 52 {
+		t.Fatalf("final = %d, want 52", final)
 	}
-	if _, ran := runs["double"]; !ran {
+	if c.runs["double"] == 0 {
 		t.Errorf("double should have re-run after artifact corruption")
 	}
-	if _, ran := runs["source"]; ran {
+	if c.runs["source"] != 0 {
 		t.Errorf("source should have resumed")
 	}
 }
@@ -354,18 +299,11 @@ func TestCorruptArtifactForcesReRun(t *testing.T) {
 func TestPermanentFailureAfterRetriesExhausted(t *testing.T) {
 	cause := errors.New("always")
 	attempts := 0
-	p, err := New(&testStage{
-		name: "doomed", outputs: []Port{int64Port("x")},
-		run: func(context.Context, *State) error {
-			attempts++
-			return cause
-		},
-	})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
 	dir := t.TempDir()
-	_, err = p.Run(context.Background(), testOpts(dir))
+	_, err := oneStep(context.Background(), testOpts(dir), "doomed", func(context.Context) (int64, error) {
+		attempts++
+		return 0, cause
+	})
 	if !errors.Is(err, cause) || !strings.Contains(err.Error(), "stage doomed") {
 		t.Fatalf("err = %v, want the stage's error naming stage doomed", err)
 	}
@@ -380,20 +318,13 @@ func TestPermanentFailureAfterRetriesExhausted(t *testing.T) {
 // TestStageTimeout: a deadline on the run's own context cuts a stage off,
 // and the run fails with the deadline's error.
 func TestStageTimeout(t *testing.T) {
-	p, err := New(&testStage{
-		name: "slow", outputs: []Port{int64Port("x")},
-		run: func(ctx context.Context, st *State) error {
-			<-ctx.Done()
-			return ctx.Err()
-		},
-	})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err = p.Run(ctx, testOpts(""))
+	_, err := oneStep(ctx, testOpts(""), "slow", func(ctx context.Context) (int64, error) {
+		<-ctx.Done()
+		return 0, ctx.Err()
+	})
 	if err == nil || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want deadline exceeded", err)
 	}
@@ -403,25 +334,17 @@ func TestStageTimeout(t *testing.T) {
 }
 
 func TestTimeoutSwallowedByStageStillFails(t *testing.T) {
-	// A stage that ignores the end of its context and returns nil must not
-	// commit.
+	// A stage that ignores the end of its context and returns a value must
+	// not commit.
 	ran := false
-	p, err := New(&testStage{
-		name: "ignorer", outputs: []Port{int64Port("x")},
-		run: func(ctx context.Context, st *State) error {
-			ran = true
-			<-ctx.Done()
-			st.Put("x", int64(1))
-			return nil // swallows the deadline
-		},
-	})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
 	dir := t.TempDir()
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
-	_, err = p.Run(ctx, testOpts(dir))
+	_, err := oneStep(ctx, testOpts(dir), "ignorer", func(ctx context.Context) (int64, error) {
+		ran = true
+		<-ctx.Done()
+		return 1, nil // swallows the deadline
+	})
 	if err == nil || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want deadline exceeded", err)
 	}
@@ -438,26 +361,19 @@ func TestTimeoutSwallowedByStageStillFails(t *testing.T) {
 // retry there is) completes the stage.
 func TestPanicContainedAndRetried(t *testing.T) {
 	attempts := 0
-	p, err := New(&testStage{
-		name: "panicky", outputs: []Port{int64Port("x")},
-		run: func(ctx context.Context, st *State) error {
-			attempts++
-			if attempts == 1 {
-				panic(faults.InjectedPanic{Point: "stage.run"})
-			}
-			st.Put("x", int64(3))
-			return nil
-		},
-	})
-	if err != nil {
-		t.Fatalf("New: %v", err)
+	panicky := func(context.Context) (int64, error) {
+		attempts++
+		if attempts == 1 {
+			panic(faults.InjectedPanic{Point: "stage.run"})
+		}
+		return 3, nil
 	}
 	dir := t.TempDir()
-	_, err = p.Run(context.Background(), testOpts(dir))
+	_, err := oneStep(context.Background(), testOpts(dir), "panicky", panicky)
 	if err == nil || !strings.Contains(err.Error(), "stage panicky: panicked") {
 		t.Fatalf("err = %v, want a contained panic naming stage panicky", err)
 	}
-	res, err := p.Run(context.Background(), testOpts(dir))
+	res, err := oneStep(context.Background(), testOpts(dir), "panicky", panicky)
 	if err != nil {
 		t.Fatalf("rerun: %v", err)
 	}
@@ -469,19 +385,12 @@ func TestPanicContainedAndRetried(t *testing.T) {
 func TestCancellationNotRetried(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	attempts := 0
-	p, err := New(&testStage{
-		name: "victim", outputs: []Port{int64Port("x")},
-		run: func(ctx context.Context, st *State) error {
-			attempts++
-			cancel()
-			<-ctx.Done()
-			return ctx.Err()
-		},
+	_, err := oneStep(ctx, testOpts(""), "victim", func(ctx context.Context) (int64, error) {
+		attempts++
+		cancel()
+		<-ctx.Done()
+		return 0, ctx.Err()
 	})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	_, err = p.Run(ctx, testOpts(""))
 	if err == nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want canceled", err)
 	}
@@ -492,9 +401,9 @@ func TestCancellationNotRetried(t *testing.T) {
 
 func TestSpendPersistedExactlyOnce(t *testing.T) {
 	dir := t.TempDir()
-	p := chain(t, 21, nil)
-	if _, err := p.Run(context.Background(), testOpts(dir)); err != nil {
-		t.Fatalf("first Run: %v", err)
+	c := newChain(21)
+	if _, _, err := c.run(context.Background(), testOpts(dir)); err != nil {
+		t.Fatalf("first run: %v", err)
 	}
 	store, _, err := OpenStore(dir, nil)
 	if err != nil {
@@ -516,8 +425,8 @@ func TestSpendPersistedExactlyOnce(t *testing.T) {
 		}
 	}
 	check("after first run")
-	if _, err := p.Run(context.Background(), testOpts(dir)); err != nil {
-		t.Fatalf("resumed Run: %v", err)
+	if _, _, err := c.run(context.Background(), testOpts(dir)); err != nil {
+		t.Fatalf("resumed run: %v", err)
 	}
 	check("after resumed run")
 }
@@ -527,9 +436,9 @@ func TestOpenStoreSweepsTempDebris(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "base.art.tmp"), []byte("torn"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	res, err := chain(t, 21, nil).Run(context.Background(), testOpts(dir))
+	_, res, err := newChain(21).run(context.Background(), testOpts(dir))
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("run: %v", err)
 	}
 	if len(res.Swept) != 1 || res.Swept[0] != "base.art.tmp" {
 		t.Fatalf("Swept = %v, want [base.art.tmp]", res.Swept)

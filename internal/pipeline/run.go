@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"socialrec/internal/faults"
+	"socialrec/internal/frame"
 	"socialrec/internal/telemetry"
 	"socialrec/internal/trace"
 )
@@ -52,10 +53,8 @@ type StageReport struct {
 	Spends []telemetry.ReleaseEvent
 }
 
-// Result is the outcome of a pipeline run.
+// Result reports a pipeline run.
 type Result struct {
-	// State holds every stage output, resumed or computed.
-	State *State
 	// Stages reports per-stage outcomes in execution order.
 	Stages []StageReport
 	// Swept lists temp debris removed when the checkpoint dir was opened.
@@ -101,15 +100,15 @@ func newPipelineMetrics(reg *telemetry.Registry) *pipelineMetrics {
 	}
 }
 
-// fingerprint chains a stage's cache key from everything that determines
-// its output: stage identity and code version, the stage's external-input
+// fingerprint chains a step's cache key from everything that determines
+// its value: step identity and code version, the step's external-input
 // hash, the run config, and the fingerprints of its inputs (which chain
 // back to their producers, so an upstream change cascades downstream).
-func fingerprint(s Stage, config uint64, inputFPs []uint64) uint64 {
+func fingerprint(name string, version int, external, config uint64, inputFPs []uint64) uint64 {
 	h := NewHasher()
-	h.String(s.Name())
-	h.Word(uint64(s.Version()))
-	h.Word(s.Fingerprint())
+	h.String(name)
+	h.Word(uint64(version))
+	h.Word(external)
 	h.Word(config)
 	for _, fp := range inputFPs {
 		h.Word(fp)
@@ -117,12 +116,12 @@ func fingerprint(s Stage, config uint64, inputFPs []uint64) uint64 {
 	return h.Sum()
 }
 
-// artifactFingerprint derives an output artifact's fingerprint from its
-// producing stage's fingerprint and its key.
-func artifactFingerprint(stageFP uint64, key Key) uint64 {
+// artifactFingerprint derives an artifact's fingerprint from its producing
+// step's fingerprint and its key.
+func artifactFingerprint(stageFP uint64, key string) uint64 {
 	h := NewHasher()
 	h.Word(stageFP)
-	h.String(string(key))
+	h.String(key)
 	return h.Sum()
 }
 
@@ -148,28 +147,35 @@ func (h *Hasher) String(s string) { h.h.Write([]byte(s)) }
 // Sum returns the fingerprint.
 func (h *Hasher) Sum() uint64 { return h.h.Sum64() }
 
-// Run executes the pipeline. With a checkpoint directory it resumes from
-// the first stage whose checkpoint is absent, corrupt or fingerprint-stale
-// and checkpoints every stage it runs; without one it simply executes the
-// stages in order. Run returns the first stage error; state already
-// checkpointed remains durable, so rerunning picks up where this run
-// stopped. A stage that fails is not retried within the run: the caller's
-// rerun is the retry.
-func (p *Pipeline) Run(ctx context.Context, opts Options) (res *Result, err error) {
-	// The whole run is one trace: stages become child spans, and a
-	// caller that passes an already-traced context (an admin request) gets
-	// the run folded into its own trace instead.
-	ctx, rootSpan := trace.Start(ctx, "pipeline_run")
-	defer func() {
-		if err != nil {
-			rootSpan.SetStatus(trace.StatusError)
-		}
-		rootSpan.End()
-	}()
-	logf := func(string, ...any) {}
+// Run is one pipeline run: Start opens it, Step runs each step in order,
+// and End closes the run's trace. A Run is not safe for concurrent use.
+type Run struct {
+	// Result reports the steps run so far and the debris Start swept.
+	Result
+
+	ctx    context.Context // carries the run's root span
+	span   trace.Span
+	config uint64
+	store  *Store // nil without a checkpoint directory
+	met    *pipelineMetrics
+	logf   func(string, ...any)
+	spends []telemetry.ReleaseEvent // recorded by the step computing now
+}
+
+// Start opens a run. With a checkpoint directory it opens the store,
+// sweeps temp debris and, for a fresh run, clears the checkpoints; every
+// Step then resumes from a matching checkpoint or checkpoints what it
+// computes. Without one, each Step simply computes. The caller must End a
+// run Start returns.
+func Start(ctx context.Context, opts Options) (*Run, error) {
+	// The whole run is one trace: steps become child spans, and a caller
+	// that passes an already-traced context (an admin request) gets the run
+	// folded into its own trace instead.
+	ctx, span := trace.Start(ctx, "pipeline_run")
+	r := &Run{ctx: ctx, span: span, config: opts.Config, logf: func(string, ...any) {}}
 	if opts.Logger != nil {
 		logger := slog.New(trace.NewSlogHandler(opts.Logger.Handler()))
-		logf = func(format string, args ...any) {
+		r.logf = func(format string, args ...any) {
 			logger.InfoContext(ctx, fmt.Sprintf(format, args...))
 		}
 	}
@@ -177,176 +183,177 @@ func (p *Pipeline) Run(ctx context.Context, opts Options) (res *Result, err erro
 	if reg == nil {
 		reg = telemetry.Default()
 	}
-	met := newPipelineMetrics(reg)
+	r.met = newPipelineMetrics(reg)
 
-	res = &Result{State: NewState()}
-	var store *Store
 	if opts.CheckpointDir != "" {
 		var err error
-		store, res.Swept, err = OpenStore(opts.CheckpointDir, opts.FS)
+		r.store, r.Swept, err = OpenStore(opts.CheckpointDir, opts.FS)
 		if err != nil {
-			return res, err
+			r.End(err)
+			return nil, err
 		}
-		for _, name := range res.Swept {
-			logf("pipeline: swept crashed-write debris %s", name)
+		for _, name := range r.Swept {
+			r.logf("pipeline: swept crashed-write debris %s", name)
 		}
 		if opts.Fresh {
-			if err := store.Clear(); err != nil {
-				return res, err
+			if err := r.store.Clear(); err != nil {
+				r.End(err)
+				return nil, err
 			}
-			logf("pipeline: cleared checkpoints in %s (fresh run)", store.Dir())
+			r.logf("pipeline: cleared checkpoints in %s (fresh run)", r.store.Dir())
 		}
 	}
-
-	fps := make(map[Key]uint64)
-	for _, stage := range p.stages {
-		if err := ctx.Err(); err != nil {
-			return res, fmt.Errorf("pipeline: canceled before stage %s: %w", stage.Name(), err)
-		}
-		inputFPs := make([]uint64, 0, len(stage.Inputs()))
-		for _, in := range stage.Inputs() {
-			inputFPs = append(inputFPs, fps[in])
-		}
-		fp := fingerprint(stage, opts.Config, inputFPs)
-		for _, out := range stage.Outputs() {
-			fps[out.Key] = artifactFingerprint(fp, out.Key)
-		}
-
-		if store != nil {
-			if spends, ok := p.tryResume(store, stage, fp, res.State, met, logf); ok {
-				met.resumed.Inc()
-				res.Stages = append(res.Stages, StageReport{
-					Stage: stage.Name(), Fingerprint: fp, Resumed: true, Spends: spends,
-				})
-				logf("pipeline: stage %s resumed from checkpoint (fingerprint %016x)", stage.Name(), fp)
-				continue
-			}
-		}
-
-		report, err := p.runStage(ctx, stage, fp, res.State, store, met, logf)
-		res.Stages = append(res.Stages, report)
-		if err != nil {
-			met.failures.Inc()
-			return res, err
-		}
-	}
-	return res, nil
+	return r, nil
 }
 
-// tryResume loads a stage's checkpoint if its receipt and every output
-// artifact validate against the expected fingerprint. On any mismatch it
-// reports false and the stage re-runs.
-func (p *Pipeline) tryResume(store *Store, stage Stage, fp uint64, st *State, met *pipelineMetrics, logf func(string, ...any)) ([]telemetry.ReleaseEvent, bool) {
-	rc, err := store.LoadReceipt(stage.Name())
+// End closes the run's root span, marking it failed when err is non-nil.
+func (r *Run) End(err error) {
+	if err != nil {
+		r.span.SetStatus(trace.StatusError)
+	}
+	r.span.End()
+}
+
+// RecordSpend notes that the step computing now consumed privacy budget,
+// stamping ctx's trace id into the event when it carries none. The spend
+// lands in the step's receipt, durable exactly when (and only when) the
+// step's artifact is — the persistence that lets Store.Ledger report each
+// ε-spend exactly once across crash/resume sequences. Steps call this in
+// addition to (not instead of) the process-wide telemetry ledger their
+// mechanism constructors already feed.
+func (r *Run) RecordSpend(ctx context.Context, ev telemetry.ReleaseEvent) {
+	if ev.TraceID == "" {
+		ev.TraceID = telemetry.TraceIDFrom(ctx)
+	}
+	r.spends = append(r.spends, ev)
+}
+
+// Step returns the value of one step and its artifact fingerprint, which
+// later steps that read the value pass among their inputs. With a
+// checkpoint directory it loads the value when the step's receipt and
+// artifact both match the fingerprint, and otherwise computes it and
+// checkpoints it. A step that fails is not retried within the run: the
+// caller's rerun is the retry.
+func Step[T any](r *Run, s Spec[T], compute func(context.Context) (T, error), inputs ...uint64) (T, uint64, error) {
+	var zero T
+	if !telemetry.ValidName(s.Name) {
+		return zero, 0, fmt.Errorf("pipeline: invalid stage name %q (want [a-z][a-z0-9_]*)", s.Name)
+	}
+	if !telemetry.ValidName(s.Key) {
+		return zero, 0, fmt.Errorf("pipeline: stage %q output key %q is not a valid name", s.Name, s.Key)
+	}
+	if err := r.ctx.Err(); err != nil {
+		return zero, 0, fmt.Errorf("pipeline: canceled before stage %s: %w", s.Name, err)
+	}
+	fp := fingerprint(s.Name, s.Version, s.Fingerprint, r.config, inputs)
+	artFP := artifactFingerprint(fp, s.Key)
+
+	if r.store != nil {
+		if v, spends, ok := resume(r, s, fp, artFP); ok {
+			r.met.resumed.Inc()
+			r.Stages = append(r.Stages, StageReport{Stage: s.Name, Fingerprint: fp, Resumed: true, Spends: spends})
+			r.logf("pipeline: stage %s resumed from checkpoint (fingerprint %016x)", s.Name, fp)
+			return v, artFP, nil
+		}
+	}
+
+	v, report, err := runStep(r, s, fp, artFP, compute)
+	r.Stages = append(r.Stages, report)
+	if err != nil {
+		r.met.failures.Inc()
+		return zero, 0, err
+	}
+	return v, artFP, nil
+}
+
+// resume loads a step's checkpoint if its receipt and artifact validate
+// against the expected fingerprints. On any mismatch it reports false, and
+// the step re-runs.
+func resume[T any](r *Run, s Spec[T], fp, artFP uint64) (T, []telemetry.ReleaseEvent, bool) {
+	var v T
+	rc, err := r.store.LoadReceipt(s.Name)
 	if err != nil {
 		if !isNotExist(err) {
-			met.ckptBad.Inc()
-			logf("pipeline: stage %s checkpoint unusable: %v", stage.Name(), err)
+			r.met.ckptBad.Inc()
+			r.logf("pipeline: stage %s checkpoint unusable: %v", s.Name, err)
 		}
-		return nil, false
+		return v, nil, false
 	}
-	if rc.Fingerprint != fp || rc.Version != stage.Version() {
-		met.ckptBad.Inc()
-		logf("pipeline: stage %s checkpoint stale (have fingerprint %016x v%d, want %016x v%d)",
-			stage.Name(), rc.Fingerprint, rc.Version, fp, stage.Version())
-		return nil, false
+	if rc.Fingerprint != fp || rc.Version != s.Version {
+		r.met.ckptBad.Inc()
+		r.logf("pipeline: stage %s checkpoint stale (have fingerprint %016x v%d, want %016x v%d)",
+			s.Name, rc.Fingerprint, rc.Version, fp, s.Version)
+		return v, nil, false
 	}
-	// Decode into a scratch map first so a corrupt later artifact cannot
-	// leave a half-loaded state.
-	loaded := make(map[Key]any, len(stage.Outputs()))
-	for _, out := range stage.Outputs() {
-		a, err := store.LoadArtifact(out)
-		if err != nil {
-			met.ckptBad.Inc()
-			logf("pipeline: stage %s artifact %s unusable: %v", stage.Name(), out.Key, err)
-			return nil, false
-		}
-		want := artifactFingerprint(fp, out.Key)
-		if a.Fingerprint != want || a.Stage != stage.Name() {
-			met.ckptBad.Inc()
-			logf("pipeline: stage %s artifact %s stale (fingerprint %016x, want %016x)",
-				stage.Name(), out.Key, a.Fingerprint, want)
-			return nil, false
-		}
-		loaded[out.Key] = a.Value
+	a, err := r.store.LoadArtifact(s.Key, func(fr *frame.Reader) (err error) {
+		v, err = s.Decode(fr)
+		return err
+	})
+	if err != nil {
+		r.met.ckptBad.Inc()
+		r.logf("pipeline: stage %s artifact %s unusable: %v", s.Name, s.Key, err)
+		return v, nil, false
 	}
-	for k, v := range loaded {
-		st.Put(k, v)
+	if a.Fingerprint != artFP || a.Stage != s.Name {
+		r.met.ckptBad.Inc()
+		r.logf("pipeline: stage %s artifact %s stale (fingerprint %016x, want %016x)",
+			s.Name, s.Key, a.Fingerprint, artFP)
+		return v, nil, false
 	}
-	return rc.Spends, true
+	return v, rc.Spends, true
 }
 
-// runStage executes one stage and checkpoints its outputs.
-func (p *Pipeline) runStage(ctx context.Context, stage Stage, fp uint64, st *State, store *Store, met *pipelineMetrics, logf func(string, ...any)) (StageReport, error) {
-	report := StageReport{Stage: stage.Name(), Fingerprint: fp}
-	if store != nil {
-		// Invalidate any stale commit point before mutating artifacts, so
-		// a crash mid-rewrite can never pair an old receipt with new
-		// artifacts of a different fingerprint.
-		if err := store.RemoveReceipt(stage.Name()); err != nil {
-			return report, err
+// runStep computes one step and checkpoints its value.
+func runStep[T any](r *Run, s Spec[T], fp, artFP uint64, compute func(context.Context) (T, error)) (T, StageReport, error) {
+	var zero T
+	report := StageReport{Stage: s.Name, Fingerprint: fp}
+	if r.store != nil {
+		// Invalidate any stale commit point before mutating the artifact,
+		// so a crash mid-rewrite can never pair an old receipt with a new
+		// artifact of a different fingerprint.
+		if err := r.store.RemoveReceipt(s.Name); err != nil {
+			return zero, report, err
 		}
 	}
 
 	start := time.Now()
-	if err := execute(ctx, stage, st, met); err != nil {
-		return report, fmt.Errorf("pipeline: stage %s: %w", stage.Name(), err)
+	v, err := execute(r, s.Name, compute)
+	if err != nil {
+		return zero, report, fmt.Errorf("pipeline: stage %s: %w", s.Name, err)
 	}
-	report.Spends = st.drainSpends()
-	met.run.Inc()
+	report.Spends = r.spends
+	r.met.run.Inc()
 
-	if store != nil {
-		outputs := stage.Outputs()
-		keys := make([]Key, 0, len(outputs))
-		for _, out := range outputs {
-			v, ok := st.Value(out.Key)
-			if !ok {
-				return report, fmt.Errorf("pipeline: stage %s did not publish declared output %q", stage.Name(), out.Key)
-			}
-			if err := store.SaveArtifact(Artifact{
-				Stage:       stage.Name(),
-				Key:         out.Key,
-				Version:     stage.Version(),
-				Fingerprint: artifactFingerprint(fp, out.Key),
-				Value:       v,
-			}, out); err != nil {
-				return report, fmt.Errorf("pipeline: stage %s checkpointing %q: %w", stage.Name(), out.Key, err)
-			}
-			met.ckptWrites.Inc()
-			keys = append(keys, out.Key)
+	if r.store != nil {
+		if err := r.store.SaveArtifact(Artifact{Stage: s.Name, Key: s.Key, Version: s.Version, Fingerprint: artFP},
+			func(w *frame.Writer) error { return s.Encode(w, v) }); err != nil {
+			return zero, report, fmt.Errorf("pipeline: stage %s checkpointing %q: %w", s.Name, s.Key, err)
 		}
-		if err := store.SaveReceipt(Receipt{
-			Stage:       stage.Name(),
-			Version:     stage.Version(),
+		r.met.ckptWrites.Inc()
+		if err := r.store.SaveReceipt(Receipt{
+			Stage:       s.Name,
+			Version:     s.Version,
 			Fingerprint: fp,
-			Outputs:     keys,
+			Outputs:     []string{s.Key},
 			Spends:      report.Spends,
 		}); err != nil {
-			return report, fmt.Errorf("pipeline: stage %s committing receipt: %w", stage.Name(), err)
+			return zero, report, fmt.Errorf("pipeline: stage %s committing receipt: %w", s.Name, err)
 		}
-		met.ckptWrites.Inc()
-	} else {
-		// Without a checkpoint dir, still verify the stage kept its
-		// declared-output contract.
-		for _, out := range stage.Outputs() {
-			if _, ok := st.Value(out.Key); !ok {
-				return report, fmt.Errorf("pipeline: stage %s did not publish declared output %q", stage.Name(), out.Key)
-			}
-		}
+		r.met.ckptWrites.Inc()
 	}
-	logf("pipeline: stage %s completed in %s", stage.Name(), time.Since(start).Round(time.Millisecond))
-	return report, nil
+	r.logf("pipeline: stage %s completed in %s", s.Name, time.Since(start).Round(time.Millisecond))
+	return v, report, nil
 }
 
-// execute runs a stage under its trace span with panic containment.
-func execute(ctx context.Context, stage Stage, st *State, met *pipelineMetrics) (err error) {
-	met.inflight.Add(1)
-	defer met.inflight.Add(-1)
-	// The stage's span joins the run's causal tree and, as it ends, adds
-	// its duration to the stage's row of the stage table. A failed or
-	// panicked stage marks it errored, which forces the whole run trace
+// execute runs compute under the step's trace span with panic containment.
+func execute[T any](r *Run, name string, compute func(context.Context) (T, error)) (v T, err error) {
+	r.met.inflight.Add(1)
+	defer r.met.inflight.Add(-1)
+	// The step's span joins the run's causal tree and, as it ends, adds
+	// its duration to the step's row of the stage table. A failed or
+	// panicked step marks it errored, which forces the whole run trace
 	// through tail retention.
-	ctx, tsp := trace.StartChild(ctx, stage.Name())
+	ctx, tsp := trace.StartChild(r.ctx, name)
 	defer func() {
 		if err != nil {
 			tsp.SetStatus(trace.StatusError)
@@ -354,14 +361,15 @@ func execute(ctx context.Context, stage Stage, st *State, met *pipelineMetrics) 
 		tsp.End()
 	}()
 	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("panicked: %v", r)
+		if p := recover(); p != nil {
+			err = fmt.Errorf("panicked: %v", p)
 		}
 	}()
-	if err := stage.Run(ctx, st); err != nil {
-		return err
+	r.spends = nil
+	if v, err = compute(ctx); err != nil {
+		return v, err
 	}
-	// A stage that swallowed its context's end must still not commit: a
-	// stage cut off by the caller's deadline or cancellation failed.
-	return ctx.Err()
+	// A step that swallowed its context's end must still not commit: a
+	// step cut off by the caller's deadline or cancellation failed.
+	return v, ctx.Err()
 }

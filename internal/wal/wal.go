@@ -179,8 +179,7 @@ func decodePayload(p []byte) (Record, error) {
 }
 
 // Options configures Open. The zero value selects the real filesystem,
-// a 1 MiB segment budget, explicit-only syncs, telemetry.Default() and
-// log.Printf.
+// a 1 MiB segment budget, telemetry.Default() and log.Printf.
 type Options struct {
 	// FS abstracts the filesystem; nil selects faults.OS. Tests inject a
 	// faults.NewFS wrapper to exercise crash windows.
@@ -188,10 +187,6 @@ type Options struct {
 	// SegmentBytes rotates the active segment once its durable size would
 	// exceed this; 0 selects 1 MiB. Records never span segments.
 	SegmentBytes int64
-	// SyncEvery, when positive, syncs automatically after that many
-	// appended records. 0 means only explicit Sync calls (and Close)
-	// make records durable.
-	SyncEvery int
 	// Metrics receives the log's counters; nil selects telemetry.Default().
 	Metrics *telemetry.Registry
 	// Logf receives recovery notices; nil selects log.Printf.
@@ -240,7 +235,7 @@ func (l *Log) LastSeq() uint64 { return l.lastSeq }
 func (l *Log) Durable() uint64 { return l.durable }
 
 // Append assigns the next sequence number to the mutation and buffers it.
-// The record is durable only after the next Sync (or auto-sync) returns.
+// The record is durable only after the next Sync returns.
 func (l *Log) Append(op Op, a, b int64) (uint64, error) {
 	if l.broken != nil {
 		return 0, l.broken
@@ -254,11 +249,6 @@ func (l *Log) Append(op Op, a, b int64) (uint64, error) {
 	l.pendingN++
 	l.lastSeq = seq
 	l.appends.Inc()
-	if l.opts.SyncEvery > 0 && l.pendingN >= l.opts.SyncEvery {
-		if err := l.Sync(); err != nil {
-			return 0, err
-		}
-	}
 	return seq, nil
 }
 

@@ -9,8 +9,10 @@
 #      release with each ε-spend journaled exactly once.
 #      The experiment suite also runs TestOneRecipeOneRelease: the facade,
 #      a fresh and a resumed pipeline and the updater's first full publish
-#      must write one release. Each suite runs through run_named, so a
-#      renamed test fails the step instead of leaving it.
+#      must write one release. TestReleaseCheckpointsPinned pins the
+#      checkpoint bytes and each fault point's call count, which the drill
+#      below counts on. Each suite runs through run_named, so a renamed
+#      test fails the step instead of leaving it.
 #   2. A CLI-level drill through cmd/experiments: arm a fault, watch the
 #      run die at the sixth checkpoint rename (the similarity stage's
 #      receipt commit), resume, and assert the persisted release and the
@@ -25,7 +27,7 @@ step() { printf '\n== %s ==\n' "$*"; }
 
 step "fault-point sweep + crash/resume suites (-race)"
 run_named 'TestFaultPointSweep|TestStagePanicMidRunThenResume|TestStageTimeoutThenResume|TestOpenStoreSweepsTempDebris|TestSpendPersistedExactlyOnce' ./internal/pipeline
-run_named 'TestPipelineCrashMidPersistThenResume|TestPipelineResumeAndPersistIdempotent|TestOneRecipeOneRelease' ./internal/experiment
+run_named 'TestPipelineCrashMidPersistThenResume|TestPipelineResumeAndPersistIdempotent|TestOneRecipeOneRelease|TestReleaseCheckpointsPinned' ./internal/experiment
 run_named 'TestUpdaterCrashRecompute|TestUpdaterPublishFaultSweep|TestUpdaterBudgetExhaustion|TestUpdaterRefusesCorruptIntent|TestManagerRestartCannotRespend|TestManagerCrashDuringJournalWrite|TestJournal' ./internal/dynamic
 run_named 'TestWriteAtomic' ./internal/faults
 
